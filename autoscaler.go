@@ -8,7 +8,6 @@ import (
 	"cxlfork/internal/azure"
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
 )
@@ -77,13 +76,7 @@ func LoadTraceCSV(r io.Reader) ([]Arrival, error) {
 // SaveTraceCSV writes a synthetic bursty trace over the given functions
 // so it can be inspected or replayed elsewhere.
 func SaveTraceCSV(w io.Writer, functions []string, rps float64, duration time.Duration, seed int64) error {
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: rps,
-		Duration: des.Time(duration),
-		Loads:    azure.DefaultLoads(functions),
-		Seed:     seed,
-	})
-	return azure.WriteCSV(w, trace)
+	return azure.WriteCSV(w, experiments.GenerateTrace(functions, nil, rps, des.Time(duration), seed))
 }
 
 // RunAutoscaler deploys CXLporter on the system, checkpoints every
@@ -98,27 +91,18 @@ func (s *System) RunAutoscaler(cfg AutoscalerConfig) (ScalingResults, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 30 * time.Second
 	}
-	names := cfg.Functions
-	if len(names) == 0 {
-		names = FunctionNames()
+	specs, err := experiments.ResolveFunctions(cfg.Functions)
+	if err != nil {
+		return ScalingResults{}, fmt.Errorf("cxlfork: %w", err)
 	}
-	var specs []faas.Spec
-	for _, n := range names {
-		sp, ok := faas.ByName(n)
-		if !ok {
-			return ScalingResults{}, fmt.Errorf("cxlfork: unknown function %q", n)
-		}
-		specs = append(specs, sp)
-	}
-
-	ms, err := experiments.MeasureAll(s.c.P, specs, experiments.AllScenarios)
+	profiles, err := experiments.Calibrate(s.c.P, specs, experiments.AllScenarios)
 	if err != nil {
 		return ScalingResults{}, fmt.Errorf("cxlfork: calibrating profiles: %w", err)
 	}
 
 	pcfg := porter.Config{
 		Mechanism:       s.mech[cfg.Mechanism],
-		Profiles:        experiments.BuildProfiles(ms),
+		Profiles:        profiles,
 		DynamicTiering:  cfg.DynamicTiering,
 		NodeBudgetBytes: cfg.NodeBudget,
 		Seed:            cfg.Seed,
@@ -137,12 +121,7 @@ func (s *System) RunAutoscaler(cfg AutoscalerConfig) (ScalingResults, error) {
 			trace = append(trace, azure.Request{At: des.Time(a.At), Function: a.Function})
 		}
 	} else {
-		trace = azure.Generate(azure.TraceConfig{
-			TotalRPS: cfg.RPS,
-			Duration: des.Time(cfg.Duration),
-			Loads:    azure.DefaultLoads(names),
-			Seed:     cfg.Seed,
-		})
+		trace = experiments.GenerateTrace(experiments.SpecNames(specs), nil, cfg.RPS, des.Time(cfg.Duration), cfg.Seed)
 	}
 	res := po.Run(trace)
 

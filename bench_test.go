@@ -418,8 +418,8 @@ func BenchmarkAblationGhostContainers(b *testing.B) {
 }
 
 // laneBench runs the lane sweep once per iteration and reports the
-// per-page virtual costs at the given lane count; the cxlbench command
-// persists the same numbers to BENCH_PR2.json for CI regression diffs.
+// per-page virtual costs at the given lane count. The sweep's results
+// are pinned by goldenLanes and printed by cxlsim -exp lanes.
 func laneBench(b *testing.B, lanes int) {
 	p := experiments.ExpParams()
 	p.NodeDRAMBytes = 1 << 30

@@ -1,20 +1,17 @@
 // Command cxlbench is the performance-trajectory harness of the
-// simulator (DESIGN.md §13). Its default mode measures the parallel
-// engine at 1/8/64 nodes with 1 and 8 workers, replays the
-// million-request Azure trace through a full porter cluster, samples
-// steady-state allocation cost, and writes the whole trajectory as
-// BENCH_0007.json. With -check it instead compares a fresh run against
-// the committed baseline and exits nonzero on regression: fingerprint
-// or event-count drift (machine-independent — always enforced),
-// allocation-ceiling breaches, a sharded-engine speedup below the
-// floor, or throughput collapse beyond the wall-clock tolerance.
+// simulator (DESIGN.md §13). It replays the million-request Azure trace
+// through a full porter cluster, samples the pooled event path's
+// steady-state allocation cost, and writes both as BENCH_0007.json. With
+// -check it instead compares a fresh run against the committed baseline
+// and exits nonzero on regression: fingerprint or event-count drift
+// (machine-independent — always enforced), allocation-ceiling breaches,
+// or throughput collapse beyond the wall-clock tolerance.
 //
 // Usage:
 //
 //	cxlbench                          # write BENCH_0007.json
 //	cxlbench -check                   # gate against BENCH_0007.json
 //	cxlbench -check -o latest.json    # gate and keep the fresh report
-//	cxlbench -mode lanes              # legacy lane sweep (BENCH_PR2.json)
 package main
 
 import (
@@ -24,8 +21,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
@@ -34,27 +29,12 @@ import (
 
 // trajectorySchema versions the BENCH_0007.json layout; -check refuses
 // to compare reports across schema changes.
-const trajectorySchema = "cxlbench-trajectory/1"
+const trajectorySchema = "cxlbench-trajectory/2"
 
-// trajPoint is one (nodes, workers) engine measurement. Fingerprint,
-// events, epochs, requests and sim_ns are virtual-time facts — byte-
-// identical on any machine; wall_ns and the derived rates are host
-// measurements and only gated within a generous tolerance.
-type trajPoint struct {
-	Nodes            int     `json:"nodes"`
-	Workers          int     `json:"workers"`
-	Engine           string  `json:"engine"`
-	Events           uint64  `json:"events"`
-	Epochs           uint64  `json:"epochs"`
-	Requests         int64   `json:"requests"`
-	SimNs            int64   `json:"sim_ns"`
-	WallNs           int64   `json:"wall_ns"`
-	EventsPerSec     float64 `json:"events_per_sec"`
-	SimSecPerWallSec float64 `json:"sim_sec_per_wall_sec"`
-	Fingerprint      string  `json:"fingerprint"`
-}
-
-// trajAzure is the million-request cluster replay.
+// trajAzure is the million-request cluster replay. Completed, events,
+// sim_ns and the fingerprint are virtual-time facts — byte-identical on
+// any machine; wall_ns and the derived rates are host measurements and
+// only gated within a generous tolerance.
 type trajAzure struct {
 	Nodes            int     `json:"nodes"`
 	Arrivals         int     `json:"arrivals"`
@@ -70,24 +50,13 @@ type trajAzure struct {
 
 // trajReport is the BENCH_0007.json schema.
 type trajReport struct {
-	Schema string      `json:"schema"`
-	Engine []trajPoint `json:"engine"`
-	Azure  trajAzure   `json:"azure"`
+	Schema string    `json:"schema"`
+	Azure  trajAzure `json:"azure"`
 	// SteadyAllocsPerEvent is the pooled-engine allocation floor: the
 	// objects allocated per dispatched event once the free list is
 	// primed (the pooling contract says ~0).
 	SteadyAllocsPerEvent float64 `json:"steady_allocs_per_event"`
-	// Speedup is the 8-worker/1-worker events-per-second ratio at the
-	// 64-node point. Both runs happen on the same host back to back,
-	// so the ratio is far more stable than either raw rate.
-	Speedup float64 `json:"speedup_8w_over_1w_64_nodes"`
 }
-
-// trajNodeCounts and trajWorkerCounts span the engine grid.
-var (
-	trajNodeCounts   = []int{1, 8, 64}
-	trajWorkerCounts = []int{1, 8}
-)
 
 // allocCeilingSlack is how far allocs-per-event may drift above the
 // committed baseline before -check fails. Allocation counts are
@@ -99,55 +68,9 @@ const allocCeilingSlack = 0.05
 // and cannot carry 64 bits exactly.
 func fpHex(fp uint64) string { return fmt.Sprintf("%#016x", fp) }
 
-// buildTrajectory runs the full measurement suite. Every engine grid
-// cell at the same node count must produce the same fingerprint across
-// worker counts; divergence is an error, not a report.
+// buildTrajectory runs the full measurement suite.
 func buildTrajectory(p params.Params, verbose io.Writer) (*trajReport, error) {
 	rep := &trajReport{Schema: trajectorySchema}
-	var base64x float64
-	for _, nodes := range trajNodeCounts {
-		var first string
-		for _, workers := range trajWorkerCounts {
-			cfg := experiments.DefaultParBenchConfig()
-			cfg.Nodes = nodes
-			cfg.Workers = workers
-			r := experiments.ParBench(p, cfg)
-			engine := "sharded"
-			if workers <= 1 {
-				engine = "unified"
-			}
-			pt := trajPoint{
-				Nodes:            nodes,
-				Workers:          workers,
-				Engine:           engine,
-				Events:           r.Events,
-				Epochs:           r.Epochs,
-				Requests:         r.Requests,
-				SimNs:            int64(r.SimTime),
-				WallNs:           r.Wall.Nanoseconds(),
-				EventsPerSec:     r.EventsPerSec(),
-				SimSecPerWallSec: r.SimSecPerWallSec(),
-				Fingerprint:      fpHex(r.Fingerprint),
-			}
-			if first == "" {
-				first = pt.Fingerprint
-			} else if pt.Fingerprint != first {
-				return nil, fmt.Errorf("engine fingerprint diverged at %d nodes: %s (workers=%d) != %s",
-					nodes, pt.Fingerprint, workers, first)
-			}
-			if nodes == 64 {
-				if workers == 1 {
-					base64x = pt.EventsPerSec
-				} else if workers == 8 && base64x > 0 {
-					rep.Speedup = pt.EventsPerSec / base64x
-				}
-			}
-			fmt.Fprintf(verbose, "engine nodes=%-3d workers=%d %-7s %8d events  %6.2fM ev/s  %s\n",
-				nodes, workers, engine, pt.Events, pt.EventsPerSec/1e6, pt.Fingerprint)
-			rep.Engine = append(rep.Engine, pt)
-		}
-	}
-
 	az, err := experiments.AzureBench(p, experiments.DefaultAzureBenchConfig())
 	if err != nil {
 		return nil, err
@@ -168,8 +91,8 @@ func buildTrajectory(p params.Params, verbose io.Writer) (*trajReport, error) {
 		az.Arrivals, az.Completed, az.Wall.Seconds(), rep.Azure.Fingerprint)
 
 	rep.SteadyAllocsPerEvent = steadyAllocsPerEvent()
-	fmt.Fprintf(verbose, "allocs steady %.4f/event, azure %.4f/event, speedup %.2fx\n",
-		rep.SteadyAllocsPerEvent, rep.Azure.AllocsPerEvent, rep.Speedup)
+	fmt.Fprintf(verbose, "allocs steady %.4f/event, azure %.4f/event\n",
+		rep.SteadyAllocsPerEvent, rep.Azure.AllocsPerEvent)
 	return rep, nil
 }
 
@@ -201,39 +124,13 @@ func steadyAllocsPerEvent() float64 {
 // baseline and returns every violation. Virtual-time facts must match
 // exactly; host-dependent rates gate within tol (fresh must reach
 // tol × baseline; tol <= 0 disables rate gating); allocation stats may
-// drift up by at most allocCeilingSlack; the sharded speedup must stay
-// at or above minSpeedup.
-func checkReport(fresh, base *trajReport, tol, minSpeedup float64) []string {
+// drift up by at most allocCeilingSlack.
+func checkReport(fresh, base *trajReport, tol float64) []string {
 	var v []string
 	bad := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
 	if fresh.Schema != base.Schema {
 		bad("schema %q != baseline %q", fresh.Schema, base.Schema)
 		return v
-	}
-	points := make(map[[2]int]*trajPoint, len(fresh.Engine))
-	for i := range fresh.Engine {
-		pt := &fresh.Engine[i]
-		points[[2]int{pt.Nodes, pt.Workers}] = pt
-	}
-	for i := range base.Engine {
-		b := &base.Engine[i]
-		f := points[[2]int{b.Nodes, b.Workers}]
-		if f == nil {
-			bad("engine nodes=%d workers=%d: missing from fresh report", b.Nodes, b.Workers)
-			continue
-		}
-		if f.Fingerprint != b.Fingerprint {
-			bad("engine nodes=%d workers=%d: fingerprint %s != baseline %s",
-				b.Nodes, b.Workers, f.Fingerprint, b.Fingerprint)
-		}
-		if f.Events != b.Events || f.SimNs != b.SimNs || f.Requests != b.Requests {
-			bad("engine nodes=%d workers=%d: events/sim/requests %d/%d/%d != baseline %d/%d/%d",
-				b.Nodes, b.Workers, f.Events, f.SimNs, f.Requests, b.Events, b.SimNs, b.Requests)
-		}
-		if tol > 0 && f.EventsPerSec < tol*b.EventsPerSec {
-			bad("engine nodes=%d workers=%d: %.2fM ev/s below %.0f%% of baseline %.2fM",
-				b.Nodes, b.Workers, f.EventsPerSec/1e6, 100*tol, b.EventsPerSec/1e6)
-		}
 	}
 	if fresh.Azure.Fingerprint != base.Azure.Fingerprint {
 		bad("azure: fingerprint %s != baseline %s", fresh.Azure.Fingerprint, base.Azure.Fingerprint)
@@ -254,16 +151,13 @@ func checkReport(fresh, base *trajReport, tol, minSpeedup float64) []string {
 		bad("engine: steady state %.4f allocs/event breaches baseline %.4f (+%.2f slack)",
 			fresh.SteadyAllocsPerEvent, base.SteadyAllocsPerEvent, allocCeilingSlack)
 	}
-	if minSpeedup > 0 && fresh.Speedup < minSpeedup {
-		bad("speedup: 8-worker/1-worker ratio %.2fx below floor %.2fx", fresh.Speedup, minSpeedup)
-	}
 	return v
 }
 
 // gate runs the -check pipeline: load the baseline, compare, report.
 // It returns the process exit code so a test can doctor a baseline and
 // prove regressions exit nonzero.
-func gate(fresh *trajReport, baselinePath string, tol, minSpeedup float64, stderr io.Writer) int {
+func gate(fresh *trajReport, baselinePath string, tol float64, stderr io.Writer) int {
 	blob, err := os.ReadFile(baselinePath)
 	if err != nil {
 		fmt.Fprintf(stderr, "cxlbench: baseline: %v\n", err)
@@ -274,7 +168,7 @@ func gate(fresh *trajReport, baselinePath string, tol, minSpeedup float64, stder
 		fmt.Fprintf(stderr, "cxlbench: baseline %s: %v\n", baselinePath, err)
 		return 1
 	}
-	violations := checkReport(fresh, &base, tol, minSpeedup)
+	violations := checkReport(fresh, &base, tol)
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintf(stderr, "cxlbench: REGRESSION: %s\n", v)
@@ -287,43 +181,29 @@ func gate(fresh *trajReport, baselinePath string, tol, minSpeedup float64, stder
 }
 
 func main() {
-	mode := flag.String("mode", "trajectory", "benchmark mode: trajectory, lanes")
 	check := flag.Bool("check", false, "compare a fresh trajectory against -baseline and exit nonzero on regression")
 	baseline := flag.String("baseline", "BENCH_0007.json", "committed trajectory baseline for -check")
 	tol := flag.Float64("tolerance", 0.2, "events/sec floor as a fraction of baseline (0 disables rate gating)")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "required 8-worker/1-worker events/sec ratio at 64 nodes")
-	fn := flag.String("fn", "Float", "lanes: function to sweep")
-	lanesArg := flag.String("lanes", "1,2,4,8", "lanes: comma-separated lane counts")
-	out := flag.String("o", "", "output JSON path (- for stdout; default BENCH_0007.json / BENCH_PR2.json by mode, none for -check)")
-	full := flag.Bool("full", false, "lanes: paper-scale capacities and full warmup (slow)")
+	out := flag.String("o", "", "output JSON path (- for stdout; default BENCH_0007.json, none for -check)")
 	flag.Parse()
 
-	switch {
-	case *mode == "lanes":
-		runLanes(*fn, *lanesArg, *out, *full)
-	case *mode == "trajectory":
-		p := experiments.ExpParams()
-		rep, err := buildTrajectory(p, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *out != "" {
-			writeJSON(rep, *out)
-		} else if !*check {
-			writeJSON(rep, "BENCH_0007.json")
-		}
-		if *check {
-			os.Exit(gate(rep, *baseline, *tol, *minSpeedup, os.Stderr))
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "cxlbench: unknown mode %q\n", *mode)
-		os.Exit(2)
+	rep, err := buildTrajectory(experiments.ExpParams(), os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
+		os.Exit(1)
+	}
+	if *out != "" {
+		writeJSON(rep, *out)
+	} else if !*check {
+		writeJSON(rep, "BENCH_0007.json")
+	}
+	if *check {
+		os.Exit(gate(rep, *baseline, *tol, os.Stderr))
 	}
 }
 
 // writeJSON marshals the report to path ("-" for stdout) or dies.
-func writeJSON(rep any, path string) {
+func writeJSON(rep *trajReport, path string) {
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
@@ -339,85 +219,4 @@ func writeJSON(rep any, path string) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-// benchPoint is one lane count's costs in the legacy lanes report. All
-// times are virtual (simulated) nanoseconds: exactly reproducible, so
-// any change is a real cost-model change, not machine noise.
-type benchPoint struct {
-	Lanes            int     `json:"lanes"`
-	CheckpointNs     int64   `json:"checkpoint_ns"`
-	CheckpointNsPage float64 `json:"checkpoint_ns_per_page"`
-	RecheckpointNs   int64   `json:"recheckpoint_ns"`
-	RestoreNs        int64   `json:"restore_ns"`
-	RestoreNsPage    float64 `json:"restore_ns_per_page"`
-	Speedup          float64 `json:"speedup_vs_1_lane"`
-	DedupHits        int64   `json:"dedup_hits"`
-	DedupMisses      int64   `json:"dedup_misses"`
-	DedupBytesSaved  int64   `json:"dedup_bytes_saved"`
-}
-
-// benchReport is the BENCH_PR2.json schema.
-type benchReport struct {
-	Function string       `json:"function"`
-	Pages    int          `json:"pages"`
-	Points   []benchPoint `json:"points"`
-}
-
-// runLanes is the legacy lane-sweep mode, kept byte-compatible with
-// the BENCH_PR2.json consumers.
-func runLanes(fn, lanesArg, out string, full bool) {
-	var laneCounts []int
-	for _, s := range strings.Split(lanesArg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "cxlbench: bad lane count %q\n", s)
-			os.Exit(2)
-		}
-		laneCounts = append(laneCounts, n)
-	}
-
-	p := experiments.ExpParams()
-	if !full {
-		// CI sizing: capacities just big enough for the small workloads
-		// and a short warmup. Virtual-time results stay deterministic;
-		// only wall-clock cost changes.
-		p = ciParams(p)
-	}
-
-	r, err := experiments.LaneSweep(p, fn, laneCounts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprint(os.Stderr, experiments.FormatLaneSweep(r))
-
-	rep := benchReport{Function: r.Function, Pages: r.Points[0].Pages}
-	for i, pt := range r.Points {
-		rep.Points = append(rep.Points, benchPoint{
-			Lanes:            pt.Lanes,
-			CheckpointNs:     int64(pt.Checkpoint),
-			CheckpointNsPage: pt.CheckpointNsPerPage(),
-			RecheckpointNs:   int64(pt.Recheckpoint),
-			RestoreNs:        int64(pt.Restore),
-			RestoreNsPage:    pt.RestoreNsPerPage(),
-			Speedup:          r.Speedup(i),
-			DedupHits:        pt.DedupHits,
-			DedupMisses:      pt.DedupMisses,
-			DedupBytesSaved:  pt.DedupBytesSaved,
-		})
-	}
-	if out == "" {
-		out = "BENCH_PR2.json"
-	}
-	writeJSON(rep, out)
-}
-
-// ciParams shrinks pool capacities and the warmup so a lane sweep
-// finishes in about a second.
-func ciParams(p params.Params) params.Params {
-	p.NodeDRAMBytes = 1 << 30
-	p.CXLBytes = 1 << 30
-	p.CheckpointAfter = 2
-	return p
 }

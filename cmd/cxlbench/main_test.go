@@ -15,28 +15,12 @@ func sampleReport() *trajReport {
 	rep := &trajReport{
 		Schema:               trajectorySchema,
 		SteadyAllocsPerEvent: 0.0001,
-		Speedup:              3.1,
 		Azure: trajAzure{
 			Nodes: 4, Arrivals: 1000, Completed: 1000,
 			Events: 2000, SimNs: 4e11, WallNs: 5e9,
 			EventsPerSec: 400_000, SimSecPerWallSec: 80,
 			AllocsPerEvent: 3.8, Fingerprint: "0x00000000deadbeef",
 		},
-	}
-	for _, nodes := range trajNodeCounts {
-		for _, workers := range trajWorkerCounts {
-			engine := "sharded"
-			if workers <= 1 {
-				engine = "unified"
-			}
-			rep.Engine = append(rep.Engine, trajPoint{
-				Nodes: nodes, Workers: workers, Engine: engine,
-				Events: uint64(nodes * 1000), Epochs: uint64(workers - 1),
-				Requests: int64(nodes * 10), SimNs: 1e9, WallNs: 1e8,
-				EventsPerSec:     float64(nodes*workers) * 1e6,
-				SimSecPerWallSec: 10, Fingerprint: "0x0000000000c0ffee",
-			})
-		}
 	}
 	return rep
 }
@@ -58,7 +42,7 @@ func clone(t *testing.T, rep *trajReport) *trajReport {
 
 func TestCheckReportCleanBaselinePasses(t *testing.T) {
 	rep := sampleReport()
-	if v := checkReport(clone(t, rep), rep, 0.2, 2.0); len(v) != 0 {
+	if v := checkReport(clone(t, rep), rep, 0.2); len(v) != 0 {
 		t.Fatalf("identical reports produced violations: %v", v)
 	}
 }
@@ -70,17 +54,8 @@ func TestCheckReportCatchesDoctoredBaselines(t *testing.T) {
 		doctor func(fresh *trajReport)
 		want   string
 	}{
-		{"engine fingerprint drift", func(f *trajReport) {
-			f.Engine[0].Fingerprint = "0x0000000000bad000"
-		}, "fingerprint"},
-		{"engine event-count drift", func(f *trajReport) {
-			f.Engine[2].Events++
-		}, "events"},
-		{"missing grid point", func(f *trajReport) {
-			f.Engine = f.Engine[1:]
-		}, "missing"},
 		{"throughput collapse", func(f *trajReport) {
-			f.Engine[1].EventsPerSec /= 100
+			f.Azure.EventsPerSec /= 100
 		}, "below"},
 		{"azure fingerprint drift", func(f *trajReport) {
 			f.Azure.Fingerprint = "0x0000000000bad000"
@@ -94,9 +69,6 @@ func TestCheckReportCatchesDoctoredBaselines(t *testing.T) {
 		{"azure alloc regression", func(f *trajReport) {
 			f.Azure.AllocsPerEvent += 1
 		}, "allocs/event"},
-		{"speedup below floor", func(f *trajReport) {
-			f.Speedup = 1.4
-		}, "speedup"},
 		{"schema drift", func(f *trajReport) {
 			f.Schema = "cxlbench-trajectory/0"
 		}, "schema"},
@@ -105,7 +77,7 @@ func TestCheckReportCatchesDoctoredBaselines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh := clone(t, rep)
 			tc.doctor(fresh)
-			v := checkReport(fresh, rep, 0.2, 2.0)
+			v := checkReport(fresh, rep, 0.2)
 			if len(v) == 0 {
 				t.Fatalf("doctored report passed the gate")
 			}
@@ -123,7 +95,7 @@ func TestCheckReportCatchesDoctoredBaselines(t *testing.T) {
 func TestGateExitsNonzeroOnDoctoredBaseline(t *testing.T) {
 	fresh := sampleReport()
 	doctored := clone(t, fresh)
-	doctored.Engine[0].Fingerprint = "0x0000000000bad000"
+	doctored.Azure.Fingerprint = "0x0000000000bad000"
 	doctored.Azure.Events += 7
 
 	dir := t.TempDir()
@@ -137,7 +109,7 @@ func TestGateExitsNonzeroOnDoctoredBaseline(t *testing.T) {
 	}
 
 	var stderr bytes.Buffer
-	if code := gate(fresh, path, 0.2, 2.0, &stderr); code == 0 {
+	if code := gate(fresh, path, 0.2, &stderr); code == 0 {
 		t.Fatalf("gate passed a doctored baseline:\n%s", stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "REGRESSION") {
@@ -152,14 +124,14 @@ func TestGateExitsNonzeroOnDoctoredBaseline(t *testing.T) {
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := gate(clone(t, fresh), path, 0.2, 2.0, &clean); code != 0 {
+	if code := gate(clone(t, fresh), path, 0.2, &clean); code != 0 {
 		t.Fatalf("gate failed a clean baseline:\n%s", clean.String())
 	}
 }
 
 func TestGateExitsNonzeroOnMissingBaseline(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := gate(sampleReport(), filepath.Join(t.TempDir(), "nope.json"), 0.2, 2.0, &stderr); code == 0 {
+	if code := gate(sampleReport(), filepath.Join(t.TempDir(), "nope.json"), 0.2, &stderr); code == 0 {
 		t.Fatal("gate passed with no baseline file")
 	}
 }

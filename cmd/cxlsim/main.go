@@ -9,7 +9,6 @@
 //	cxlsim -exp fig1 -invocations 32
 //	cxlsim -exp fig10 -rps 150 -duration 60
 //	cxlsim -exp slo -telemetry      # burn-rate alerts driving reclaim
-//	cxlsim -exp parbench -workers 8 # sharded-engine sweep (DESIGN.md §13)
 //	cxlsim -exp fabric -workers 8   # topology sweep (DESIGN.md §14)
 //	cxlsim -exp xray                # critical-path blame (DESIGN.md §16)
 package main
@@ -25,14 +24,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id: table1, fig1, fig3c, fig6, fig7a, fig7b, fig8, fig9, fig10, ckpt, faults, scale, workflow, lanes, capacity, slo, chaos, parbench, fabric, xray, all")
+	exp := flag.String("exp", "", "experiment id: table1, fig1, fig3c, fig6, fig7a, fig7b, fig8, fig9, fig10, ckpt, faults, scale, workflow, lanes, capacity, slo, chaos, fabric, xray, all")
 	lanesFn := flag.String("lanes-fn", "Float", "lanes: function to sweep")
 	invocations := flag.Int("invocations", 128, "fig1: invocations per function")
 	rps := flag.Float64("rps", 150, "fig10/capacity/slo: aggregate request rate")
 	duration := flag.Float64("duration", 60, "fig10/capacity/slo: trace duration in seconds")
 	telem := flag.Bool("telemetry", false, "enable virtual-time metric sampling (DESIGN.md §11)")
 	workers := flag.Int("workers", 1, "simulation workers (DESIGN.md §13); results are byte-identical at any count")
-	nodes := flag.Int("nodes", 64, "parbench: simulated node count")
 	flag.Parse()
 
 	if *exp == "" {
@@ -178,18 +176,6 @@ func main() {
 				cfg.Fabric.Duration = des.Time(*duration * float64(des.Second))
 			}
 			r, err := experiments.XRaySweep(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-		case "parbench":
-			cfg := experiments.DefaultParBenchConfig()
-			cfg.Nodes = *nodes
-			sweep := []int{1, 2, 8}
-			if *workers > 1 && *workers != 2 && *workers != 8 {
-				sweep = append(sweep, *workers)
-			}
-			r, err := experiments.ParBenchSweep(p, cfg, sweep)
 			if err != nil {
 				return err
 			}

@@ -97,8 +97,8 @@ type Config struct {
 	Telemetry TelemetryConfig
 	// Workers is the simulation worker count (DESIGN.md §13). At 0 or 1
 	// everything runs sequentially; above 1, independent simulation
-	// legs fan out to a goroutine pool and multi-node fabric workloads
-	// run on the sharded epoch-barrier engine. Results are
+	// legs (per-function calibration, sweep cells) fan out to a
+	// goroutine pool, each on its own event queue. Results are
 	// byte-identical at any worker count — workers trade wall-clock
 	// time only, never determinism.
 	Workers int

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -14,6 +15,11 @@ import (
 // function name. This matches how users would feed real production
 // traces (e.g. a pre-processed Azure Functions dataset) into the
 // autoscaler instead of the built-in MMPP generator.
+
+// maxAt bounds a trace's arrival times: half of des.Time's int64 range
+// (about 146 years), so a replay that offsets every arrival by its
+// start time cannot overflow the virtual clock.
+const maxAt = des.Time(math.MaxInt64 / 2)
 
 // WriteCSV serializes a trace.
 func WriteCSV(w io.Writer, reqs []Request) error {
@@ -35,7 +41,8 @@ func WriteCSV(w io.Writer, reqs []Request) error {
 }
 
 // ReadCSV parses a trace, tolerating an optional header row and
-// unsorted input (arrivals are sorted on return).
+// unsorted input (arrivals are sorted on return). Times must be finite,
+// non-negative, and at most maxAt.
 func ReadCSV(r io.Reader) ([]Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -57,8 +64,14 @@ func ReadCSV(r io.Reader) ([]Request, error) {
 			}
 			return nil, fmt.Errorf("azure: line %d: bad time %q", line, rec[0])
 		}
+		if math.IsNaN(sec) || math.IsInf(sec, 0) {
+			return nil, fmt.Errorf("azure: line %d: non-finite time %q", line, rec[0])
+		}
 		if sec < 0 {
 			return nil, fmt.Errorf("azure: line %d: negative time", line)
+		}
+		if sec > maxAt.Seconds() {
+			return nil, fmt.Errorf("azure: line %d: time %q beyond %.0f s", line, rec[0], maxAt.Seconds())
 		}
 		if rec[1] == "" {
 			return nil, fmt.Errorf("azure: line %d: empty function name", line)

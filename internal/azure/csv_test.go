@@ -54,16 +54,26 @@ func TestReadCSVHeaderAndSorting(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"0.5,A\nbad,B\n", // bad time past header position
-		"0.5,A\n-1,B\n",  // negative time
-		"0.5,A\n1.0,\n",  // empty function
-		"0.5\n",          // wrong column count
-		"0.5,A,extra\n",  // wrong column count
+	cases := []struct{ in, want string }{
+		{"0.5,A\nbad,B\n", "line 2: bad time"}, // bad time past header position
+		{"0.5,A\n-1,B\n", "line 2: negative time"},
+		{"0.5,A\n1.0,\n", "line 2: empty function"},
+		{"0.5\n", "wrong number of fields"},
+		{"0.5,A,extra\n", "wrong number of fields"},
+		// Each of these used to wrap to an arrival at math.MinInt64 ns.
+		{"NaN,Float\n", "line 1: non-finite time"},
+		{"0.5,A\nInf,Float\n", "line 2: non-finite time"},
+		{"0.5,A\n-Inf,Float\n", "line 2: non-finite time"},
+		{"0.5,A\n1e300,Float\n", "line 2: time \"1e300\" beyond"},
+		{"0.5,A\n9.3e9,Float\n", "line 2: time \"9.3e9\" beyond"},
+		{"0.5,A\n4.7e9,Float\n", "line 2: time \"4.7e9\" beyond"},
 	}
-	for _, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q accepted", in)
+	for _, tc := range cases {
+		_, err := ReadCSV(strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("input %q accepted", tc.in)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("input %q: error %q, want it to mention %q", tc.in, err, tc.want)
 		}
 	}
 }
@@ -73,4 +83,43 @@ func TestReadCSVEmpty(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty: %v %v", got, err)
 	}
+}
+
+func TestReadCSVAcceptsMaxAt(t *testing.T) {
+	got, err := ReadCSV(strings.NewReader("4.6e9,A\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].At <= 0 || got[0].At > maxAt {
+		t.Fatalf("time = %d, want in (0, maxAt]", got[0].At)
+	}
+}
+
+// FuzzReadCSV drives arbitrary text through the trace parser. The
+// contract: every input either fails with an error or yields arrivals
+// at non-negative times no later than maxAt, in sorted order — the
+// preconditions Porter.Run schedules them under.
+func FuzzReadCSV(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"seconds,function\n2.5,B\n0.5,A\n1.0,C\n",
+		"NaN,Float\n", "Inf,Float\n", "1e300,Float\n", "9.3e9,Float\n",
+		"-0,A\n", "0x1p-2,A\n", "1e-300,A\n", "\"1,5\",A\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		reqs, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, r := range reqs {
+			if r.At < 0 || r.At > maxAt {
+				t.Fatalf("arrival %d at %d ns outside [0, maxAt]", i, r.At)
+			}
+			if i > 0 && r.At < reqs[i-1].At {
+				t.Fatalf("arrivals unsorted at %d: %d < %d", i, r.At, reqs[i-1].At)
+			}
+		}
+	})
 }

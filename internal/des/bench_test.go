@@ -35,55 +35,6 @@ func BenchmarkResourceExec(b *testing.B) {
 	e.Run()
 }
 
-// benchLoad seeds the benchmark workload: per-node chains of chunked
-// copy events with ring replication sends — the des-level shape of the
-// 64-node lane benchmark the trajectory harness runs.
-func benchLoad(fab Fabric, lookahead Time, nodes, requests, chunks int) {
-	for i := 0; i < nodes; i++ {
-		i := i
-		eng := fab.Shard(i)
-		var request func(r int)
-		request = func(r int) {
-			var step func(left int)
-			step = func(left int) {
-				if left == 0 {
-					dst := (i + 1) % nodes
-					fab.Send(i, dst, lookahead, func() {})
-					if r+1 < requests {
-						eng.After(Millisecond, func() { request(r + 1) })
-					}
-					return
-				}
-				eng.After(16*Microsecond, func() { step(left - 1) })
-			}
-			step(chunks)
-		}
-		eng.At(Time(i)*Microsecond, func() { request(0) })
-	}
-}
-
-func benchEngine(b *testing.B, workers int) {
-	const (
-		nodes     = 64
-		requests  = 20
-		chunks    = 100
-		lookahead = 2 * Millisecond
-	)
-	b.ReportAllocs()
-	var events uint64
-	for n := 0; n < b.N; n++ {
-		fab := NewFabric(nodes, workers, lookahead)
-		benchLoad(fab, lookahead, nodes, requests, chunks)
-		fab.Run()
-		events = fab.Executed()
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-}
-
-func BenchmarkEngine1Workers(b *testing.B) { benchEngine(b, 1) }
-
-func BenchmarkEngine8Workers(b *testing.B) { benchEngine(b, 8) }
-
 // TestZeroAllocsPerEventSteadyState is the allocation ceiling of the
 // pooled event path: once the free list is primed, dispatching an
 // event and scheduling its successor allocates nothing.
@@ -115,46 +66,5 @@ func TestZeroAllocsPerEventSteadyState(t *testing.T) {
 	}
 	if e.Executed() != total {
 		t.Fatalf("executed %d events, want %d", e.Executed(), total)
-	}
-}
-
-// TestShardedAllocCeiling bounds the sharded path: barriers may
-// allocate (outbox growth, sort scaffolding) but the per-event cost
-// must stay far below one object.
-func TestShardedAllocCeiling(t *testing.T) {
-	const lookahead = 2 * Millisecond
-	run := func() uint64 {
-		se := NewShardedEngine(16, 1, lookahead)
-		for i := 0; i < 16; i++ {
-			i := i
-			eng := se.Shard(i)
-			count := 0
-			var tick func()
-			tick = func() {
-				count++
-				if count%50 == 0 {
-					se.Send(i, (i+1)%16, lookahead, func() {})
-				}
-				if count < 5000 {
-					eng.After(16*Microsecond, tick)
-				}
-			}
-			eng.After(Microsecond, tick)
-		}
-		se.Run()
-		return se.Executed()
-	}
-	run() // prime pools and lazy scaffolding
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	events := run()
-	runtime.ReadMemStats(&m1)
-	perEvent := float64(m1.Mallocs-m0.Mallocs) / float64(events)
-	// The run builds 16 fresh engines and tick closures up front;
-	// amortized over ~80k events that must stay well under one object
-	// per event.
-	if perEvent > 0.05 {
-		t.Fatalf("sharded path allocates %.4f objects/event, want < 0.05", perEvent)
 	}
 }

@@ -91,9 +91,6 @@ func (h *eventHeap) Pop() any {
 
 // Engine is a single-threaded virtual clock plus event queue.
 // It is not safe for concurrent use; simulations run on one goroutine.
-// A ShardedEngine owns one Engine per shard and drives them under epoch
-// barriers (DESIGN.md §13); each shard engine is still only ever touched
-// by one goroutine at a time.
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -248,39 +245,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
-	}
-}
-
-// nextAt returns the timestamp of the earliest live event, or false
-// when the queue is drained. The sharded engine's barrier loop uses it
-// to compute the global horizon.
-func (e *Engine) nextAt() (Time, bool) {
-	for len(e.events) > 0 && e.events[0].dead {
-		e.recycle(heap.Pop(&e.events).(*event))
-	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
-// runBefore dispatches every event with a timestamp strictly below end
-// — one epoch of the sharded engine — leaving the clock at the last
-// executed event. It reports the number of events dispatched.
-func (e *Engine) runBefore(end Time) int {
-	n := 0
-	for {
-		at, ok := e.nextAt()
-		if !ok || at >= end {
-			return n
-		}
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		fn := ev.fn
-		e.recycle(ev)
-		e.executed++
-		fn()
-		n++
 	}
 }
 

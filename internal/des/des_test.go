@@ -190,3 +190,39 @@ func TestTimeConversions(t *testing.T) {
 		t.Error("Millis conversion wrong")
 	}
 }
+
+// TestCancelAfterRecycleIsNoOp pins the pooled-event safety property:
+// an EventID whose event already fired must not cancel the unrelated
+// event that reused the recycled struct.
+func TestCancelAfterRecycleIsNoOp(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	stale := e.At(1, func() {})
+	if !e.Step() {
+		t.Fatal("first event did not fire")
+	}
+	// The freed struct is reused by the very next schedule.
+	e.At(2, func() { fired++ })
+	e.Cancel(stale) // must not touch the recycled slot
+	e.Run()
+	if fired != 1 {
+		t.Fatalf("stale Cancel killed a recycled event (fired=%d)", fired)
+	}
+}
+
+// TestCancelStillWorksOnLiveEvents guards the other side: a live ID
+// cancels exactly its own event.
+func TestCancelStillWorksOnLiveEvents(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	id := e.At(1, func() { fired++ })
+	e.At(2, func() { fired += 10 })
+	e.Cancel(id)
+	e.Run()
+	if fired != 10 {
+		t.Fatalf("fired=%d, want 10 (only the uncancelled event)", fired)
+	}
+	if e.Executed() != 1 {
+		t.Fatalf("executed=%d, want 1", e.Executed())
+	}
+}

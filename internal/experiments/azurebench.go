@@ -1,38 +1,19 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
 	"cxlfork/internal/des"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
-	"cxlfork/internal/rfork"
 )
-
-// suiteSubset resolves function names to their workload specs.
-func suiteSubset(names []string) ([]faas.Spec, error) {
-	specs := make([]faas.Spec, 0, len(names))
-	for _, name := range names {
-		s, ok := faas.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown function %q", name)
-		}
-		specs = append(specs, s)
-	}
-	return specs, nil
-}
 
 // AzureBench replays a large seeded Azure trace through a full porter
 // cluster and measures engine throughput — the cluster-replay leg of
-// the cxlbench trajectory (DESIGN.md §13). Unlike ParBench, which
-// stresses the bare event queues, this leg exercises the entire stack:
-// kernel page tables, checkpoint lanes, scheduler, replica layer.
+// the cxlbench trajectory (DESIGN.md §13). It exercises the entire
+// stack: kernel page tables, checkpoint lanes, scheduler, replica layer.
 
 // AzureBenchConfig sizes the replay.
 type AzureBenchConfig struct {
@@ -104,38 +85,25 @@ func AzureBench(p params.Params, cfg AzureBenchConfig) (*AzureBenchResult, error
 	if cfg.Duration <= 0 {
 		cfg.Duration = des.Second
 	}
-	specs, err := suiteSubset([]string{"Float", "Json"})
+	specs, err := ResolveFunctions([]string{"Float", "Json"})
 	if err != nil {
 		return nil, err
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	c := cluster.MustNew(p, cfg.Nodes)
-	pol := rfork.MigrateOnWrite
-	po := porter.New(c, porter.Config{
-		Mechanism:       core.New(c.Dev),
+	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{
 		Profiles:        profiles,
 		Seed:            cfg.Seed,
 		NodeBudgetBytes: 12 << 30,
-		StaticPolicy:    &pol,
-	})
-	if err := po.Setup(specs); err != nil {
+	}, specs)
+	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: float64(cfg.Requests) / cfg.Duration.Seconds(),
-		Duration: cfg.Duration,
-		Loads:    azure.DefaultLoads(names),
-		Seed:     cfg.Seed,
-	})
+	trace := GenerateTrace(SpecNames(specs), nil, float64(cfg.Requests)/cfg.Duration.Seconds(), cfg.Duration, cfg.Seed)
 
 	runtime.GC()
 	var m0, m1 runtime.MemStats

@@ -5,14 +5,11 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
-	"cxlfork/internal/rfork"
 )
 
 // The capacity experiment (DESIGN.md §10, EXPERIMENTS.md "-exp
@@ -116,24 +113,17 @@ type CapacityResult struct {
 // checkpoint footprint, then replay the trace at every (fraction,
 // policy) pair.
 func Capacity(p params.Params, cfg CapacityConfig) (*CapacityResult, error) {
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("capacity: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := ResolveFunctions(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("capacity: %w", err)
 	}
-
-	// Calibrate cold-start and restore profiles once.
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	// Static migrate-on-write keeps the sweep about eviction policy, not
+	// tiering adaptation; chaos, slo, fabric and xray replay the same
+	// design for the same reason.
+	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
@@ -158,8 +148,7 @@ func Capacity(p params.Params, cfg CapacityConfig) (*CapacityResult, error) {
 // frame, dedup-shared frames counted once.
 func capacityFootprint(p params.Params, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile, seed int64) (int64, error) {
 	c := cluster.MustNew(p, 2)
-	po := porter.New(c, capacityPorterConfig(c, profiles, seed))
-	if err := po.Setup(specs); err != nil {
+	if _, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: seed}, specs); err != nil {
 		return 0, err
 	}
 	fp := c.Dev.UsedBytes()
@@ -169,54 +158,22 @@ func capacityFootprint(p params.Params, specs []faas.Spec, profiles map[porter.P
 	return fp, nil
 }
 
-func capacityPorterConfig(c *cluster.Cluster, profiles map[porter.ProfileKey]porter.Profile, seed int64) porter.Config {
-	// Static migrate-on-write keeps the sweep about eviction policy, not
-	// tiering adaptation.
-	pol := rfork.MigrateOnWrite
-	return porter.Config{
-		Mechanism:    core.New(c.Dev),
-		Profiles:     profiles,
-		StaticPolicy: &pol,
-		Seed:         seed,
-	}
-}
-
 func capacityRun(p params.Params, cfg CapacityConfig, policy string, frac float64, footprint int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (CapacityRun, error) {
 	if cfg.KeepAlive > 0 {
 		p.KeepAlive = cfg.KeepAlive
 	}
 	p.EvictPolicy = policy
-	// Round the shrunken device up to a whole page so frame-pool sizing
-	// stays exact.
-	ps := int64(p.PageSize)
-	p.CXLBytes = (int64(float64(footprint)*frac) + ps - 1) / ps * ps
+	p.CXLBytes = scaledBytes(p, footprint, frac)
 	if _, err := porter.ParseEvictPolicy(policy); err != nil {
 		return CapacityRun{}, err
 	}
 
 	c := cluster.MustNew(p, 2)
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
+	if err != nil {
 		return CapacityRun{}, err
 	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: cfg.RPS,
-		Duration: cfg.Duration,
-		Loads:    loads,
-		Seed:     cfg.Seed,
-	})
-	results := po.Run(trace)
+	results := po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
 
 	run := CapacityRun{
 		Policy:      policy,

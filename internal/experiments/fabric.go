@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
@@ -105,8 +104,8 @@ type FabricRun struct {
 	// RestoreP99 is the restore-phase tail (profile restore + failover
 	// probing + fabric charge) — the metric placement policies control.
 	RestoreP99 des.Time
-	// MinLinkLat is the built topology's fastest link — the sharded
-	// engine's legal lookahead window for this fabric.
+	// MinLinkLat is the built topology's fastest link: the shortest delay
+	// any cross-node transfer can see (the report's Lookahead column).
 	MinLinkLat des.Time
 	// Fingerprint is the replay's determinism hash.
 	Fingerprint uint64
@@ -126,22 +125,14 @@ func FabricSweep(p params.Params, cfg FabricExpConfig) (*FabricResult, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("fabric: need at least 2 nodes, got %d", cfg.Nodes)
 	}
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("fabric: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := ResolveFunctions(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -192,35 +183,17 @@ func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, fo
 	if p.ReplicationFactor > dev {
 		p.ReplicationFactor = dev
 	}
-	ps := int64(p.PageSize)
-	p.CXLBytes = (int64(float64(footprint)*cfg.PoolHeadroom) + ps - 1) / ps * ps
+	p.CXLBytes = scaledBytes(p, footprint, cfg.PoolHeadroom)
 
 	c, err := cluster.New(p, cfg.Nodes)
 	if err != nil {
 		return FabricRun{}, 0, nil, err
 	}
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
+	if err != nil {
 		return FabricRun{}, 0, nil, err
 	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: cfg.RPS,
-		Duration: cfg.Duration,
-		Loads:    loads,
-		Seed:     cfg.Seed,
-	})
-	results := po.Run(trace)
+	results := po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
 
 	run := FabricRun{
 		Switches:    sw,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
@@ -79,11 +78,10 @@ func TestDegenerateTopologyMatchesFlatModel(t *testing.T) {
 		p.Topology = topology
 		p.KeepAlive = 100 * des.Millisecond
 		specs := faas.Suite()[:4]
-		ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+		profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiles := BuildProfiles(ms)
 		c, err := cluster.New(p, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -96,21 +94,11 @@ func TestDegenerateTopologyMatchesFlatModel(t *testing.T) {
 				t.Fatal("Trivial topology must not carry a Net")
 			}
 		}
-		po := porter.New(c, capacityPorterConfig(c, profiles, 3))
-		if err := po.Setup(specs); err != nil {
+		po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: 3}, specs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var names []string
-		for _, s := range specs {
-			names = append(names, s.Name)
-		}
-		trace := azure.Generate(azure.TraceConfig{
-			TotalRPS: 60,
-			Duration: 4 * des.Second,
-			Loads:    azure.DefaultLoads(names),
-			Seed:     3,
-		})
-		return po.Run(trace).Fingerprint()
+		return po.Run(GenerateTrace(SpecNames(specs), nil, 60, 4*des.Second, 3)).Fingerprint()
 	}
 	flat := replay("")
 	degenerate := replay(fabric.GridSpec(2, 1, 1))

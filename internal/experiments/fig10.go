@@ -6,27 +6,12 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
-	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
-	"cxlfork/internal/mitosis"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
-)
-
-// Design names one rfork configuration of Fig. 10.
-type Design string
-
-// Fig. 10 designs.
-const (
-	DesignCRIU       Design = "CRIU-CXL"
-	DesignMitosis    Design = "Mitosis-CXL"
-	DesignCXLforkMoW Design = "CXLfork-MoW" // static migrate-on-write
-	DesignCXLfork    Design = "CXLfork"     // dynamic tiering (§5)
 )
 
 // Fig10Designs lists the compared designs in presentation order.
@@ -126,28 +111,15 @@ func BuildProfiles(ms []*FnMeasurement) map[porter.ProfileKey]porter.Profile {
 // Fig10 runs the CXLporter scaling comparison: every design at every
 // memory fraction, replaying the same bursty trace.
 func Fig10(p params.Params, cfg Fig10Config) (*Fig10Result, error) {
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("fig10: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := ResolveFunctions(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("fig10: %w", err)
 	}
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-
 	// Calibrate profiles once (mechanistic single-instance runs).
-	ms, err := MeasureAll(p, specs, AllScenarios)
+	profiles, err := Calibrate(p, specs, AllScenarios)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	// The design×fraction grid: every cell builds its own cluster and
 	// replays the same trace, so the cells are independent and fan out
@@ -174,7 +146,7 @@ func Fig10(p params.Params, cfg Fig10Config) (*Fig10Result, error) {
 			return nil, fmt.Errorf("fig10 %s@%.0f%%: %w", grid[i].d, 100*grid[i].frac, err)
 		}
 	}
-	return &Fig10Result{Cfg: cfg, Functions: names, Runs: runs}, nil
+	return &Fig10Result{Cfg: cfg, Functions: SpecNames(specs), Runs: runs}, nil
 }
 
 func fig10Run(p params.Params, cfg Fig10Config, d Design, frac float64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (Fig10Run, error) {
@@ -182,43 +154,15 @@ func fig10Run(p params.Params, cfg Fig10Config, d Design, frac float64, specs []
 		p.KeepAlive = cfg.KeepAlive
 	}
 	c := cluster.MustNew(p, 2)
-	pcfg := porter.Config{
+	po, err := NewPorter(c, d, porter.Config{
 		Profiles:        profiles,
 		Seed:            cfg.Seed,
 		NodeBudgetBytes: int64(float64(cfg.BaseBudgetBytes) * frac),
-	}
-	switch d {
-	case DesignCRIU:
-		pcfg.Mechanism = criu.New(c.CXLFS)
-	case DesignMitosis:
-		pcfg.Mechanism = mitosis.New()
-	case DesignCXLforkMoW:
-		pcfg.Mechanism = core.New(c.Dev)
-		pol := rfork.MigrateOnWrite
-		pcfg.StaticPolicy = &pol
-	case DesignCXLfork:
-		pcfg.Mechanism = core.New(c.Dev)
-		pcfg.DynamicTiering = true
-	default:
-		return Fig10Run{}, fmt.Errorf("unknown design %q", d)
-	}
-
-	po := porter.New(c, pcfg)
-	if err := po.Setup(specs); err != nil {
+	}, specs)
+	if err != nil {
 		return Fig10Run{}, err
 	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: cfg.RPS,
-		Duration: cfg.Duration,
-		Loads:    azure.DefaultLoads(names),
-		Seed:     cfg.Seed,
-	})
-	results := po.Run(trace)
+	results := po.Run(GenerateTrace(SpecNames(specs), nil, cfg.RPS, cfg.Duration, cfg.Seed))
 	return Fig10Run{
 		Design:  d,
 		MemFrac: frac,

@@ -5,10 +5,8 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/fabric"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
@@ -95,22 +93,14 @@ type TelemetryTraceResult struct {
 // TelemetryTrace calibrates profiles, sizes the device, and replays
 // the trace with telemetry sampling on.
 func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceResult, error) {
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("telemetry: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := ResolveFunctions(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	out := &TelemetryTraceResult{}
 	if cfg.DeviceFrac > 0 {
@@ -121,8 +111,7 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 			return nil, err
 		}
 		out.FootprintBytes = footprint
-		ps := int64(p.PageSize)
-		p.CXLBytes = (int64(float64(footprint)*cfg.DeviceFrac) + ps - 1) / ps * ps
+		p.CXLBytes = scaledBytes(p, footprint, cfg.DeviceFrac)
 	}
 
 	p.TelemetryEnabled = true
@@ -168,28 +157,11 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 	out.DeviceBytes = p.CXLBytes
 
 	c := cluster.MustNew(p, 2)
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
+	if err != nil {
 		return nil, err
 	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: cfg.RPS,
-		Duration: cfg.Duration,
-		Loads:    loads,
-		Seed:     cfg.Seed,
-	})
-	out.Results = po.Run(trace)
+	out.Results = po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
 	out.Registry = po.Telemetry()
 	out.Alerts = po.SLOAlerts()
 	if c.XRay.Enabled() {

@@ -15,11 +15,6 @@
 // storms against a single device collapse on that device's link while
 // sharded pools spread.
 //
-// The minimum link latency doubles as the sharded DES engine's epoch
-// lookahead window (NewDES): no cross-node message can be delivered
-// faster than the fastest link, so shards may run that far ahead
-// without observing each other. Deriving the window from the topology
-// — not the global params.FabricHop constant — keeps lookahead honest
-// on heterogeneous fabrics whose fastest link undercuts the flat
-// constant.
+// Every simulation still runs on one event queue (DESIGN.md §13): the
+// topology prices transfers, it does not partition the engine.
 package fabric

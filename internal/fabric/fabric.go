@@ -488,12 +488,7 @@ func (t *Topology) PathLat(h, d int) des.Time { return t.paths[h][d].lat }
 func (t *Topology) PathHops(h, d int) int { return t.paths[h][d].hops }
 
 // MinLinkLatency is the fastest link in the fabric — the true minimum
-// cross-node delivery latency, and therefore the largest epoch
-// lookahead window the sharded engine may legally use. Deriving the
-// window from the global params.FabricHop constant instead is wrong
-// whenever some link undercuts it: a message sent at that link's real
-// latency under-runs the declared lookahead and the engine panics (the
-// shard.go contract). See TestFabricHopLookaheadUnderDeclared.
+// cross-node delivery latency. The fabric sweep reports it per cell.
 func (t *Topology) MinLinkLatency() des.Time { return t.minLat }
 
 // DeviceSwitch returns the name of the switch device d attaches to

@@ -153,15 +153,6 @@ func (n *Net) RegisterTelemetry(reg *telemetry.Registry) {
 		func(des.Time) float64 { return float64(n.charged) / float64(des.Second) })
 }
 
-// NewDES builds a sharded-engine fabric for n nodes whose epoch
-// lookahead is the topology's true minimum link latency — the fix for
-// the latent bug where the window came from the global
-// params.FabricHop() even on fabrics whose fastest link undercuts it
-// (an under-declared lookahead makes Send panic, per shard.go).
-func NewDES(t *Topology, nodes, workers int) des.Fabric {
-	return des.NewFabric(nodes, workers, t.MinLinkLatency())
-}
-
 // String summarizes the net's counters for experiment footers.
 func (n *Net) String() string {
 	return fmt.Sprintf("transfers=%d queued=%d queue-delay=%s extra=%s",

@@ -104,54 +104,3 @@ func TestNetDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestNewDESLookaheadFromTopology is the latent-bug regression: the
-// sharded engine's epoch lookahead must come from the topology's true
-// minimum link latency, not the global params.FabricHop constant. On a
-// fabric whose fastest link undercuts FabricHop, a lookahead window
-// derived from the constant admits cross-shard sends faster than the
-// window — exactly the contract shard.go enforces by panicking.
-func TestNewDESLookaheadFromTopology(t *testing.T) {
-	p := params.Default()
-	// Fastest link: 80ns host edge, far below FabricHop.
-	spec := `
-host h0
-host h1
-switch s0
-device d0
-link h0 s0 lat=80ns
-link h1 s0
-link d0 s0
-`
-	topo := build(t, spec)
-	if topo.MinLinkLatency() != 80 {
-		t.Fatalf("min link latency %v, want 80ns", topo.MinLinkLatency())
-	}
-	if topo.MinLinkLatency() >= p.FabricHop() {
-		t.Fatal("fixture must undercut params.FabricHop for the regression to bite")
-	}
-
-	send := func(f des.Fabric) (panicked bool) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		// A message at the fabric's true minimum latency.
-		f.Send(0, 1, topo.MinLinkLatency(), func() {})
-		f.Run()
-		return false
-	}
-
-	for _, workers := range []int{1, 4} {
-		// Buggy wiring: lookahead from the flat constant rejects a
-		// legal minimum-latency message.
-		if !send(des.NewFabric(2, workers, p.FabricHop())) {
-			t.Fatalf("workers=%d: FabricHop lookahead accepted a sub-window send", workers)
-		}
-		// Fixed wiring: topology-derived lookahead admits it.
-		if send(NewDES(topo, 2, workers)) {
-			t.Fatalf("workers=%d: topology lookahead rejected a legal send", workers)
-		}
-	}
-}

@@ -318,12 +318,11 @@ type Params struct {
 	// ---- Simulation engine (DESIGN.md §13) ----
 
 	// SimWorkers is the simulation's worker count. At 1 (the default)
-	// everything runs on the legacy sequential engine. Above 1,
-	// independent simulation legs (per-function calibration, sweep
-	// points, design grids) fan out to a worker pool, and multi-node
-	// fabric workloads run on the sharded epoch-barrier engine with
-	// per-node event queues. Results are byte-identical at any worker
-	// count; workers only change wall-clock time.
+	// everything runs sequentially. Above 1, independent simulation
+	// legs (per-function calibration, sweep points, design grids) fan
+	// out to a des.Pool, each leg on its own event queue; one porter
+	// replay is always one engine. Results are byte-identical at any
+	// worker count; workers only change wall-clock time.
 	SimWorkers int
 }
 
@@ -417,15 +416,6 @@ func Default() Params {
 
 		SimWorkers: 1,
 	}
-}
-
-// FabricHop is the minimum cross-node delivery latency: the cost of
-// pushing one page through the fabric plus the switch traversal. The
-// sharded engine derives its epoch lookahead window from it — no
-// cross-node message can arrive sooner, so shards may run that far
-// ahead without observing each other (DESIGN.md §13).
-func (p Params) FabricHop() des.Time {
-	return p.CXLLatency + p.CXLWritePage
 }
 
 // Pages converts a byte count to a page count, rounding up.

@@ -505,7 +505,7 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 			// Restore blame accrued toward a request that degraded to
 			// a scratch cold start never reaches the restore-latency
 			// recorder — account it as unattributed instead of losing
-			// it (the NewDES lookahead / per-link charge drop fix).
+			// it.
 			var unattr des.Time
 			if !restored {
 				unattr = probeNS + backoffNS

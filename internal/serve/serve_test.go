@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 	"time"
 )
@@ -252,6 +253,14 @@ func TestValidate(t *testing.T) {
 		{"negative pace", func(s *Spec) { s.Session.Pace = -1 }},
 		{"negative timeout", func(s *Spec) { s.Session.Timeout = Duration(-time.Second) }},
 		{"over virtual cap", func(s *Spec) { s.Workload.Duration = Duration(time.Hour) }},
+		{"negative nodes", func(s *Spec) { s.Config.Nodes = -1 }},
+		{"excess nodes", func(s *Spec) { s.Config.Nodes = MaxNodes + 1 }},
+		{"negative node dram", func(s *Spec) { s.Config.NodeDRAMBytes = -1 }},
+		{"excess node dram", func(s *Spec) { s.Config.NodeDRAMBytes = MaxPlatformBytes + 1 }},
+		{"negative cxl capacity", func(s *Spec) { s.Config.CXLCapacityBytes = -4096 }},
+		{"excess cxl capacity", func(s *Spec) { s.Config.CXLCapacityBytes = 1 << 62 }},
+		{"oversized platform", func(s *Spec) { s.Config.Nodes, s.Config.NodeDRAMBytes = MaxNodes, 64<<30 }},
+		{"default dram on many nodes", func(s *Spec) { s.Config.Nodes, s.Config.NodeDRAMBytes = 3, 0 }},
 	}
 	m := NewManager(Config{})
 	for _, tc := range cases {
@@ -262,6 +271,33 @@ func TestValidate(t *testing.T) {
 				t.Fatal("Submit accepted an invalid spec")
 			}
 		})
+	}
+}
+
+// TestValidateAdmitsDocumentedPlatforms pins the other side of the
+// platform caps: the empty config, the served example spec, and the
+// facade's default platform (2 nodes, 6 GiB DRAM, 8 GiB CXL) all pass.
+func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
+	blob, err := os.ReadFile("../../examples/served/spec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var example Spec
+	if err := json.Unmarshal(blob, &example); err != nil {
+		t.Fatal(err)
+	}
+	specs := map[string]Spec{
+		"empty":   {},
+		"example": example,
+		"facade default": {Config: ConfigSpec{
+			Nodes: 2, NodeDRAMBytes: 6 << 30, CXLCapacityBytes: 8 << 30,
+		}},
+		"at cap": {Config: ConfigSpec{Nodes: 4, NodeDRAMBytes: 64 << 30, CXLCapacityBytes: 16 << 30}},
+	}
+	for name, spec := range specs {
+		if err := spec.Validate(0); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

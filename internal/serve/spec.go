@@ -7,6 +7,7 @@ import (
 
 	"cxlfork"
 	"cxlfork/internal/faas"
+	"cxlfork/internal/params"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -57,7 +58,7 @@ type Spec struct {
 }
 
 // ConfigSpec is the JSON mirror of cxlfork.Config. Zero values keep the
-// paper-testbed defaults (two nodes, 6 GiB DRAM, 8 GiB CXL, 391 ns).
+// simulator defaults (two nodes, 128 GiB DRAM per node, 16 GiB CXL).
 type ConfigSpec struct {
 	// Nodes is the number of compute nodes sharing the CXL device.
 	Nodes int `json:"nodes,omitempty"`
@@ -73,7 +74,8 @@ type ConfigSpec struct {
 	CheckpointLanes int `json:"checkpoint_lanes,omitempty"`
 	// RestoreLanes is the restore-side lane count.
 	RestoreLanes int `json:"restore_lanes,omitempty"`
-	// Workers is the simulation worker count (DESIGN.md §13).
+	// Workers is the simulation worker count (DESIGN.md §13): it fans
+	// calibration legs out to goroutines and never changes results.
 	Workers int `json:"workers,omitempty"`
 	// Seed drives all randomized behaviour (Workload.Seed overrides it
 	// for trace generation).
@@ -182,6 +184,35 @@ type SessionSpec struct {
 // simulation limit.
 const MaxRPS = 100000
 
+// Platform bounds at admission. Frame tables are built eagerly for every
+// simulated byte (about 12 MiB of host memory per GiB), so an oversized
+// platform would exhaust the process that hosts every other session.
+// MaxPlatformBytes caps nodes × node_dram_bytes + cxl_capacity_bytes,
+// zero fields counted at their defaults: it is exactly the default
+// platform (2 × 128 GiB + 16 GiB), so no spec builds more than an empty
+// config already does.
+const (
+	MaxNodes         = 16
+	MaxPlatformBytes = 272 << 30
+)
+
+// platformBytes is the simulated memory c builds: nodes × node DRAM plus
+// CXL capacity, zero fields at the defaults a run applies.
+func (c ConfigSpec) platformBytes() int64 {
+	p := params.Default()
+	nodes, dram, cxl := int64(c.Nodes), c.NodeDRAMBytes, c.CXLCapacityBytes
+	if nodes == 0 {
+		nodes = 2
+	}
+	if dram == 0 {
+		dram = p.NodeDRAMBytes
+	}
+	if cxl == 0 {
+		cxl = p.CXLBytes
+	}
+	return nodes*dram + cxl
+}
+
 // Validate rejects malformed specs before they consume a session slot.
 // maxVirtual caps Workload.Duration (0 = no cap).
 func (s Spec) Validate(maxVirtual time.Duration) error {
@@ -196,6 +227,20 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 		if !ok {
 			return fmt.Errorf("unknown design %q (want one of %v)", s.Workload.Design, cxlfork.WorkloadDesigns)
 		}
+	}
+	c := s.Config
+	if c.Nodes < 0 || c.Nodes > MaxNodes {
+		return fmt.Errorf("nodes %d out of range [0,%d]", c.Nodes, MaxNodes)
+	}
+	if c.NodeDRAMBytes < 0 || c.NodeDRAMBytes > MaxPlatformBytes {
+		return fmt.Errorf("node_dram_bytes %d out of range [0,%d]", c.NodeDRAMBytes, int64(MaxPlatformBytes))
+	}
+	if c.CXLCapacityBytes < 0 || c.CXLCapacityBytes > MaxPlatformBytes {
+		return fmt.Errorf("cxl_capacity_bytes %d out of range [0,%d]", c.CXLCapacityBytes, int64(MaxPlatformBytes))
+	}
+	if b := c.platformBytes(); b > MaxPlatformBytes {
+		return fmt.Errorf("platform memory %d bytes (nodes × node_dram_bytes + cxl_capacity_bytes) exceeds cap %d",
+			b, int64(MaxPlatformBytes))
 	}
 	if s.Workload.RPS < 0 || s.Workload.RPS > MaxRPS {
 		return fmt.Errorf("rps %g out of range [0,%d]", s.Workload.RPS, MaxRPS)

@@ -247,6 +247,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"bad json", "POST", "/v1/sessions", "{", http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/sessions", `{"wokload":{}}`, http.StatusBadRequest},
 		{"unknown design", "POST", "/v1/sessions", `{"workload":{"design":"QEMU"}}`, http.StatusBadRequest},
+		{"negative nodes", "POST", "/v1/sessions", `{"config":{"nodes":-1}}`, http.StatusBadRequest},
+		{"oversized platform", "POST", "/v1/sessions", `{"config":{"nodes":16,"node_dram_bytes":68719476736}}`, http.StatusBadRequest},
 		{"missing session", "GET", "/v1/sessions/s999", "", http.StatusNotFound},
 		{"missing stream", "GET", "/v1/sessions/s999/stream", "", http.StatusNotFound},
 		{"missing cancel", "DELETE", "/v1/sessions/s999", "", http.StatusNotFound},

@@ -5,16 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
-	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
-	"cxlfork/internal/faas"
-	"cxlfork/internal/mitosis"
 	"cxlfork/internal/porter"
-	"cxlfork/internal/rfork"
 	"cxlfork/internal/telemetry"
 	"cxlfork/internal/xray"
 )
@@ -160,27 +154,6 @@ type RunReport struct {
 	XRay *xray.Report `json:"xray,omitempty"`
 }
 
-// scenariosFor returns the calibration scenarios a design's profiles
-// need: every design measures the scratch cold start plus its own
-// mechanism; dynamic tiering additionally needs the MoA and hybrid
-// policies it adapts across.
-func scenariosFor(design string) ([]experiments.Scenario, error) {
-	switch design {
-	case "CXLfork":
-		return []experiments.Scenario{
-			experiments.ScenCold, experiments.ScenCXLfork,
-			experiments.ScenCXLforkMoA, experiments.ScenCXLforkHT,
-		}, nil
-	case "CXLfork-MoW":
-		return []experiments.Scenario{experiments.ScenCold, experiments.ScenCXLfork}, nil
-	case "CRIU-CXL":
-		return []experiments.Scenario{experiments.ScenCold, experiments.ScenCRIU}, nil
-	case "Mitosis-CXL":
-		return []experiments.Scenario{experiments.ScenCold, experiments.ScenMitosis}, nil
-	}
-	return nil, fmt.Errorf("cxlfork: unknown design %q (want one of %v)", design, WorkloadDesigns)
-}
-
 // RunWorkload replays one seeded arrival trace against a freshly built
 // cluster and returns its results — the facade's synchronous
 // capacity-planning entry point, and the exact runner behind every
@@ -213,20 +186,14 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		nodes = 2
 	}
 
-	specs := faas.Suite()
-	if len(wl.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range wl.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("cxlfork: unknown function %q (see FunctionNames)", name)
-			}
-			specs = append(specs, s)
-		}
-	}
-	scens, err := scenariosFor(wl.Design)
+	specs, err := experiments.ResolveFunctions(wl.Functions)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cxlfork: %w (see FunctionNames)", err)
+	}
+	design := experiments.Design(wl.Design)
+	scens := design.Scenarios()
+	if scens == nil {
+		return nil, fmt.Errorf("cxlfork: unknown design %q (want one of %v)", wl.Design, WorkloadDesigns)
 	}
 
 	p := cfg.params()
@@ -242,55 +209,24 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	// (the same split TelemetryTrace makes).
 	pm := p
 	pm.TelemetryEnabled = false
-	ms, err := experiments.MeasureAll(pm, specs, scens)
+	profiles, err := experiments.Calibrate(pm, specs, scens)
 	if err != nil {
 		return nil, err
 	}
-	profiles := experiments.BuildProfiles(ms)
 
 	c, err := cluster.New(p, nodes)
 	if err != nil {
 		return nil, err
 	}
-	pcfg := porter.Config{
+	po, err := experiments.NewPorter(c, design, porter.Config{
 		Profiles:        profiles,
 		Seed:            wl.Seed,
 		NodeBudgetBytes: wl.NodeBudgetBytes,
-	}
-	switch wl.Design {
-	case "CRIU-CXL":
-		pcfg.Mechanism = criu.New(c.CXLFS)
-	case "Mitosis-CXL":
-		pcfg.Mechanism = mitosis.New()
-	case "CXLfork-MoW":
-		pcfg.Mechanism = core.New(c.Dev)
-		pol := rfork.MigrateOnWrite
-		pcfg.StaticPolicy = &pol
-	default: // "CXLfork"
-		pcfg.Mechanism = core.New(c.Dev)
-		pcfg.DynamicTiering = true
-	}
-	po := porter.New(c, pcfg)
-	if err := po.Setup(specs); err != nil {
+	}, specs)
+	if err != nil {
 		return nil, err
 	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := wl.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: wl.RPS,
-		Duration: des.Time(wl.Duration),
-		Loads:    loads,
-		Seed:     wl.Seed,
-	})
+	trace := experiments.GenerateTrace(experiments.SpecNames(specs), wl.Weights, wl.RPS, des.Time(wl.Duration), wl.Seed)
 
 	interrupted := false
 	if opts != nil && opts.OnSample != nil {
