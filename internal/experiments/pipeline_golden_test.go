@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"hash/fnv"
 	"testing"
 
+	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
+	"cxlfork/internal/porter"
 )
 
 // Constant pins for the two replay pipelines the worker goldens do not
@@ -56,5 +60,80 @@ func TestGoldenAzureBenchPipeline(t *testing.T) {
 	if h != uint64(goldenAzureBench) {
 		t.Fatalf("azurebench fingerprint %#x (arrivals %d, events %d), golden %#x",
 			h, r.Arrivals, r.Events, uint64(goldenAzureBench))
+	}
+}
+
+// Constant pins for the observers of a scaled-down AzureBench replay
+// with the tracer, telemetry and x-ray all on: the Prometheus and CSV
+// exports, the x-ray report's fingerprint (a hash of its rendered text)
+// and the tracer's span and drop counts. The observers sample the replay on
+// every tick and request, so a probe or attribution rewrite that moves
+// any observed value, deterministically or not, fails here.
+const (
+	goldenObservedResults   = 0xe0986dd75b65bfe4
+	goldenObservedProm      = 0x7a821401f731c2fd
+	goldenObservedCSV       = 0x6e2a113a74945526
+	goldenObservedXRay      = 0x751735b096601d21
+	goldenObservedTraceLen  = 35435
+	goldenObservedTraceDrop = 0
+)
+
+// textHash is the FNV-1a hash of a rendered export or report.
+func textHash(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
+func TestGoldenAzureBenchObservers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("porter replays are slow")
+	}
+	cfg := DefaultAzureBenchConfig()
+	cfg.Requests = 20_000
+	cfg.Duration = 8 * des.Second
+	specs, err := ResolveFunctions([]string{"Float", "Json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ExpParams()
+	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.TraceEnabled, p.TelemetryEnabled, p.XRayEnabled = true, true, true
+	c := cluster.MustNew(p, cfg.Nodes)
+	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{
+		Profiles:        profiles,
+		Seed:            cfg.Seed,
+		NodeBudgetBytes: 12 << 30,
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := po.Run(GenerateTrace(SpecNames(specs), nil, float64(cfg.Requests)/cfg.Duration.Seconds(), cfg.Duration, cfg.Seed))
+
+	var prom, csv bytes.Buffer
+	if err := po.Telemetry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := po.Telemetry().WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.XRay.Report()
+	for _, pin := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"results fingerprint", res.Fingerprint(), goldenObservedResults},
+		{"prometheus export", textHash(prom.String()), goldenObservedProm},
+		{"csv export", textHash(csv.String()), goldenObservedCSV},
+		{"xray fingerprint", rep.Fingerprint(), goldenObservedXRay},
+		{"trace len", uint64(c.Trace.Len()), goldenObservedTraceLen},
+		{"trace dropped", uint64(c.Trace.Dropped()), goldenObservedTraceDrop},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s %#x, golden %#x", pin.name, pin.got, pin.want)
+		}
 	}
 }

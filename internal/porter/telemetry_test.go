@@ -2,6 +2,7 @@ package porter_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -66,10 +67,19 @@ func exports(t *testing.T, po *porter.Porter) (prom, csv string) {
 	return pb.String(), cb.String()
 }
 
+// exportHash is the FNV-1a hash of one rendered export.
+func exportHash(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
 // TestTelemetryGoldenExports is the export determinism gate: two
 // identical seeded replays must produce byte-identical Prometheus and
 // CSV dumps — for the sequential baseline, the parallel-lane
-// configuration, and a run with a node crash injected.
+// configuration, and a run with a node crash injected — and each dump
+// must hash to its constant pin, so a probe that changes a value
+// deterministically fails too.
 func TestTelemetryGoldenExports(t *testing.T) {
 	crash := []faultinject.Rule{{
 		Kind: faultinject.CrashNode,
@@ -77,13 +87,14 @@ func TestTelemetryGoldenExports(t *testing.T) {
 		Node: 0,
 	}}
 	for _, tc := range []struct {
-		name  string
-		lanes int
-		rules []faultinject.Rule
+		name      string
+		lanes     int
+		rules     []faultinject.Rule
+		prom, csv uint64
 	}{
-		{"lanes=1", 1, nil},
-		{"lanes=4", 4, nil},
-		{"lanes=2/crash", 2, crash},
+		{"lanes=1", 1, nil, 0x751d7f3df73253da, 0xf4e0c0224419057b},
+		{"lanes=4", 4, nil, 0x7aa5f80474ce8e57, 0xd6e358eb6f9c5a22},
+		{"lanes=2/crash", 2, crash, 0x6507dbc10916e763, 0x7f208b8a9a361bf5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			poA, resA := telemetryRun(t, tc.lanes, tc.rules)
@@ -95,6 +106,12 @@ func TestTelemetryGoldenExports(t *testing.T) {
 			}
 			if csvA != csvB {
 				t.Fatal("CSV exports differ between identical runs")
+			}
+			if h := exportHash(promA); h != tc.prom {
+				t.Errorf("Prometheus export hash %#x, golden %#x", h, tc.prom)
+			}
+			if h := exportHash(csvA); h != tc.csv {
+				t.Errorf("CSV export hash %#x, golden %#x", h, tc.csv)
 			}
 			if resA.Fingerprint() != resB.Fingerprint() {
 				t.Fatal("fingerprints differ between identical runs")

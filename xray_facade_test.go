@@ -126,3 +126,47 @@ func TestSystemXRayReport(t *testing.T) {
 		t.Fatalf("span-derived classes missing:\n%s", r.Text())
 	}
 }
+
+// goldenSystemXRay pins System.XRayReport over a traced facade run.
+// Report.Fingerprint hashes the rendered text, so it covers every
+// table and exemplar the report prints.
+const goldenSystemXRay = 0xcb5284f1ec589642
+
+// TestSystemXRayReportPinned pins the span-derived report over a run
+// that records both op spans (a manual checkpoint and restore) and
+// porter spans (an autoscaler replay on the same system).
+func TestSystemXRayReportPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("autoscaler calibration is slow")
+	}
+	cfg := smallConfig()
+	cfg.Trace, cfg.XRay = true, true
+	sys := NewSystem(cfg)
+	fn := deployWarm(t, sys, "Json")
+	ck, err := sys.Checkpoint(fn, CXLfork, "xr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Restore(1, ck, RestoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunAutoscaler(AutoscalerConfig{
+		Mechanism: CXLfork,
+		Functions: []string{"Json"},
+		RPS:       40,
+		Duration:  2 * time.Second,
+		Seed:      3,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := sys.XRayReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Class("porter/warm-start") == nil || r.Class("op/checkpoint") == nil {
+		t.Fatalf("op or porter classes missing:\n%s", r.Text())
+	}
+	if got := r.Fingerprint(); got != goldenSystemXRay {
+		t.Fatalf("report fingerprint %#x, golden %#x", got, uint64(goldenSystemXRay))
+	}
+}
