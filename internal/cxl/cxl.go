@@ -37,6 +37,9 @@ type Device struct {
 
 	arenas    map[string]*Arena
 	metaBytes int64
+	// version counts arena creates, allocs, tracks and releases; with
+	// the pool's version it keys the occupancy memo (telemetry.go).
+	version uint64
 
 	// dedup is the content-addressed frame index (see dedup.go).
 	dedup map[uint64][]dedupEntry
@@ -118,6 +121,7 @@ func (d *Device) NewArena(name string) (*Arena, error) {
 	}
 	a := &Arena{dev: d, name: name, objs: make([]arenaObj, 1)} // objs[0] = nil sentinel
 	d.arenas[name] = a
+	d.version++
 	return a, nil
 }
 
@@ -241,6 +245,7 @@ func (a *Arena) Alloc(obj any, size int64) (Offset, error) {
 	}
 	a.objs = append(a.objs, arenaObj{v: obj, size: size})
 	a.bytes += size
+	a.dev.version++
 	return Offset(len(a.objs) - 1), nil
 }
 
@@ -273,6 +278,7 @@ func (a *Arena) TrackFrame(f *memsim.Frame) {
 		panic(fmt.Sprintf("cxl: TrackFrame on released arena %q", a.name))
 	}
 	a.frames = append(a.frames, f)
+	a.dev.version++
 }
 
 // ForEachFrame visits every frame reference the arena owns, in tracking
@@ -313,6 +319,7 @@ func (a *Arena) Release() {
 	}
 	a.closed = true
 	a.dev.metaBytes -= a.bytes
+	a.dev.version++
 	delete(a.dev.arenas, a.name)
 	for _, f := range a.frames {
 		f.Pool().Put(f)

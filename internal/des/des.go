@@ -40,17 +40,16 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Millis converts a virtual time to floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// Event is a scheduled callback. Events are pooled: once dispatched (or
-// popped dead) the struct returns to the owning engine's free list and
-// its generation counter advances, so stale EventIDs cannot touch the
+// Event is a scheduled callback. Events are pooled: once dispatched or
+// cancelled the struct returns to the owning engine's free list and its
+// generation counter advances, so stale EventIDs cannot touch the
 // recycled slot.
 type event struct {
-	at   Time
-	seq  uint64 // insertion order; tie-breaker for determinism
-	gen  uint32 // recycle generation; guards Cancel after reuse
-	fn   func()
-	dead bool
-	idx  int
+	at  Time
+	seq uint64 // insertion order; tie-breaker for determinism
+	gen uint32 // recycle generation; guards Cancel after reuse
+	fn  func()
+	idx int // position in the heap
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The
@@ -91,10 +90,13 @@ func (h *eventHeap) Pop() any {
 
 // Engine is a single-threaded virtual clock plus event queue.
 // It is not safe for concurrent use; simulations run on one goroutine.
+// The heap holds only live events: Cancel removes its event, and a
+// sorted batch (AtSorted) keeps only its next member on the heap.
 type Engine struct {
 	now      Time
 	seq      uint64
 	events   eventHeap
+	lazy     int      // batch members scheduled but not yet on the heap
 	free     []*event // recycled event structs; hot path is alloc-free
 	executed uint64
 	stopped  bool
@@ -120,11 +122,52 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("des: schedule in the past: %v < now %v", t, e.now))
 	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev := e.push(t, e.seq, fn)
 	e.seq++
-	heap.Push(&e.events, ev)
 	return EventID{ev, ev.gen}
+}
+
+// AtSorted schedules fn(i) at time at(i) for every i in [0, n). It
+// dispatches exactly as n calls of At in index order would, so at must
+// never decrease with i, but only the earliest undispatched member
+// sits on the heap: the batch's sequence numbers are reserved up front,
+// and each member pushes its successor with its reserved number when it
+// fires. A million-arrival trace thus costs one heap slot instead of a
+// million.
+func (e *Engine) AtSorted(n int, at func(i int) Time, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if t := at(0); t < e.now {
+		panic(fmt.Sprintf("des: schedule in the past: %v < now %v", t, e.now))
+	}
+	for i := 1; i < n; i++ {
+		if at(i) < at(i-1) {
+			panic(fmt.Sprintf("des: AtSorted times decrease at %d: %v < %v", i, at(i), at(i-1)))
+		}
+	}
+	seq0 := e.seq
+	e.seq += uint64(n)
+	e.lazy += n - 1
+	next := 0
+	var fire func()
+	fire = func() {
+		i := next
+		if next++; next < n {
+			e.lazy--
+			e.push(at(next), seq0+uint64(next), fire)
+		}
+		fn(i)
+	}
+	e.push(at(0), seq0, fire)
+}
+
+// push puts a new event on the heap.
+func (e *Engine) push(t Time, seq uint64, fn func()) *event {
+	ev := e.alloc()
+	ev.at, ev.seq, ev.fn = t, seq, fn
+	heap.Push(&e.events, ev)
+	return ev
 }
 
 // alloc takes an event struct from the free list, or the heap allocator
@@ -140,11 +183,10 @@ func (e *Engine) alloc() *event {
 	return &event{}
 }
 
-// recycle returns a popped event to the free list. Bumping the
-// generation first invalidates every EventID that still points here.
+// recycle returns a popped or removed event to the free list. Bumping
+// the generation first invalidates every EventID that still points here.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.dead = false
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -157,48 +199,44 @@ func (e *Engine) After(d Time, fn func()) EventID {
 	return e.At(e.now+d, fn)
 }
 
-// Cancel prevents a scheduled event from firing. Cancelling an event
-// that already fired is a no-op: firing recycles the event struct and
-// advances its generation, so a stale ID no longer matches.
+// Cancel removes a scheduled event from the heap. Cancelling an event
+// that already fired or was already cancelled is a no-op: both recycle
+// the event struct and advance its generation, so a stale ID no longer
+// matches.
 func (e *Engine) Cancel(id EventID) {
-	if id.ev != nil && id.ev.gen == id.gen {
-		id.ev.dead = true
+	if id.ev == nil || id.ev.gen != id.gen {
+		return
 	}
+	heap.Remove(&e.events, id.ev.idx)
+	e.recycle(id.ev)
 }
 
 // Executed reports the number of events dispatched since construction.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending reports the number of live scheduled events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.events) + e.lazy }
 
 // Step runs the single earliest event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		fn := ev.fn
-		// Recycle before dispatch: if fn schedules a follow-up event it
-		// reuses this struct, keeping the steady state allocation-free.
-		e.recycle(ev)
-		e.executed++
-		fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	e.dispatch()
+	return true
+}
+
+// dispatch pops the earliest event and runs it.
+func (e *Engine) dispatch() {
+	ev := heap.Pop(&e.events).(*event)
+	e.now = ev.at
+	fn := ev.fn
+	// Recycle before dispatch: if fn schedules a follow-up event it
+	// reuses this struct, keeping the steady state allocation-free.
+	e.recycle(ev)
+	e.executed++
+	fn()
 }
 
 // Stop makes the in-flight Run or RunUntil return after the current
@@ -225,23 +263,8 @@ func (e *Engine) Run() {
 // clock to the deadline. A Stop from inside an event ends the loop
 // early without touching the clock.
 func (e *Engine) RunUntil(deadline Time) {
-	for !e.stopped && len(e.events) > 0 {
-		// Peek.
-		for len(e.events) > 0 && e.events[0].dead {
-			e.recycle(heap.Pop(&e.events).(*event))
-		}
-		if len(e.events) == 0 {
-			break
-		}
-		if e.events[0].at > deadline {
-			break
-		}
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		fn := ev.fn
-		e.recycle(ev)
-		e.executed++
-		fn()
+	for !e.stopped && len(e.events) > 0 && e.events[0].at <= deadline {
+		e.dispatch()
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -311,8 +334,8 @@ func (r *Resource) Release() {
 	}
 	if len(r.queue) > 0 {
 		next := r.queue[0]
-		copy(r.queue, r.queue[1:])
-		r.queue = r.queue[:len(r.queue)-1]
+		r.queue[0] = nil
+		r.queue = r.queue[1:]
 		next(r.eng.Now())
 		return
 	}

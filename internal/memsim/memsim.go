@@ -71,6 +71,7 @@ func (f *Frame) Get() *Frame {
 		panic("memsim: Get on free frame")
 	}
 	f.refs++
+	f.pool.version++
 	return f
 }
 
@@ -79,18 +80,32 @@ func (f *Frame) Get() *Frame {
 // the counter must be atomic; the ids themselves never cross legs.
 var poolIDs atomic.Uint32
 
-// Pool is a fixed-capacity set of frames.
+// chunkFrames is how many frames a pool builds at once, on the first
+// touch of any frame in the chunk: 16 MiB of 4 KiB pages.
+const chunkFrames = 1 << 12
+
+// Pool is a fixed-capacity set of frames. Frames are built in chunks
+// when first touched, so a pool costs memory in proportion to the pages
+// a simulation uses, not to its configured capacity.
 type Pool struct {
 	name     string
 	id       uint32
 	kind     Kind
 	pageSize int
 
-	frames []Frame
-	free   []int // stack of free pfns
-	used   int
+	capacity int
+	chunks   [][]Frame // nil until a frame in the chunk is touched
 
+	// Alloc takes the most recently freed pfn first, then the lowest
+	// never-allocated one. That is the pop order of a stack pre-filled
+	// high to low, so PFNs, and the cache keys built from them, are the
+	// same as if every frame had been built up front.
+	free []int // LIFO of freed pfns
+	next int   // lowest never-allocated pfn
+
+	used     int
 	peakUsed int
+	version  uint64
 }
 
 // NewPool creates a pool with capacity bytes of pageSize pages.
@@ -99,16 +114,27 @@ func NewPool(name string, kind Kind, capacityBytes int64, pageSize int) *Pool {
 		panic("memsim: invalid pool geometry")
 	}
 	n := int(capacityBytes / int64(pageSize))
-	p := &Pool{name: name, id: poolIDs.Add(1), kind: kind, pageSize: pageSize}
-	p.frames = make([]Frame, n)
-	p.free = make([]int, n)
-	for i := range p.frames {
-		p.frames[i].pool = p
-		p.frames[i].pfn = i
-		// Pop order low-to-high for deterministic PFNs.
-		p.free[i] = n - 1 - i
+	return &Pool{
+		name: name, id: poolIDs.Add(1), kind: kind, pageSize: pageSize,
+		capacity: n,
+		chunks:   make([][]Frame, (n+chunkFrames-1)/chunkFrames),
 	}
-	return p
+}
+
+// frame returns the frame with an in-range pfn, building its chunk on
+// first touch.
+func (p *Pool) frame(pfn int) *Frame {
+	c := p.chunks[pfn/chunkFrames]
+	if c == nil {
+		base := pfn / chunkFrames * chunkFrames
+		c = make([]Frame, min(chunkFrames, p.capacity-base))
+		for i := range c {
+			c[i].pool = p
+			c[i].pfn = base + i
+		}
+		p.chunks[pfn/chunkFrames] = c
+	}
+	return &c[pfn%chunkFrames]
 }
 
 // Name returns the pool name.
@@ -121,7 +147,7 @@ func (p *Pool) Kind() Kind { return p.kind }
 func (p *Pool) PageSize() int { return p.pageSize }
 
 // CapacityPages returns the total number of frames.
-func (p *Pool) CapacityPages() int { return len(p.frames) }
+func (p *Pool) CapacityPages() int { return p.capacity }
 
 // UsedPages returns the number of allocated frames.
 func (p *Pool) UsedPages() int { return p.used }
@@ -133,28 +159,40 @@ func (p *Pool) PeakUsedPages() int { return p.peakUsed }
 func (p *Pool) UsedBytes() int64 { return int64(p.used) * int64(p.pageSize) }
 
 // FreePages returns the number of free frames.
-func (p *Pool) FreePages() int { return len(p.frames) - p.used }
+func (p *Pool) FreePages() int { return p.capacity - p.used }
 
 // Utilization returns used/capacity in [0,1].
 func (p *Pool) Utilization() float64 {
-	return float64(p.used) / float64(len(p.frames))
+	return float64(p.used) / float64(p.capacity)
 }
 
 // ResetPeak resets the high-water mark to the current usage.
 func (p *Pool) ResetPeak() { p.peakUsed = p.used }
 
+// Version counts allocations and reference-count changes on the pool's
+// frames. Observers that derive a value from frame refcounts can cache
+// it until the version moves.
+func (p *Pool) Version() uint64 { return p.version }
+
 // Alloc returns a zeroed frame with refcount 1.
 func (p *Pool) Alloc() (*Frame, error) {
-	if len(p.free) == 0 {
-		return nil, fmt.Errorf("%w: pool %q (%d pages)", ErrOutOfMemory, p.name, len(p.frames))
+	var pfn int
+	switch {
+	case len(p.free) > 0:
+		pfn = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+	case p.next < p.capacity:
+		pfn = p.next
+		p.next++
+	default:
+		return nil, fmt.Errorf("%w: pool %q (%d pages)", ErrOutOfMemory, p.name, p.capacity)
 	}
-	pfn := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	f := &p.frames[pfn]
+	f := p.frame(pfn)
 	f.Data = 0
 	f.refs = 1
 	f.gen++
 	p.used++
+	p.version++
 	if p.used > p.peakUsed {
 		p.peakUsed = p.used
 	}
@@ -180,6 +218,7 @@ func (p *Pool) Put(f *Frame) {
 		panic("memsim: Put on free frame")
 	}
 	f.refs--
+	p.version++
 	if f.refs == 0 {
 		p.used--
 		p.free = append(p.free, f.pfn)
@@ -190,10 +229,10 @@ func (p *Pool) Put(f *Frame) {
 // the pool — dereferencing a dangling rebased pointer is a checkpoint
 // format bug the tests must surface loudly.
 func (p *Pool) Frame(pfn int) *Frame {
-	if pfn < 0 || pfn >= len(p.frames) {
+	if pfn < 0 || pfn >= p.capacity {
 		panic(fmt.Sprintf("memsim: pfn %d out of range for pool %q", pfn, p.name))
 	}
-	return &p.frames[pfn]
+	return p.frame(pfn)
 }
 
 // Copy duplicates src's contents into dst (token copy).

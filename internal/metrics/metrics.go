@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cxlfork/internal/des"
@@ -11,7 +12,7 @@ import (
 // LatencyRecorder collects latency samples and reports percentiles.
 type LatencyRecorder struct {
 	samples []des.Time
-	sorted  bool
+	sorted  int // samples[:sorted] is in ascending order
 	sum     des.Time
 }
 
@@ -21,7 +22,6 @@ func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
 // Record adds a sample.
 func (r *LatencyRecorder) Record(d des.Time) {
 	r.samples = append(r.samples, d)
-	r.sorted = false
 	r.sum += d
 }
 
@@ -45,10 +45,7 @@ func (r *LatencyRecorder) Percentile(p float64) des.Time {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
+	r.sort()
 	if p <= 0 {
 		return r.samples[0]
 	}
@@ -73,10 +70,7 @@ func (r *LatencyRecorder) Quantile(p float64) des.Time {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
+	r.sort()
 	if len(r.samples) == 1 {
 		return r.samples[0]
 	}
@@ -101,11 +95,32 @@ func (r *LatencyRecorder) Quantile(p float64) des.Time {
 // before a sequential summary pass reads them. Sorting is the
 // recorders' only deferred work; after Presort, Percentile and
 // Quantile are read-only until the next Record.
-func (r *LatencyRecorder) Presort() {
-	if !r.sorted && len(r.samples) > 0 {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+func (r *LatencyRecorder) Presort() { r.sort() }
+
+// sort brings the buffer into ascending order. Only the samples
+// recorded since the last sort are sorted; they are then merged into
+// the sorted prefix from the back. A running percentile read on every
+// telemetry tick thus costs O(k log k + n) for k new samples, not a
+// full sort of all n.
+func (r *LatencyRecorder) sort() {
+	n := len(r.samples)
+	if r.sorted == n {
+		return
 	}
-	r.sorted = true
+	slices.Sort(r.samples[r.sorted:])
+	if i := r.sorted - 1; i >= 0 && r.samples[r.sorted] < r.samples[i] {
+		newer := slices.Clone(r.samples[r.sorted:])
+		for j, k := len(newer)-1, n-1; j >= 0; k-- {
+			if i >= 0 && r.samples[i] > newer[j] {
+				r.samples[k] = r.samples[i]
+				i--
+			} else {
+				r.samples[k] = newer[j]
+				j--
+			}
+		}
+	}
+	r.sorted = n
 }
 
 // P50 returns the median.
@@ -120,7 +135,7 @@ func (r *LatencyRecorder) Max() des.Time { return r.Percentile(100) }
 // Reset discards all samples.
 func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
-	r.sorted = false
+	r.sorted = 0
 	r.sum = 0
 }
 

@@ -1,7 +1,9 @@
 package porter
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"cxlfork/internal/azure"
@@ -37,14 +39,21 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	p.base = base
 	p.lastDone = base
 	p.window = 0
-	var last des.Time
-	for _, r := range trace {
-		r := r
-		eng.At(base+r.At, func() { p.arrive(r.Function) })
-		if r.At > last {
-			last = r.At
-		}
+	// Arrivals dispatch in (time, trace index) order, as if each were
+	// scheduled with its own At in trace order. AtSorted needs them
+	// sorted: a stable sort of a copy keeps the index order among ties.
+	byTime := func(a, b azure.Request) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(trace, byTime) {
+		trace = slices.Clone(trace)
+		slices.SortStableFunc(trace, byTime)
 	}
+	var last des.Time
+	if n := len(trace); n > 0 {
+		last = max(trace[n-1].At, 0)
+	}
+	eng.AtSorted(len(trace),
+		func(i int) des.Time { return base + trace[i].At },
+		func(i int) { p.arrive(trace[i].Function) })
 	p.window = last
 
 	// Periodic A-bit reset on CXL checkpoints to re-estimate hot pages
@@ -227,22 +236,24 @@ func (p *Porter) arrive(fn string) {
 
 // findIdle pops the most recently idled instance of fn (warmest caches).
 func (p *Porter) findIdle(fn string) *instance {
-	var best *instance
+	var best *nodeState
+	var bestSince des.Time
 	for _, n := range p.nodes {
-		list := n.idle[fn]
-		if len(list) == 0 {
-			continue
-		}
-		cand := list[len(list)-1]
-		if best == nil || cand.idleSince > best.idleSince {
-			best = cand
+		if list := n.idle[fn]; len(list) > 0 {
+			if since := list[len(list)-1].idleSince; best == nil || since > bestSince {
+				best, bestSince = n, since
+			}
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	p.removeIdle(best)
-	return best
+	list := best.idle[fn]
+	in := list[len(list)-1]
+	list[len(list)-1] = nil
+	best.idle[fn] = list[:len(list)-1]
+	p.cancelExpire(in)
+	return in
 }
 
 func (p *Porter) removeIdle(in *instance) {
@@ -250,9 +261,15 @@ func (p *Porter) removeIdle(in *instance) {
 	for i, x := range list {
 		if x == in {
 			in.node.idle[in.fn] = append(list[:i], list[i+1:]...)
+			list[len(list)-1] = nil
 			break
 		}
 	}
+	p.cancelExpire(in)
+}
+
+// cancelExpire disarms an instance's keep-alive timer.
+func (p *Porter) cancelExpire(in *instance) {
 	if in.hasExpire {
 		p.c.Eng.Cancel(in.expire)
 		in.hasExpire = false
@@ -702,9 +719,7 @@ func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
 
 	// Fast path: keep serving this function's queue with the instance.
 	if len(st.queue) > 0 {
-		next := st.queue[0]
-		st.queue = append(st.queue[:0], st.queue[1:]...)
-		p.serve(inst, next)
+		p.serve(inst, st.popQueue())
 		return
 	}
 
@@ -780,16 +795,26 @@ func (p *Porter) pump() {
 		}
 		req := st.queue[0]
 		if inst := p.findIdle(req.fn); inst != nil {
-			st.queue = append(st.queue[:0], st.queue[1:]...)
+			st.popQueue()
 			p.serve(inst, req)
 			continue
 		}
 		if p.trySpawn(req.fn, req) {
-			st.queue = append(st.queue[:0], st.queue[1:]...)
+			st.popQueue()
 			continue
 		}
 		return
 	}
+}
+
+// popQueue removes and returns the function's oldest queued request.
+// Reslicing keeps the pop O(1); the next append that outgrows the
+// backing array copies only the requests still queued.
+func (st *fnState) popQueue() *pending {
+	req := st.queue[0]
+	st.queue[0] = nil
+	st.queue = st.queue[1:]
+	return req
 }
 
 // observeMem samples node memory utilization into the gauges.

@@ -14,27 +14,38 @@ import "cxlfork/internal/trace"
 // — complementary to the porter-fed per-request view, and rendered by
 // the same Report machinery.
 func FromSpans(events []trace.Event, topK int) *Report {
+	// Group phase children under their op span in one pass, merging
+	// repeated phase names (per-VMA copy rounds, per-leaf attaches)
+	// into one component each, first-seen order. Tracer.Emit records a
+	// parent before its children, so a child's parent is always behind
+	// it in the stream.
+	comps := make(map[trace.SpanID][]Component)
+	for j, child := range events {
+		if child.Cat != trace.CatPhase || child.Parent <= 0 || child.Parent >= trace.SpanID(j+1) {
+			continue
+		}
+		if op := events[child.Parent-1].Cat; op != trace.CatOp && op != trace.CatPorter {
+			continue
+		}
+		cs := comps[child.Parent]
+		merged := false
+		for k := range cs {
+			if cs[k].Name == child.Name {
+				cs[k].NS += int64(child.Dur)
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			comps[child.Parent] = append(cs, Component{Name: child.Name, NS: int64(child.Dur)})
+		}
+	}
 	a := New(nil, topK)
 	for i, e := range events {
 		if e.Cat != trace.CatOp && e.Cat != trace.CatPorter {
 			continue
 		}
 		id := trace.SpanID(i + 1)
-		// Merge repeated phase names (per-VMA copy rounds, per-leaf
-		// attaches) into one component each, first-seen order.
-		var comps []Component
-		idx := map[string]int{}
-		for _, child := range events[i+1:] {
-			if child.Parent != id || child.Cat != trace.CatPhase {
-				continue
-			}
-			if j, ok := idx[child.Name]; ok {
-				comps[j].NS += int64(child.Dur)
-				continue
-			}
-			idx[child.Name] = len(comps)
-			comps = append(comps, Component{Name: child.Name, NS: int64(child.Dur)})
-		}
 		a.Observe(Request{
 			Class:      e.Cat + "/" + e.Name,
 			Name:       e.Name,
@@ -42,7 +53,7 @@ func FromSpans(events []trace.Event, topK int) *Report {
 			Arrived:    int64(e.Begin),
 			Latency:    int64(e.Dur),
 			Device:     -1,
-			Components: comps,
+			Components: comps[id],
 		})
 	}
 	return a.Report()

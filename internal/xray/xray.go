@@ -200,7 +200,20 @@ func (a *Attributor) Observe(r Request) {
 
 	// Exemplar insertion: keep the topK worst by (latency desc,
 	// arrival asc, sequence asc) — a total order, so the kept set is
-	// independent of observation batching.
+	// independent of observation batching. This request's sequence
+	// number is the largest yet, so it ranks after every kept exemplar
+	// with its latency and arrival: it enters before the first kept
+	// exemplar it outranks on those two keys, if that is within topK.
+	at := sort.Search(len(c.exemplars), func(i int) bool {
+		e := c.exemplars[i]
+		if e.LatencyNS != r.Latency {
+			return e.LatencyNS < r.Latency
+		}
+		return e.ArrivedNS > r.Arrived
+	})
+	if at >= a.topK {
+		return
+	}
 	ex := Exemplar{
 		Seq:        a.seq,
 		Name:       r.Name,
@@ -214,20 +227,11 @@ func (a *Attributor) Observe(r Request) {
 			ex.Components = append(ex.Components, comp)
 		}
 	}
-	c.exemplars = append(c.exemplars, ex)
-	sort.SliceStable(c.exemplars, func(i, j int) bool {
-		ei, ej := c.exemplars[i], c.exemplars[j]
-		if ei.LatencyNS != ej.LatencyNS {
-			return ei.LatencyNS > ej.LatencyNS
-		}
-		if ei.ArrivedNS != ej.ArrivedNS {
-			return ei.ArrivedNS < ej.ArrivedNS
-		}
-		return ei.Seq < ej.Seq
-	})
-	if len(c.exemplars) > a.topK {
-		c.exemplars = c.exemplars[:a.topK]
+	if len(c.exemplars) < a.topK {
+		c.exemplars = append(c.exemplars, Exemplar{})
 	}
+	copy(c.exemplars[at+1:], c.exemplars[at:])
+	c.exemplars[at] = ex
 }
 
 // ObserveLink folds one per-link stream-slot claim into the heatmap:
