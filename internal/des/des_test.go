@@ -226,3 +226,32 @@ func TestCancelStillWorksOnLiveEvents(t *testing.T) {
 		t.Fatalf("executed=%d, want 1", e.Executed())
 	}
 }
+
+// TestDoubleCancelIsNoOp: Cancel recycles its event at once, so a
+// second Cancel of the same ID must not touch the event that reused
+// the struct.
+func TestDoubleCancelIsNoOp(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	id := e.At(1, func() { fired++ })
+	e.Cancel(id)
+	e.At(2, func() { fired += 10 }) // reuses the cancelled struct
+	e.Cancel(id)
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+	e.Run()
+	if fired != 10 {
+		t.Fatalf("fired=%d, want 10 (only the event scheduled after the cancel)", fired)
+	}
+}
+
+func TestAtSortedRejectsUnsorted(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on decreasing batch times")
+		}
+	}()
+	times := []Time{1, 3, 2}
+	NewEngine().AtSorted(len(times), func(i int) Time { return times[i] }, func(int) {})
+}

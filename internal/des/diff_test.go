@@ -202,36 +202,3 @@ func TestEngineMatchesReference(t *testing.T) {
 		h.check("Run")
 	}
 }
-
-// TestCancelFiredAndTwice pins the two no-op cancels directly: an event
-// that already fired, and one cancelled before, leave the heap alone
-// even after their structs are recycled for later events.
-func TestCancelFiredAndTwice(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	a := e.At(1, func() { fired = append(fired, 1) })
-	e.Step()
-	e.At(2, func() { fired = append(fired, 2) }) // reuses a's struct
-	e.Cancel(a)
-	c := e.At(3, func() { fired = append(fired, 3) })
-	e.Cancel(c)
-	e.At(4, func() { fired = append(fired, 4) }) // reuses c's struct
-	e.Cancel(c)
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if !slices.Equal(fired, []int{1, 2, 4}) {
-		t.Fatalf("fired %v, want [1 2 4]", fired)
-	}
-}
-
-func TestAtSortedRejectsUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on decreasing batch times")
-		}
-	}()
-	times := []Time{1, 3, 2}
-	NewEngine().AtSorted(len(times), func(i int) Time { return times[i] }, func(int) {})
-}

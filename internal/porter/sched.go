@@ -47,13 +47,13 @@ func (p *Porter) Run(trace []azure.Request) Results {
 		trace = slices.Clone(trace)
 		slices.SortStableFunc(trace, byTime)
 	}
-	var last des.Time
-	if n := len(trace); n > 0 {
-		last = max(trace[n-1].At, 0)
-	}
 	eng.AtSorted(len(trace),
 		func(i int) des.Time { return base + trace[i].At },
 		func(i int) { p.arrive(trace[i].Function) })
+	var last des.Time
+	if n := len(trace); n > 0 {
+		last = trace[n-1].At
+	}
 	p.window = last
 
 	// Periodic A-bit reset on CXL checkpoints to re-estimate hot pages
@@ -261,7 +261,6 @@ func (p *Porter) removeIdle(in *instance) {
 	for i, x := range list {
 		if x == in {
 			in.node.idle[in.fn] = append(list[:i], list[i+1:]...)
-			list[len(list)-1] = nil
 			break
 		}
 	}

@@ -184,13 +184,13 @@ type SessionSpec struct {
 // simulation limit.
 const MaxRPS = 100000
 
-// Platform bounds at admission. Frame tables are built eagerly for every
-// simulated byte (about 12 MiB of host memory per GiB), so an oversized
-// platform would exhaust the process that hosts every other session.
-// MaxPlatformBytes caps nodes × node_dram_bytes + cxl_capacity_bytes,
-// zero fields counted at their defaults: it is exactly the default
-// platform (2 × 128 GiB + 16 GiB), so no spec builds more than an empty
-// config already does.
+// Platform bounds at admission. Frames are built as a session first
+// touches them, about 12 MiB of host memory per touched GiB, so an
+// oversized platform could let one session exhaust the process that
+// hosts every other session. MaxPlatformBytes caps nodes ×
+// node_dram_bytes + cxl_capacity_bytes, zero fields counted at their
+// defaults: it is exactly the default platform (2 × 128 GiB + 16 GiB),
+// so no spec can touch more than an empty config could.
 const (
 	MaxNodes         = 16
 	MaxPlatformBytes = 272 << 30
