@@ -1,9 +1,10 @@
 package azure
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cxlfork/internal/des"
 )
@@ -76,7 +77,7 @@ func Generate(cfg TraceConfig) []Request {
 		base := share / ((1 - d) + l.BurstFactor*d)
 		out = append(out, generateOne(rng, l, base, cfg.Duration)...)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
 	return out
 }
 

@@ -42,7 +42,7 @@ type Device struct {
 	version uint64
 
 	// dedup is the content-addressed frame index (see dedup.go).
-	dedup map[uint64][]dedupEntry
+	dedup map[uint64]dedupEntry
 	// Dedup counts frame-dedup hits, misses, and fabric bytes saved.
 	Dedup metrics.DedupCounters
 
@@ -71,7 +71,7 @@ func NewDeviceSized(p params.Params, index int, capacity int64) *Device {
 		name:     name,
 		capacity: capacity,
 		arenas:   make(map[string]*Arena),
-		dedup:    make(map[uint64][]dedupEntry),
+		dedup:    make(map[uint64]dedupEntry),
 	}
 }
 

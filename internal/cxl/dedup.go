@@ -13,40 +13,25 @@ import (
 // function holds the same library text, the same interpreter heap, and
 // large runs of zeroed pages. Checkpointing each instance as if its
 // pages were unique wastes both device capacity and fabric write
-// bandwidth. The device therefore keeps an index from page-content hash
-// (FNV-1a over the content token) to live frames already holding that
-// content; a checkpoint page write that hits the index takes an extra
-// reference on the existing frame instead of allocating and NT-storing
-// a new one.
+// bandwidth. The device therefore keeps an index from page content (the
+// content token) to the live frame already holding that content; a
+// checkpoint page write that hits the index takes an extra reference on
+// the existing frame instead of allocating and NT-storing a new one.
 //
 // Index entries are validated lazily on lookup: an entry is only usable
 // while its frame is still live (refs > 0), still the same allocation
 // (CacheKey embeds the per-allocation generation, so a freed-and-reused
-// frame never aliases), and still holds the hashed content. Stale
-// entries are dropped in place, so the index needs no teardown hooks in
-// Arena.Release or Recover.
+// frame never aliases), and still holds the indexed content. A stale
+// entry is replaced at its token's next lookup, so the index needs no
+// teardown hooks in Arena.Release or Recover. A token gets a new entry
+// only when it has no live one, so one entry per token suffices.
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv1aToken hashes the 8-byte page content token with FNV-1a.
-func fnv1aToken(tok uint64) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < 8; i++ {
-		h ^= (tok >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// dedupEntry records one indexed frame. key is the frame's CacheKey at
-// registration time: if the frame has since been freed and reallocated,
-// the key no longer matches and the entry is stale.
+// dedupEntry records the frame indexed under a token. key is the
+// frame's CacheKey at registration time: if the frame has since been
+// freed and reallocated, the key no longer matches and the entry is
+// stale. A zero entry has no frame: its stale frame was dropped.
 type dedupEntry struct {
 	key   uint64
-	token uint64
 	frame *memsim.Frame
 }
 
@@ -69,39 +54,26 @@ func (d *Device) AllocToken(tok uint64) (*memsim.Frame, bool, error) {
 	if d.failed {
 		return nil, false, fmt.Errorf("%w: %s", ErrDeviceFailed, d.name)
 	}
-	h := fnv1aToken(tok)
-	entries := d.dedup[h]
-	live := entries[:0]
-	var hit *memsim.Frame
-	for _, e := range entries {
-		if e.frame.Refs() <= 0 || e.frame.CacheKey() != e.key || e.frame.Data != e.token {
-			continue // stale: frame freed, reused, or rewritten
-		}
-		live = append(live, e)
-		if hit == nil && e.token == tok {
-			hit = e.frame
-		}
-	}
-	if hit != nil {
-		d.dedup[h] = live
+	e, indexed := d.dedup[tok]
+	if f := e.frame; f != nil && f.Refs() > 0 && f.CacheKey() == e.key && f.Data == tok {
 		d.Dedup.Hits.Inc()
 		d.Dedup.BytesSaved.Add(int64(d.p.PageSize))
-		return hit.Get(), true, nil
+		return f.Get(), true, nil
 	}
 	f, err := d.pool.Alloc()
 	if err != nil {
-		if len(live) != len(entries) {
-			d.dedup[h] = live
+		if indexed {
+			d.dedup[tok] = dedupEntry{}
 		}
 		return nil, false, err
 	}
 	f.Data = tok
-	d.dedup[h] = append(live, dedupEntry{key: f.CacheKey(), token: f.Data, frame: f})
+	d.dedup[tok] = dedupEntry{key: f.CacheKey(), frame: f}
 	d.Dedup.Misses.Inc()
 	return f, false, nil
 }
 
-// DedupIndexLen reports the number of index buckets (diagnostics).
+// DedupIndexLen reports the number of tokens ever indexed (diagnostics).
 func (d *Device) DedupIndexLen() int { return len(d.dedup) }
 
 // CopyMakespan computes the virtual duration of a lane-parallel copy

@@ -23,7 +23,7 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 	child.NS = parent.NS
 
 	var cost des.Time
-	p := o.P
+	p := &o.P
 
 	// Duplicate the VMA tree, preserving IDs so backing info carries over.
 	var vmaErr error

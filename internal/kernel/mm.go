@@ -224,7 +224,7 @@ func (mm *MM) frameOf(pte pt.PTE) *memsim.Frame {
 // only entry point the execution engine uses.
 func (mm *MM) Access(va pt.VirtAddr, write bool) error {
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	vpn := va.PageNumber()
 	key := cachesim.Key(mm.ASID, vpn)
 
@@ -285,7 +285,7 @@ func (mm *MM) AccessRepeat(n int) {
 // fault handles a missing translation at va.
 func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	v := mm.VMAs.Find(va)
 	if v == nil {
 		return fmt.Errorf("%w: no mapping at %#x", ErrSegfault, uint64(va))
@@ -386,7 +386,7 @@ func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 // (migrate-on-write when the source is CXL, paper §4.2).
 func (mm *MM) cowFault(va pt.VirtAddr, pte pt.PTE) error {
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	onCXL := pte.Flags.Has(pt.OnCXL)
 
 	var src *memsim.Frame

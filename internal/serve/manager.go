@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -61,17 +62,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxFinished bounds the finished-session history. Past it, the
+// manager forgets the oldest finished sessions, so a long-running
+// server does not keep every session's frame log forever.
+const maxFinished = 64
+
 // Manager is the admission controller: it owns every session, runs at
 // most Config.MaxSessions concurrently, queues up to Config.MaxQueue
-// more in FIFO order, and rejects beyond that. All methods are safe
-// for concurrent use.
+// more in FIFO order, and rejects beyond that. It remembers every
+// running and queued session and the maxFinished most recently
+// finished ones. All methods are safe for concurrent use.
 type Manager struct {
 	cfg   Config
 	start time.Time
 
 	mu       sync.Mutex
 	byID     map[string]*Session
-	order    []*Session
+	order    []*Session // admission order
+	finished []*Session // finish order, at most maxFinished
 	queue    []*Session
 	running  int
 	draining bool
@@ -204,6 +212,7 @@ func (m *Manager) runSession(s *Session, timeout time.Duration) {
 		m.wallNS += int64(s.wallDur)
 		m.virtNS += int64(rep.VirtualDuration)
 	}
+	m.retireLocked(s)
 	if !m.draining && len(m.queue) > 0 && m.running < m.cfg.MaxSessions {
 		next := m.queue[0]
 		m.queue = m.queue[1:]
@@ -212,7 +221,22 @@ func (m *Manager) runSession(s *Session, timeout time.Duration) {
 	m.mu.Unlock()
 }
 
-// Get returns a session by ID.
+// retireLocked records s as finished and forgets the oldest finished
+// session beyond maxFinished: its ID stops resolving, but readers that
+// already hold it keep a complete session. Callers hold m.mu.
+func (m *Manager) retireLocked(s *Session) {
+	m.finished = append(m.finished, s)
+	if len(m.finished) <= maxFinished {
+		return
+	}
+	old := m.finished[0]
+	m.finished = slices.Delete(m.finished, 0, 1)
+	delete(m.byID, old.ID)
+	m.order = slices.DeleteFunc(m.order, func(o *Session) bool { return o == old })
+}
+
+// Get returns a session by ID. Forgotten finished sessions are not
+// found.
 func (m *Manager) Get(id string) (*Session, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -220,7 +244,8 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Sessions returns every session in admission order.
+// Sessions returns the running, queued, and most recently finished
+// sessions in admission order.
 func (m *Manager) Sessions() []*Session {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -281,6 +306,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		s.abort()
 		m.mu.Lock()
 		m.canceled++
+		m.retireLocked(s)
 		m.mu.Unlock()
 	}
 
