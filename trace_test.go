@@ -3,15 +3,16 @@ package cxlfork
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// traceScenario runs deploy → warmup → checkpoint → restore → invoke
-// with tracing on (optionally with an injected checkpoint fault and
-// retry) and returns the Chrome trace bytes.
-func traceScenario(t *testing.T, lanes int, seed int64, fault bool) []byte {
+// traceRun runs deploy → warmup → checkpoint → restore → invoke under
+// mech with tracing on (optionally with an injected checkpoint fault
+// and retry) and returns the traced system.
+func traceRun(t *testing.T, mech MechanismKind, lanes int, seed int64, fault bool) *System {
 	t.Helper()
 	cfg := smallConfig()
 	cfg.Trace = true
@@ -22,11 +23,11 @@ func traceScenario(t *testing.T, lanes int, seed int64, fault bool) []byte {
 	fn := deployWarm(t, sys, "Float")
 	if fault {
 		sys.InjectFault(FaultRule{Kind: DeviceFull, Step: StepCheckpointVMA, Node: AnyNode})
-		if _, err := sys.Checkpoint(fn, CXLfork, "doomed"); err == nil {
+		if _, err := sys.Checkpoint(fn, mech, "doomed"); err == nil {
 			t.Fatal("injected checkpoint fault did not fire")
 		}
 	}
-	ck, err := sys.Checkpoint(fn, CXLfork, "golden")
+	ck, err := sys.Checkpoint(fn, mech, "golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,13 @@ func traceScenario(t *testing.T, lanes int, seed int64, fault bool) []byte {
 	if n := sys.TraceDropped(); n != 0 {
 		t.Fatalf("%d spans dropped", n)
 	}
+	return sys
+}
+
+// traceScenario returns the Chrome trace bytes of a CXLfork traceRun.
+func traceScenario(t *testing.T, lanes int, seed int64, fault bool) []byte {
+	t.Helper()
+	sys := traceRun(t, CXLfork, lanes, seed, fault)
 	var buf bytes.Buffer
 	if err := sys.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -183,5 +191,45 @@ func TestTracePhasesMatchTrace(t *testing.T) {
 	}
 	if total <= 0 || total > sys.Now() {
 		t.Fatalf("op spans total %v, clock at %v", total, sys.Now())
+	}
+}
+
+// goldenTracePhases pins System.TracePhases for each mechanism's traced
+// quickstart at one and four lanes, and for the checkpoint-fault
+// scenario. Each hash covers the rows as cxltrace prints them.
+var goldenTracePhases = []struct {
+	name  string
+	mech  MechanismKind
+	lanes int
+	fault bool
+	want  uint64
+}{
+	{"cxlfork/lanes=1", CXLfork, 1, false, 0xb5f5832895d80c5f},
+	{"cxlfork/lanes=4", CXLfork, 4, false, 0x08bd3070bfc80017},
+	{"criu/lanes=1", CRIUCXL, 1, false, 0x05fd59dab73cc167},
+	{"criu/lanes=4", CRIUCXL, 4, false, 0x703644649518339f},
+	{"mitosis/lanes=1", MitosisCXL, 1, false, 0x094532183a3f88e2},
+	{"mitosis/lanes=4", MitosisCXL, 4, false, 0x1769b4991a3621aa},
+	{"cxlfork/lanes=4/fault", CXLfork, 4, true, 0x11ee2a48f4ce0e0f},
+}
+
+// TestTracePhasesPinned holds the phase table to constants: every row's
+// count, total, mean, P99 and max must reproduce exactly.
+func TestTracePhasesPinned(t *testing.T) {
+	for _, tc := range goldenTracePhases {
+		t.Run(tc.name, func(t *testing.T) {
+			phases := traceRun(t, tc.mech, tc.lanes, 7, tc.fault).TracePhases()
+			if len(phases) == 0 {
+				t.Fatal("no phases recorded")
+			}
+			h := fnv.New64a()
+			for _, ph := range phases {
+				fmt.Fprintf(h, "%s\t%d\t%v\t%v\t%v\t%v\n",
+					ph.Phase, ph.Count, ph.Total, ph.Mean, ph.P99, ph.Max)
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Fatalf("phase table hash %#x, golden %#x", got, tc.want)
+			}
+		})
 	}
 }
