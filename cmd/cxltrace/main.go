@@ -15,9 +15,10 @@
 // -check re-reads the written file, rebuilds the span stream from the
 // JSON, and verifies the structural invariants: spans nest, per-track
 // timelines are totally ordered, each operation's phase children sum
-// exactly to the operation's duration, the file's per-phase totals match
-// the live histograms, the op/checkpoint total matches the virtual-clock
-// delta measured around the Checkpoint calls, and nothing was dropped.
+// exactly to the operation's duration, the phase table derived from the
+// file's spans equals the printed one row for row and field for field,
+// the op/checkpoint total matches the virtual-clock delta measured
+// around the Checkpoint calls, and nothing was dropped.
 package main
 
 import (
@@ -273,24 +274,27 @@ func verify(sys *cxlfork.System, path string, ckDelta time.Duration) error {
 		}
 	}
 
-	// The file's per-phase totals must match the live histograms the
-	// facade reports (lane spans are sub-phase detail, excluded).
-	fileTotals := make(map[string]time.Duration)
-	for _, e := range events {
-		if e.Cat != trace.CatLane {
-			fileTotals[e.Cat+"/"+e.Name] += time.Duration(e.Dur)
-		}
-	}
+	// The phase table derived from the file's spans must equal the one
+	// the facade derives from the live stream, in every field of every
+	// row (lane spans are sub-phase detail, excluded from both).
 	phases := sys.TracePhases()
-	for _, ph := range phases {
-		if fileTotals[ph.Phase] != ph.Total {
-			return fmt.Errorf("check: phase %s: file total %v != histogram total %v",
-				ph.Phase, fileTotals[ph.Phase], ph.Total)
-		}
-		delete(fileTotals, ph.Phase)
+	fileRows := trace.Phases(events)
+	if len(fileRows) != len(phases) {
+		return fmt.Errorf("check: file yields %d phase rows, tracer %d", len(fileRows), len(phases))
 	}
-	for name := range fileTotals {
-		return fmt.Errorf("check: phase %s in file but not in histograms", name)
+	for i, ph := range fileRows {
+		r := ph.Latency
+		got := cxlfork.PhaseLatency{
+			Phase: ph.Name,
+			Count: r.Count(),
+			Total: time.Duration(r.Sum()),
+			Mean:  time.Duration(r.Mean()),
+			P99:   time.Duration(r.P99()),
+			Max:   time.Duration(r.Max()),
+		}
+		if got != phases[i] {
+			return fmt.Errorf("check: phase row %d: file %+v != tracer %+v", i, got, phases[i])
+		}
 	}
 
 	// Checkpoint spans cover exactly the virtual time the Checkpoint

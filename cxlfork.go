@@ -17,6 +17,7 @@ import (
 	"cxlfork/internal/mitosis"
 	"cxlfork/internal/params"
 	"cxlfork/internal/rfork"
+	"cxlfork/internal/trace"
 	"cxlfork/internal/vma"
 	"cxlfork/internal/xray"
 )
@@ -937,8 +938,8 @@ func (s *System) WriteTraceCritical(w io.Writer) error {
 	return s.c.Trace.WriteChromeCritical(w)
 }
 
-// PhaseLatency is one phase's latency distribution from the trace's
-// per-phase histograms. Phase names are "cat/name" (e.g.
+// PhaseLatency is one phase's latency distribution, derived from the
+// recorded spans. Phase names are "cat/name" (e.g.
 // "phase/struct-copy", "op/checkpoint", "fault/cow-cxl").
 type PhaseLatency struct {
 	Phase string
@@ -952,15 +953,11 @@ type PhaseLatency struct {
 // TracePhases returns the trace's per-phase latency summaries, sorted
 // by phase name. Nil when tracing is disabled.
 func (s *System) TracePhases() []PhaseLatency {
-	ps := s.c.Trace.Phases()
-	if ps == nil {
-		return nil
-	}
 	var out []PhaseLatency
-	for _, name := range ps.Phases() {
-		r := ps.Recorder(name)
+	for _, ph := range trace.Phases(s.c.Trace.Events()) {
+		r := ph.Latency
 		out = append(out, PhaseLatency{
-			Phase: name,
+			Phase: ph.Name,
 			Count: r.Count(),
 			Total: time.Duration(r.Sum()),
 			Mean:  time.Duration(r.Mean()),

@@ -20,11 +20,3 @@ func BenchmarkPageLRUThrash(b *testing.B) {
 		c.Access(uint64(i % 40000))
 	}
 }
-
-func BenchmarkSetAssocAccess(b *testing.B) {
-	c := NewSetAssoc(1<<20, 64, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i*64) % (4 << 20))
-	}
-}

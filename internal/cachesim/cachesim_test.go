@@ -143,56 +143,6 @@ func TestPageLRUMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSetAssocGeometry(t *testing.T) {
-	c := NewSetAssoc(64*1024, 64, 8)
-	if c.Sets() != 128 || c.Ways() != 8 || c.LineSize() != 64 {
-		t.Fatalf("geometry %d sets %d ways", c.Sets(), c.Ways())
-	}
-}
-
-func TestSetAssocConflictMisses(t *testing.T) {
-	// 8-way set: 9 lines mapping to the same set thrash it.
-	c := NewSetAssoc(64*1024, 64, 8)
-	stride := uint64(c.Sets() * c.LineSize())
-	for round := 0; round < 3; round++ {
-		for i := uint64(0); i < 9; i++ {
-			c.Access(i * stride)
-		}
-	}
-	if c.Hits != 0 {
-		t.Fatalf("conflict thrash produced %d hits", c.Hits)
-	}
-	c.Reset()
-	for round := 0; round < 3; round++ {
-		for i := uint64(0); i < 8; i++ {
-			c.Access(i * stride)
-		}
-	}
-	if c.Hits != 16 {
-		t.Fatalf("resident set: hits=%d", c.Hits)
-	}
-}
-
-func TestSetAssocSameLine(t *testing.T) {
-	c := NewSetAssoc(4096, 64, 4)
-	c.Access(100)
-	if !c.Access(101) {
-		t.Fatal("same-line access missed")
-	}
-	if c.Access(100 + 64) {
-		t.Fatal("next-line access hit")
-	}
-}
-
-func TestSetAssocBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on indivisible capacity")
-		}
-	}()
-	NewSetAssoc(1000, 64, 8)
-}
-
 func TestKeyPacking(t *testing.T) {
 	k1 := Key(1, 0x1000)
 	k2 := Key(2, 0x1000)

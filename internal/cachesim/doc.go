@@ -1,14 +1,13 @@
 // Package cachesim models the per-node last-level cache.
 //
-// Two models are provided. PageLRU is the model the FaaS execution
-// engine uses: it tracks residency at page granularity with exact LRU
-// replacement, which is cheap enough to simulate multi-hundred-megabyte
-// working sets and captures the effect the paper leans on — function
-// working sets that fit in the 64 MB L3 hide CXL latency; those that do
-// not (BFS, Bert) expose it (§2.2, §7.1). SetAssoc is an exact
-// line-granularity set-associative cache used by microbenchmarks and
-// tests to validate PageLRU's behaviour on small footprints.
+// PageLRU is the model the FaaS execution engine uses: it tracks
+// residency at page granularity with exact LRU replacement, which is
+// cheap enough to simulate multi-hundred-megabyte working sets and
+// captures the effect the paper leans on — function working sets that
+// fit in the 64 MB L3 hide CXL latency; those that do not (BFS, Bert)
+// expose it (§2.2, §7.1). The same structure, keyed by (ASID, VPN),
+// models the TLB. Its tests check it against a map-backed reference
+// LRU, differentially and under fuzzing.
 //
-// Entry points: NewPageLRU for the execution engine's model,
-// NewSetAssoc for the exact reference model.
+// Entry point: NewPageLRU.
 package cachesim

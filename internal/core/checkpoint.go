@@ -256,7 +256,8 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// VMA tree leaves: copied as-is, marked immutable (step 2). Each leaf
 	// is one lane shard of pure metadata work (no fabric units).
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, node); err != nil {
-		return nil, m.checkpointFault(ck, o, t0, cost+m.copyCost(lanes, shards), "vma", err)
+		copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, nil)
+		return nil, m.checkpointFault(ck, o, t0, cost+copyDur, "vma", err)
 	}
 	var vmaErr error
 	srcVMAs := collectVMALeaves(parent)
@@ -290,7 +291,8 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// function of the current virtual time only, so hoisting it out of
 	// the walk charges exactly what the per-page form did.
 	if err := m.Faults.At(faultinject.StepCheckpointPT, node); err != nil {
-		return nil, m.checkpointFault(ck, o, t0, cost+m.copyCost(lanes, shards), "pt", err)
+		copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, nil)
+		return nil, m.checkpointFault(ck, o, t0, cost+copyDur, "pt", err)
 	}
 	pageCost := m.Faults.Scale(p.CXLWritePage)
 	var ptErr error
@@ -356,7 +358,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	}
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	copyDur := m.copyCostObs(lanes, shards, obs)
+	copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, obs)
 	cost += copyDur
 
 	// Global state (step 8): light serialization of paths, permissions,
@@ -409,24 +411,6 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 			int64(len(blob)), 0)
 	}
 	return ck, nil
-}
-
-// copyCost folds accumulated pipeline shards into virtual time. One
-// lane charges the exact serial sum — byte-identical to the historical
-// sequential accounting (see des.Makespan's contract and its tests).
-// Multiple lanes run the lane/fabric-stream contention model on the
-// device's private engine.
-func (m *Mechanism) copyCost(lanes int, shards []des.Shard) des.Time {
-	return m.copyCostObs(lanes, shards, nil)
-}
-
-// copyCostObs is copyCost with a shard observer; a nil observer is
-// byte-identical to copyCost.
-func (m *Mechanism) copyCostObs(lanes int, shards []des.Shard, obs des.ShardObserver) des.Time {
-	if lanes <= 1 {
-		return des.PipelineTimeObs(1, 1, 0, shards, obs)
-	}
-	return m.Dev.CopyMakespanObs(lanes, shards, obs)
 }
 
 // checkpointFault finishes a Checkpoint interrupted by an injected

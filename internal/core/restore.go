@@ -59,8 +59,8 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 	// state for file VMAs is reconstructed lazily at first fault. The
 	// naive ablation reconstructs every VMA individually and eagerly
 	// instead. Each leaf is one lane shard of metadata work; the shards
-	// fold into virtual time via copyCost below (one lane = the exact
-	// serial sum; several lanes = the device contention model).
+	// fold into virtual time via des.Pipeline below (one lane = the
+	// exact serial sum; several lanes = the fabric contention model).
 	if opts.NaivePTCopy {
 		for _, off := range ck.vmaLeaves {
 			leaf := cxl.Get[*vma.Leaf](ck.arena, off)
@@ -136,7 +136,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 	}
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	copyDur := m.copyCostObs(lanes, shards, obs)
+	copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, obs)
 	cost += copyDur
 
 	// Redo global state from the light serialization (decoded and

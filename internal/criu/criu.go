@@ -137,7 +137,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	shards := des.UniformShards(pages, pageShard, 0, m.Faults.Scale(p.CRIUPageSerialize))
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.PipelineTimeObs(p.CheckpointLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.CheckpointLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
 	cost += pipeDur
 
 	logical := int64(pages)*int64(p.PageSize) + int64(vmaCount+len(gs.FDs)+1)*64
@@ -243,7 +243,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	shards = append(shards, des.UniformShards(len(pageRecs), pageShard, 0, m.Faults.Scale(p.CRIUPageRestore))...)
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.PipelineTimeObs(p.RestoreLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.RestoreLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
 	cost += pipeDur
 
 	o.Eng.Advance(cost)

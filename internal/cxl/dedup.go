@@ -3,7 +3,6 @@ package cxl
 import (
 	"fmt"
 
-	"cxlfork/internal/des"
 	"cxlfork/internal/memsim"
 )
 
@@ -75,15 +74,3 @@ func (d *Device) AllocToken(tok uint64) (*memsim.Frame, bool, error) {
 
 // DedupIndexLen reports the number of tokens ever indexed (diagnostics).
 func (d *Device) DedupIndexLen() int { return len(d.dedup) }
-
-// CopyMakespan computes the virtual duration of a lane-parallel copy
-// pipeline whose unit copies contend on the device's fabric streams.
-func (d *Device) CopyMakespan(lanes int, shards []des.Shard) des.Time {
-	return des.Makespan(lanes, d.p.FabricStreams, d.p.LaneDispatch, shards)
-}
-
-// CopyMakespanObs is CopyMakespan with a shard observer (see
-// des.ShardObserver); a nil observer is byte-identical to CopyMakespan.
-func (d *Device) CopyMakespanObs(lanes int, shards []des.Shard, obs des.ShardObserver) des.Time {
-	return des.MakespanObs(lanes, d.p.FabricStreams, d.p.LaneDispatch, shards, obs)
-}

@@ -6,7 +6,7 @@ package des
 // page-table leaf (CRIU itself shards page dumps across workers), but
 // the copies all funnel through a shared medium: the CXL fabric admits
 // only a few concurrent full-rate streams, and local DRAM has a fixed
-// number of memory-controller streams. Makespan models exactly that
+// number of memory-controller streams. Pipeline models exactly that
 // two-level structure: shards run on a fixed pool of worker lanes, and
 // each shard's unit copies (pages, records) contend on a fixed pool of
 // streams. Lanes therefore scale sub-linearly: past the stream count,
@@ -33,16 +33,6 @@ type Shard struct {
 // Serial returns the shard's cost on a single uncontended lane.
 func (s Shard) Serial() Time { return s.Setup + Time(s.Units)*s.UnitCost }
 
-// SerialTime returns the single-lane makespan: the plain sum every
-// sequential code path charged before lanes existed.
-func SerialTime(shards []Shard) Time {
-	var total Time
-	for _, s := range shards {
-		total += s.Serial()
-	}
-	return total
-}
-
 // UniformShards splits n uniform unit operations into lane shards of at
 // most chunk units each, charging setupPerUnit of lane-local work and
 // unitCost of stream-limited copy per unit. It is the shard builder for
@@ -64,14 +54,6 @@ func UniformShards(n, chunk int, setupPerUnit, unitCost Time) []Shard {
 	return shards
 }
 
-// PipelineTime folds shards into virtual time. One lane returns the
-// exact serial sum without running the event loop — provably equal to
-// Makespan(1, ...) (see tests) and byte-identical to the historical
-// sequential accounting. More lanes run the contention model.
-func PipelineTime(lanes, streams int, dispatch Time, shards []Shard) Time {
-	return PipelineTimeObs(lanes, streams, dispatch, shards, nil)
-}
-
 // ShardObserver receives one callback per shard as the pipeline
 // schedules it: the shard's index in the input slice, the lane it ran
 // on, and its [start, end) interval relative to the pipeline's time
@@ -81,22 +63,26 @@ func PipelineTime(lanes, streams int, dispatch Time, shards []Shard) Time {
 // render per-lane shard spans.
 type ShardObserver func(shard, lane int, start, end Time)
 
-// PipelineTimeObs is PipelineTime with a shard observer. On the serial
-// path the shards are laid out back-to-back on lane 0.
-func PipelineTimeObs(lanes, streams int, dispatch Time, shards []Shard, obs ShardObserver) Time {
-	if lanes <= 1 {
-		if obs == nil {
-			return SerialTime(shards)
-		}
-		var total Time
-		for i, s := range shards {
-			d := s.Serial()
-			obs(i, 0, total, total+d)
-			total += d
-		}
-		return total
+// Pipeline returns the virtual duration of executing shards on `lanes`
+// worker lanes whose unit copies share `streams` full-rate streams,
+// reporting each shard's interval to obs when obs is non-nil. One lane
+// returns the exact serial sum without running the event loop —
+// provably equal to makespan(1, ...) (see tests) and byte-identical to
+// the sequential accounting that predates lanes — with the shards laid
+// out back-to-back on lane 0. More lanes run the contention model.
+func Pipeline(lanes, streams int, dispatch Time, shards []Shard, obs ShardObserver) Time {
+	if lanes > 1 {
+		return makespan(lanes, streams, dispatch, shards, obs)
 	}
-	return MakespanObs(lanes, streams, dispatch, shards, obs)
+	var total Time
+	for i, s := range shards {
+		d := s.Serial()
+		if obs != nil {
+			obs(i, 0, total, total+d)
+		}
+		total += d
+	}
+	return total
 }
 
 // streamChunk is how many unit copies a lane pushes through one stream
@@ -105,25 +91,18 @@ func PipelineTimeObs(lanes, streams int, dispatch Time, shards []Shard, obs Shar
 // contention, not grant granularity, dominates the makespan.
 const streamChunk = 32
 
-// Makespan returns the virtual duration of executing shards on `lanes`
-// worker lanes whose unit copies share `streams` full-rate streams.
-// Shards are dispatched FIFO in slice order; each occupies one lane for
-// its setup plus its (possibly queued) unit copies. dispatch is the
-// per-shard work-queue handoff cost, charged only when lanes > 1 — a
-// single lane runs the shards inline, which keeps the one-lane makespan
-// exactly equal to SerialTime and therefore byte-identical to the
-// pre-lane sequential accounting.
-func Makespan(lanes, streams int, dispatch Time, shards []Shard) Time {
-	return MakespanObs(lanes, streams, dispatch, shards, nil)
-}
-
-// MakespanObs is Makespan with a shard observer. Lane identity is
-// bookkeeping layered over the lane resource — the lowest free lane is
-// marked busy when a shard's grant fires and freed when its last unit
-// copy drains, immediately before the resource release, so FIFO
-// handoff reuses the lowest-numbered lane. The event pattern is
-// identical with or without an observer, so the makespan is too.
-func MakespanObs(lanes, streams int, dispatch Time, shards []Shard, obs ShardObserver) Time {
+// makespan is the event-loop model behind Pipeline. Shards are
+// dispatched FIFO in slice order; each occupies one lane for its setup
+// plus its (possibly queued) unit copies. dispatch is the per-shard
+// work-queue handoff cost, charged only when lanes > 1 — a single lane
+// runs the shards inline, which keeps the one-lane makespan exactly
+// equal to the serial sum. Lane identity is bookkeeping layered over
+// the lane resource — the lowest free lane is marked busy when a
+// shard's grant fires and freed when its last unit copy drains,
+// immediately before the resource release, so FIFO handoff reuses the
+// lowest-numbered lane. The event pattern is identical with or without
+// an observer, so the makespan is too.
+func makespan(lanes, streams int, dispatch Time, shards []Shard, obs ShardObserver) Time {
 	if len(shards) == 0 {
 		return 0
 	}

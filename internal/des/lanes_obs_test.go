@@ -15,13 +15,13 @@ func TestObserverDoesNotChangeMakespan(t *testing.T) {
 	shards := mkShards(12, 512, 2*Microsecond, 510)
 	shards[3].Units = 0
 	for _, lanes := range []int{1, 2, 4, 8} {
-		want := Makespan(lanes, 6, 300, shards)
+		want := makespan(lanes, 6, 300, shards, nil)
 		obs, _ := collect()
-		if got := MakespanObs(lanes, 6, 300, shards, obs); got != want {
+		if got := makespan(lanes, 6, 300, shards, obs); got != want {
 			t.Fatalf("lanes=%d: observed makespan %d != unobserved %d", lanes, got, want)
 		}
 		obs, _ = collect()
-		if got := PipelineTimeObs(lanes, 6, 300, shards, obs); got != want {
+		if got := Pipeline(lanes, 6, 300, shards, obs); got != want {
 			t.Fatalf("lanes=%d: observed pipeline time %d != unobserved %d", lanes, got, want)
 		}
 	}
@@ -31,7 +31,7 @@ func TestObserverSeesEveryShardOnce(t *testing.T) {
 	shards := mkShards(9, 64, 1000, 50)
 	for _, lanes := range []int{1, 3, 16} {
 		obs, got := collect()
-		MakespanObs(lanes, 4, 300, shards, obs)
+		makespan(lanes, 4, 300, shards, obs)
 		if len(*got) != len(shards) {
 			t.Fatalf("lanes=%d: observed %d shards, want %d", lanes, len(*got), len(shards))
 		}
@@ -49,7 +49,7 @@ func TestObservedIntervalsAreWellFormed(t *testing.T) {
 	shards := mkShards(12, 512, 2*Microsecond, 510)
 	for _, lanes := range []int{2, 4} {
 		obs, got := collect()
-		makespan := MakespanObs(lanes, 6, 300, shards, obs)
+		span := makespan(lanes, 6, 300, shards, obs)
 
 		// Every interval sits inside [0, makespan]; the slowest finisher
 		// defines the makespan exactly.
@@ -57,8 +57,8 @@ func TestObservedIntervalsAreWellFormed(t *testing.T) {
 		byLane := make(map[Time][][2]Time)
 		for _, s := range *got {
 			lane, start, end := s[1], s[2], s[3]
-			if start < 0 || end < start || end > makespan {
-				t.Fatalf("lanes=%d: bad interval [%d,%d) vs makespan %d", lanes, start, end, makespan)
+			if start < 0 || end < start || end > span {
+				t.Fatalf("lanes=%d: bad interval [%d,%d) vs makespan %d", lanes, start, end, span)
 			}
 			if int(lane) < 0 || int(lane) >= lanes {
 				t.Fatalf("lanes=%d: shard ran on lane %d", lanes, lane)
@@ -68,8 +68,8 @@ func TestObservedIntervalsAreWellFormed(t *testing.T) {
 			}
 			byLane[lane] = append(byLane[lane], [2]Time{start, end})
 		}
-		if latest != makespan {
-			t.Fatalf("lanes=%d: last shard ends at %d, makespan %d", lanes, latest, makespan)
+		if latest != span {
+			t.Fatalf("lanes=%d: last shard ends at %d, makespan %d", lanes, latest, span)
 		}
 
 		// Intervals on one lane never overlap: the lane is held from
@@ -96,9 +96,9 @@ func TestSerialObserverLaysShardsBackToBack(t *testing.T) {
 		{Units: 100, UnitCost: 1},
 	}
 	obs, got := collect()
-	total := PipelineTimeObs(1, 6, 300, shards, obs)
-	if total != SerialTime(shards) {
-		t.Fatalf("serial observed total %d != SerialTime %d", total, SerialTime(shards))
+	total := Pipeline(1, 6, 300, shards, obs)
+	if want := makespan(1, 6, 300, shards, nil); total != want {
+		t.Fatalf("serial observed total %d != one-lane makespan %d", total, want)
 	}
 	var pos Time
 	for i, s := range *got {

@@ -20,13 +20,19 @@ func TestMakespanSingleLaneIsSerialSum(t *testing.T) {
 		{{Setup: 10, Units: 3, UnitCost: 5}, {Setup: 0, Units: 1000, UnitCost: 1}, {Setup: 999}},
 	}
 	for i, shards := range cases {
-		want := SerialTime(shards)
+		var want Time
+		for _, s := range shards {
+			want += s.Serial()
+		}
 		// One lane must charge exactly the serial sum regardless of the
-		// stream count and never pay the dispatch overhead.
+		// stream count and never pay the dispatch overhead, both in the
+		// event loop and in Pipeline's one-lane shortcut.
 		for _, streams := range []int{1, 6, 64} {
-			got := Makespan(1, streams, 300, shards)
-			if got != want {
+			if got := makespan(1, streams, 300, shards, nil); got != want {
 				t.Fatalf("case %d streams=%d: makespan %d, want serial %d", i, streams, got, want)
+			}
+			if got := Pipeline(1, streams, 300, shards, nil); got != want {
+				t.Fatalf("case %d streams=%d: one-lane pipeline %d, want serial %d", i, streams, got, want)
 			}
 		}
 	}
@@ -34,9 +40,9 @@ func TestMakespanSingleLaneIsSerialSum(t *testing.T) {
 
 func TestMakespanMonotonicInLanes(t *testing.T) {
 	shards := mkShards(12, 512, 2*Microsecond, 510)
-	prev := Makespan(1, 6, 300, shards)
+	prev := makespan(1, 6, 300, shards, nil)
 	for _, lanes := range []int{2, 4, 8} {
-		got := Makespan(lanes, 6, 300, shards)
+		got := makespan(lanes, 6, 300, shards, nil)
 		if got > prev {
 			t.Fatalf("makespan grew with lanes: %d lanes %d > previous %d", lanes, got, prev)
 		}
@@ -49,8 +55,8 @@ func TestMakespanFourLanesAtLeastTwice(t *testing.T) {
 	// pages each, CXL-write-dominated. With 6 fabric streams, 4 lanes
 	// must recover at least 2x (the ISSUE acceptance bar).
 	shards := mkShards(12, 512, 2*Microsecond, 510)
-	one := Makespan(1, 6, 300, shards)
-	four := Makespan(4, 6, 300, shards)
+	one := makespan(1, 6, 300, shards, nil)
+	four := makespan(4, 6, 300, shards, nil)
 	if four*2 > one {
 		t.Fatalf("4-lane makespan %d not >=2x faster than 1-lane %d", four, one)
 	}
@@ -60,8 +66,8 @@ func TestMakespanStreamCapBoundsSpeedup(t *testing.T) {
 	// With 2 streams, copy-dominated work cannot speed up beyond 2x no
 	// matter how many lanes: the fabric is the bottleneck.
 	shards := mkShards(16, 512, 0, 510)
-	one := Makespan(1, 2, 0, shards)
-	many := Makespan(16, 2, 0, shards)
+	one := makespan(1, 2, 0, shards, nil)
+	many := makespan(16, 2, 0, shards, nil)
 	if many*2 < one {
 		t.Fatalf("16 lanes on 2 streams sped up beyond 2x: %d vs serial %d", many, one)
 	}
@@ -78,7 +84,7 @@ func TestMakespanLowerBound(t *testing.T) {
 		{Setup: Microsecond, Units: 64, UnitCost: 510},
 		{Setup: Microsecond, Units: 512, UnitCost: 510},
 	}
-	got := Makespan(8, 2, 300, shards)
+	got := makespan(8, 2, 300, shards, nil)
 	var slowest, volume Time
 	for _, s := range shards {
 		if s.Serial() > slowest {
@@ -100,9 +106,9 @@ func TestMakespanDeterministic(t *testing.T) {
 	shards[11].UnitCost = 0
 	shards[20].Setup = 0
 	for _, lanes := range []int{1, 2, 4, 8} {
-		first := Makespan(lanes, 6, 300, shards)
+		first := makespan(lanes, 6, 300, shards, nil)
 		for i := 0; i < 5; i++ {
-			if got := Makespan(lanes, 6, 300, shards); got != first {
+			if got := makespan(lanes, 6, 300, shards, nil); got != first {
 				t.Fatalf("lanes=%d: run %d gave %d, first run gave %d", lanes, i, got, first)
 			}
 		}
@@ -111,14 +117,14 @@ func TestMakespanDeterministic(t *testing.T) {
 
 func TestMakespanDegenerateArgs(t *testing.T) {
 	shards := mkShards(4, 8, 100, 10)
-	want := Makespan(1, 1, 0, shards)
-	if got := Makespan(0, 0, 0, shards); got != want {
+	want := makespan(1, 1, 0, shards, nil)
+	if got := makespan(0, 0, 0, shards, nil); got != want {
 		t.Fatalf("clamped args: got %d, want %d", got, want)
 	}
-	if got := Makespan(-3, -1, 0, shards); got != want {
+	if got := makespan(-3, -1, 0, shards, nil); got != want {
 		t.Fatalf("negative args: got %d, want %d", got, want)
 	}
-	if got := Makespan(4, 6, 300, nil); got != 0 {
+	if got := makespan(4, 6, 300, nil, nil); got != 0 {
 		t.Fatalf("empty shard list: got %d, want 0", got)
 	}
 }

@@ -2,7 +2,7 @@
 // by the experiment drivers: exact percentile estimation over recorded
 // samples and simple time-weighted gauges.
 //
-// Entry points: NewLatencyRecorder and NewPhaseStats; Counter, Gauge
+// Entry points: NewLatencyRecorder; Counter, Gauge
 // and the *Counters bundles (faults, dedup, capacity) are plain
 // accumulators threaded through the subsystems. The percentile
 // reporting backs the paper's P50/P99 evaluation metrics (§6-§7).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"cxlfork/internal/des"
 )
@@ -137,65 +136,6 @@ func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
 	r.sorted = 0
 	r.sum = 0
-}
-
-// PhaseStats aggregates latency distributions keyed by phase name — the
-// per-phase histograms the virtual-time tracer folds span durations
-// into, so experiments can report a checkpoint's serialize/copy/rebase
-// decomposition (paper Fig. 6) instead of only end-to-end totals.
-type PhaseStats struct {
-	m map[string]*LatencyRecorder
-}
-
-// NewPhaseStats returns an empty phase table.
-func NewPhaseStats() *PhaseStats {
-	return &PhaseStats{m: make(map[string]*LatencyRecorder)}
-}
-
-// Record adds one sample to the named phase's distribution.
-func (s *PhaseStats) Record(phase string, d des.Time) {
-	r, ok := s.m[phase]
-	if !ok {
-		r = NewLatencyRecorder()
-		s.m[phase] = r
-	}
-	r.Record(d)
-}
-
-// Phases returns the recorded phase names, sorted (deterministic
-// iteration for reports and golden tests).
-func (s *PhaseStats) Phases() []string {
-	out := make([]string, 0, len(s.m))
-	for name := range s.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Recorder returns the named phase's distribution, or nil if the phase
-// was never recorded.
-func (s *PhaseStats) Recorder(phase string) *LatencyRecorder { return s.m[phase] }
-
-// Percentile returns the named phase's p-th percentile with linear
-// interpolation (see LatencyRecorder.Quantile); in particular a phase
-// holding a single sample returns that sample, not 0. An unrecorded
-// phase returns 0.
-func (s *PhaseStats) Percentile(phase string, p float64) des.Time {
-	r, ok := s.m[phase]
-	if !ok {
-		return 0
-	}
-	return r.Quantile(p)
-}
-
-// Total returns the summed time across all phases.
-func (s *PhaseStats) Total() des.Time {
-	var total des.Time
-	for _, r := range s.m {
-		total += r.Sum()
-	}
-	return total
 }
 
 // Gauge tracks a time-weighted average of a quantity sampled over

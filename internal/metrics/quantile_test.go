@@ -17,15 +17,6 @@ func TestQuantileSingleSample(t *testing.T) {
 			t.Fatalf("Quantile(%g) = %v on single-sample series, want the sample", p, got)
 		}
 	}
-
-	s := NewPhaseStats()
-	s.Record("copy", 7*des.Microsecond)
-	if got := s.Percentile("copy", 50); got != 7*des.Microsecond {
-		t.Fatalf("PhaseStats.Percentile P50 = %v on single-sample phase, want the sample", got)
-	}
-	if got := s.Percentile("missing", 50); got != 0 {
-		t.Fatalf("unrecorded phase Percentile = %v, want 0", got)
-	}
 }
 
 func TestQuantileInterpolation(t *testing.T) {

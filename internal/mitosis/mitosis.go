@@ -157,7 +157,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	shards := des.UniformShards(im.pteCount, shadowShard, p.PTECopy, p.LocalCopyPage)
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.PipelineTimeObs(p.CheckpointLanes, p.LocalCopyStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.CheckpointLanes, p.LocalCopyStreams, p.LaneDispatch, shards, obs)
 	cost += pipeDur
 	enc.PutUint(fieldPTEs, uint64(im.pteCount))
 	// The OS-state record travels in a checksummed envelope so Restore
@@ -274,7 +274,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	shards = append(shards, des.UniformShards(pteN, pt.EntriesPerTable, 0, p.PTEDeserialize)...)
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.PipelineTimeObs(p.RestoreLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.RestoreLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
 	cost += pipeDur
 	o.Eng.Advance(cost)
 	gBegin := o.Eng.Now()

@@ -1,8 +1,6 @@
 package porter_test
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"cxlfork/internal/cluster"
@@ -30,60 +28,6 @@ func TestParseEvictPolicy(t *testing.T) {
 	}
 	if _, err := porter.ParseEvictPolicy("random"); err == nil {
 		t.Fatal("unknown policy accepted")
-	}
-}
-
-// TestReclaimLargestDedupAware checkpoints two instances of the same
-// function (whose frames dedup into each other) and verifies the store
-// reports reclaim sizes equal to the true device occupancy delta, not
-// the sum of declared footprints.
-func TestReclaimLargestDedupAware(t *testing.T) {
-	p := params.Default()
-	c := cluster.MustNew(p, 1)
-	mech := core.New(c.Dev)
-	st := porter.NewObjectStore()
-	spec := tinySpec()
-	faas.RegisterFiles(c.FS, c.P, spec)
-	if err := faas.WarmLibraries(c.Nodes[0], spec); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var declared int64
-	for i := 0; i < 2; i++ {
-		in, err := faas.NewInstance(c.Nodes[0], spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := in.ColdInit(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := in.Invoke(rng); err != nil {
-			t.Fatal(err)
-		}
-		img, err := mech.Checkpoint(in.Task, fmt.Sprintf("cid-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.Exit()
-		declared += img.CXLBytes()
-		st.Put("t", fmt.Sprintf("fn%d", i), img)
-	}
-	if c.Dev.Dedup.Hits.Value() == 0 {
-		t.Fatal("twin checkpoints did not dedup — test premise broken")
-	}
-	before := c.Dev.UsedBytes()
-	freed := st.ReclaimLargest(1 << 62)
-	delta := before - c.Dev.UsedBytes()
-	if freed != delta {
-		t.Fatalf("ReclaimLargest reported %d freed, device delta %d", freed, delta)
-	}
-	// The old accounting would have reported the declared sum, which
-	// double-counts every shared frame.
-	if freed >= declared {
-		t.Fatalf("freed %d not below declared %d despite dedup sharing", freed, declared)
-	}
-	if c.Dev.UsedBytes() != 0 {
-		t.Fatalf("device not empty after full reclaim: %d", c.Dev.UsedBytes())
 	}
 }
 

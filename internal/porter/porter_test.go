@@ -221,51 +221,3 @@ func TestObjectStore(t *testing.T) {
 		t.Fatal("double reclaim succeeded")
 	}
 }
-
-func TestReclaimLargest(t *testing.T) {
-	p := params.Default()
-	p.NodeDRAMBytes = 512 << 20
-	p.CXLBytes = 512 << 20
-	c := cluster.MustNew(p, 1)
-	mech := core.New(c.Dev)
-	st := porter.NewObjectStore()
-	sizes := map[string]int64{}
-	for i, mb := range []int64{4, 16, 8} {
-		spec := tinySpec()
-		spec.Name = []string{"small", "big", "mid"}[i]
-		spec.FootprintBytes = mb << 20
-		spec.LibBytes = spec.FootprintBytes / 4
-		faas.RegisterFiles(c.FS, p, spec)
-		if err := faas.WarmLibraries(c.Node(0), spec); err != nil {
-			t.Fatal(err)
-		}
-		in, err := faas.NewInstance(c.Node(0), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := in.ColdInit(); err != nil {
-			t.Fatal(err)
-		}
-		img, err := mech.Checkpoint(in.Task, "ck-"+spec.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Put("u", spec.Name, img)
-		sizes[spec.Name] = img.CXLBytes()
-		in.Exit()
-	}
-	freed := st.ReclaimLargest(sizes["big"])
-	if freed < sizes["big"] {
-		t.Fatalf("freed %d < %d", freed, sizes["big"])
-	}
-	if _, ok := st.Get("u", "big"); ok {
-		t.Fatal("largest not reclaimed first")
-	}
-	if _, ok := st.Get("u", "small"); !ok {
-		t.Fatal("small reclaimed unnecessarily")
-	}
-	st.Release()
-	if st.Len() != 0 {
-		t.Fatal("release incomplete")
-	}
-}

@@ -131,43 +131,3 @@ func reclaimEstimate(img rfork.Image) int64 {
 	}
 	return img.CXLBytes()
 }
-
-// ReclaimLargest drops checkpoints, largest actually-reclaimable
-// footprint first, until freed bytes reach the target. It returns the
-// bytes freed, where "freed" is the true device occupancy delta:
-// dedup-shared frames count only for their last surviving owner, and an
-// image pinned by live clones contributes zero until the last clone
-// exits. Estimates are recomputed after every release, since releasing
-// one image can promote a twin's shared frames to exclusive.
-func (s *ObjectStore) ReclaimLargest(target int64) int64 {
-	var freed int64
-	for freed < target && len(s.entries) > 0 {
-		keys := make([]storeKey, 0, len(s.entries))
-		for k := range s.entries {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].user != keys[j].user {
-				return keys[i].user < keys[j].user
-			}
-			return keys[i].function < keys[j].function
-		})
-		best, bestSize := keys[0], reclaimEstimate(s.entries[keys[0]].img)
-		for _, k := range keys[1:] {
-			if size := reclaimEstimate(s.entries[k].img); size > bestSize {
-				best, bestSize = k, size
-			}
-		}
-		s.Reclaim(best.user, best.function)
-		freed += bestSize
-	}
-	return freed
-}
-
-// Release drops every entry (experiment teardown).
-func (s *ObjectStore) Release() {
-	for k, e := range s.entries {
-		e.img.Release()
-		delete(s.entries, k)
-	}
-}

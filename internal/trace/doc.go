@@ -3,10 +3,11 @@
 // fault step records a span stamped with des.Time — node, operation,
 // phase, bytes, pages — and spans nest: an operation span contains its
 // phase spans, a copy phase contains the per-shard lane spans the
-// pipeline scheduler observed. The event stream exports to Chrome
-// trace_event JSON (viewable in Perfetto, chrome.go), to a compact
-// checksummed binary form (encode.go), and folds into per-phase latency
-// histograms (metrics.PhaseStats).
+// pipeline scheduler observed. The span stream is the tracer's only
+// record: it exports to Chrome trace_event JSON (viewable in Perfetto,
+// chrome.go), and every other view is derived from it on demand —
+// Phases folds it into per-phase latency distributions, and
+// xray.FromSpans into per-request blame.
 //
 // The tracer is pull-free and purely observational: it never advances a
 // clock or touches simulation state, so enabling it cannot change any
@@ -19,7 +20,6 @@
 // in sorted orders — identical seeds yield byte-identical traces.
 //
 // Entry points: New (a nil Tracer is the disabled tracer); Emit,
-// EmitFlow and EmitShards record spans, EncodeEvents and DecodeEvents
-// round-trip the binary form, and CheckNesting validates span
-// structure.
+// EmitFlow and EmitShards record spans, Phases derives the phase
+// table, and CheckNesting validates span structure.
 package trace

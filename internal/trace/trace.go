@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"slices"
+	"strings"
+
 	"cxlfork/internal/des"
 	"cxlfork/internal/metrics"
 )
@@ -19,8 +22,9 @@ const (
 	Dropped SpanID = -1
 )
 
-// Event categories. Histograms key on Cat + "/" + Name; lane events are
-// excluded from histograms (they are sub-phase detail).
+// Event categories. Phases keys its distributions on Cat + "/" + Name
+// and leaves lane events out (they are sub-phase detail). No category
+// contains a "/", so a key names exactly one category and span name.
 const (
 	// CatOp marks a whole operation: checkpoint, restore, fork,
 	// task-create.
@@ -92,7 +96,6 @@ type Tracer struct {
 	cap      int
 	events   []Event
 	dropped  int64
-	phases   *metrics.PhaseStats
 	flowEnds map[int][]des.Time // per node: end time of the last span on each flow track
 	// spanFree recycles shard-span buffers between CollectShards and
 	// EmitShards (DESIGN.md §13): every checkpoint/restore pipeline
@@ -111,7 +114,6 @@ func New(bufferCap int) *Tracer {
 	}
 	return &Tracer{
 		cap:      bufferCap,
-		phases:   metrics.NewPhaseStats(),
 		flowEnds: make(map[int][]des.Time),
 	}
 }
@@ -141,9 +143,6 @@ func (t *Tracer) Emit(parent SpanID, node, track int, cat, name string, begin, d
 		Name: name, Cat: cat, Node: node, Track: track,
 		Begin: begin, Dur: dur, Parent: parent, Bytes: bytes, Pages: pages,
 	})
-	if cat != CatLane {
-		t.phases.Record(cat+"/"+name, dur)
-	}
 	return SpanID(len(t.events))
 }
 
@@ -151,9 +150,14 @@ func (t *Tracer) Emit(parent SpanID, node, track int, cat, name string, begin, d
 // track, for operations that overlap in virtual time (concurrent
 // autoscaler requests on one node's cores). Tracks are assigned
 // greedily: the lowest track whose previous span ended by begin, a
-// deterministic function of emission order.
+// deterministic function of emission order. A span the full buffer
+// drops claims no track.
 func (t *Tracer) EmitFlow(node int, cat, name string, begin, dur des.Time, bytes int64, pages int) SpanID {
 	if t == nil {
+		return Dropped
+	}
+	if len(t.events) >= t.cap {
+		t.dropped++
 		return Dropped
 	}
 	lanes := t.flowEnds[node]
@@ -199,13 +203,38 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// Phases returns the per-phase latency histograms (keyed cat/name), or
-// nil for a disabled tracer.
-func (t *Tracer) Phases() *metrics.PhaseStats {
-	if t == nil {
-		return nil
+// Phase is the duration distribution of one span key.
+type Phase struct {
+	// Name is the key, "cat/name" (e.g. "phase/copy", "op/checkpoint",
+	// "fault/cow-cxl").
+	Name string
+	// Latency holds the duration of every span with this key.
+	Latency *metrics.LatencyRecorder
+}
+
+// Phases folds a span stream into one duration distribution per
+// cat/name key, sorted by key, leaving lane spans out — the paper's
+// Fig. 6 phase breakdown. It is one pass over the recorded spans, so
+// the table always agrees with the trace it summarizes.
+func Phases(events []Event) []Phase {
+	type key struct{ cat, name string }
+	index := make(map[key]int)
+	var out []Phase
+	for _, e := range events {
+		if e.Cat == CatLane {
+			continue
+		}
+		k := key{e.Cat, e.Name}
+		i, ok := index[k]
+		if !ok {
+			i = len(out)
+			index[k] = i
+			out = append(out, Phase{Name: e.Cat + "/" + e.Name, Latency: metrics.NewLatencyRecorder()})
+		}
+		out[i].Latency.Record(e.Dur)
 	}
-	return t.phases
+	slices.SortFunc(out, func(a, b Phase) int { return strings.Compare(a.Name, b.Name) })
+	return out
 }
 
 // ShardSpan is one pipeline shard's observed execution interval, as

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cxlfork/internal/des"
-	"cxlfork/internal/wire"
 )
 
 func TestEmitRecordsSpansAndPhases(t *testing.T) {
@@ -30,16 +29,16 @@ func TestEmitRecordsSpansAndPhases(t *testing.T) {
 	if got := tr.Events()[1].Parent; got != op {
 		t.Errorf("phase parent = %d, want %d", got, op)
 	}
-	// Histograms key cat/name; lane spans are excluded.
-	ps := tr.Phases()
-	if r := ps.Recorder("op/checkpoint"); r == nil || r.Count() != 1 || r.Sum() != 50 {
-		t.Errorf("op/checkpoint histogram missing or wrong: %+v", r)
+	// The phase table keys cat/name, sorted; lane spans are excluded.
+	ps := Phases(tr.Events())
+	if len(ps) != 2 || ps[0].Name != "op/checkpoint" || ps[1].Name != "phase/copy" {
+		t.Fatalf("phase table %+v, want op/checkpoint then phase/copy only", ps)
 	}
-	if r := ps.Recorder("phase/copy"); r == nil || r.Count() != 1 {
-		t.Errorf("phase/copy histogram missing")
+	if r := ps[0].Latency; r.Count() != 1 || r.Sum() != 50 {
+		t.Errorf("op/checkpoint distribution: count %d sum %d, want 1 and 50", r.Count(), r.Sum())
 	}
-	if r := ps.Recorder("lane/pt-leaf"); r != nil {
-		t.Errorf("lane spans must not enter histograms")
+	if r := ps[1].Latency; r.Count() != 1 || r.Sum() != 30 {
+		t.Errorf("phase/copy distribution: count %d sum %d, want 1 and 30", r.Count(), r.Sum())
 	}
 }
 
@@ -54,7 +53,7 @@ func TestNilTracerIsDisabledAndSafe(t *testing.T) {
 	if id := tr.EmitFlow(0, CatPorter, "x", 0, 1, 0, 0); id != Dropped {
 		t.Errorf("nil EmitFlow = %d, want Dropped", id)
 	}
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Phases() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil || Phases(tr.Events()) != nil {
 		t.Error("nil tracer accessors must return zero values")
 	}
 	obs, spans := tr.CollectShards()
@@ -105,6 +104,23 @@ func TestEmitFlowAssignsDisjointTracks(t *testing.T) {
 	}
 	if errs := CheckNesting(ev); len(errs) != 0 {
 		t.Errorf("flow spans violate nesting: %v", errs)
+	}
+}
+
+// TestEmitFlowAtCapAssignsNoTrack fills the buffer, then emits a flow
+// span that overlaps the recorded one: it must be dropped and counted
+// without claiming a new flow track or moving an existing track's end.
+func TestEmitFlowAtCapAssignsNoTrack(t *testing.T) {
+	tr := New(1)
+	tr.EmitFlow(0, CatPorter, "a", 0, 100, 0, 0)
+	if id := tr.EmitFlow(0, CatPorter, "b", 50, 100, 0, 0); id != Dropped {
+		t.Fatalf("flow span past cap = %d, want Dropped", id)
+	}
+	if tr.Len() != 1 || tr.Dropped() != 1 {
+		t.Fatalf("Len=%d Dropped=%d, want 1 and 1", tr.Len(), tr.Dropped())
+	}
+	if ends := tr.flowEnds[0]; len(ends) != 1 || ends[0] != 100 {
+		t.Fatalf("node 0 flow track ends %v, want one track ending at %v", ends, des.Time(100))
 	}
 }
 
@@ -209,44 +225,6 @@ func TestCheckNestingInvariants(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	events := []Event{
-		{Name: "checkpoint", Cat: CatOp, Node: 1, Track: 0, Begin: 10, Dur: 90, Parent: 0, Bytes: 1 << 20, Pages: 256},
-		{Name: "copy", Cat: CatPhase, Node: 1, Track: 0, Begin: 20, Dur: 70, Parent: 1, Bytes: 1 << 20, Pages: 256},
-		{Name: "pt-leaf", Cat: CatLane, Node: 1, Track: 3, Begin: 20, Dur: 35, Parent: 2, Pages: 128},
-	}
-	blob := EncodeEvents(events)
-	got, err := DecodeEvents(blob)
-	if err != nil {
-		t.Fatalf("DecodeEvents: %v", err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d mismatch: %+v != %+v", i, got[i], events[i])
-		}
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	blob := EncodeEvents([]Event{{Name: "x", Cat: CatOp, Dur: 5}})
-	blob[len(blob)/2] ^= 0x40
-	if _, err := DecodeEvents(blob); err == nil {
-		t.Fatal("bit flip not detected")
-	}
-	if _, err := DecodeEvents(blob[:3]); err == nil {
-		t.Fatal("truncation not detected")
-	}
-	// A valid envelope with an unknown format version is corrupt too.
-	enc := wire.NewEncoder()
-	enc.PutUint(traceFieldVersion, EncodeVersion+1)
-	if _, err := DecodeEvents(wire.SealEnvelope(enc.Bytes())); err == nil {
-		t.Fatal("future format version not rejected")
-	}
-}
-
 func TestWriteChromeIsValidJSONAndDeterministic(t *testing.T) {
 	build := func() *Tracer {
 		tr := New(0)
@@ -302,7 +280,7 @@ func TestCollectAndEmitShards(t *testing.T) {
 		{Setup: 5, Units: 64, UnitCost: 2},
 	}
 	obs, spans := tr.CollectShards()
-	dur := des.PipelineTimeObs(2, 2, 1, shards, obs)
+	dur := des.Pipeline(2, 2, 1, shards, obs)
 	if len(*spans) != len(shards) {
 		t.Fatalf("observed %d shards, want %d", len(*spans), len(shards))
 	}

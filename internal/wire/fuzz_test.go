@@ -53,13 +53,13 @@ func FuzzOpenEnvelope(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80})
-	// Trace-envelope-shaped records (the shape trace.EncodeEvents
-	// produces: a version varint, then nested event messages), pristine
-	// and with a flipped byte inside a nested message.
-	traceShaped := sealedTraceShapedEnvelope()
-	f.Add(traceShaped)
-	for _, i := range []int{4, len(traceShaped) / 2} {
-		bad := append([]byte(nil), traceShaped...)
+	// Nested records (a version varint, then one nested message per
+	// span-like record), pristine and with a flipped byte inside a
+	// nested message.
+	nested := sealedNestedEnvelope()
+	f.Add(nested)
+	for _, i := range []int{4, len(nested) / 2} {
+		bad := append([]byte(nil), nested...)
 		bad[i] ^= 0x10
 		f.Add(bad)
 	}
@@ -80,11 +80,11 @@ func FuzzOpenEnvelope(f *testing.F) {
 	})
 }
 
-// sealedTraceShapedEnvelope builds a payload with the binary trace
-// format's shape using only wire primitives (wire cannot import trace:
-// the dependency runs the other way). Field 1 is a format version,
-// each field 2 is one nested span record.
-func sealedTraceShapedEnvelope() []byte {
+// sealedNestedEnvelope builds a payload of nested messages: field 1
+// is a format version, and each field 2 is one nested record with the
+// fields of a trace span (name, category, node, track, begin, duration,
+// parent, bytes, pages).
+func sealedNestedEnvelope() []byte {
 	enc := NewEncoder()
 	enc.PutUint(1, 1)
 	for i, name := range []string{"checkpoint", "copy", "pt-leaf"} {
