@@ -33,8 +33,9 @@ type AutoscalerConfig struct {
 	Seed int64
 	// Trace, when non-empty, replaces the built-in bursty generator
 	// with explicit arrivals (e.g. loaded from a production trace CSV
-	// via LoadTraceCSV). Functions referenced must appear in Functions
-	// or the Table-1 suite.
+	// via LoadTraceCSV). Every function it names must be in the
+	// workload mix: Functions, or the Table-1 suite when Functions is
+	// empty. RunAutoscaler rejects a trace that names any other.
 	Trace []Arrival
 }
 
@@ -94,6 +95,19 @@ func (s *System) RunAutoscaler(cfg AutoscalerConfig) (ScalingResults, error) {
 	specs, err := experiments.ResolveFunctions(cfg.Functions)
 	if err != nil {
 		return ScalingResults{}, fmt.Errorf("cxlfork: %w", err)
+	}
+	// Only the mix is provisioned, so check the trace before paying for
+	// calibration.
+	if len(cfg.Trace) > 0 {
+		mix := make(map[string]bool, len(specs))
+		for _, sp := range specs {
+			mix[sp.Name] = true
+		}
+		for _, a := range cfg.Trace {
+			if !mix[a.Function] {
+				return ScalingResults{}, fmt.Errorf("cxlfork: trace names function %q, which is not in the workload mix", a.Function)
+			}
+		}
 	}
 	profiles, err := experiments.Calibrate(s.c.P, specs, experiments.AllScenarios)
 	if err != nil {

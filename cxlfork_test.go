@@ -1,6 +1,7 @@
 package cxlfork
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -259,6 +260,25 @@ func TestAutoscalerSmoke(t *testing.T) {
 	}
 	if len(res.PerFunctionP99) == 0 {
 		t.Fatal("no per-function percentiles")
+	}
+}
+
+// TestAutoscalerRejectsTraceOutsideMix replays an explicit trace that
+// names a function the mix does not provision: RunAutoscaler must
+// return an error naming it instead of replaying (which panicked).
+func TestAutoscalerRejectsTraceOutsideMix(t *testing.T) {
+	sys := NewSystem(smallConfig())
+	_, err := sys.RunAutoscaler(AutoscalerConfig{
+		Functions: []string{"Float"},
+		Duration:  time.Second,
+		Trace: []Arrival{
+			{At: 100 * time.Millisecond, Function: "Json"},
+			{At: 200 * time.Millisecond, Function: "Float"},
+			{At: 300 * time.Millisecond, Function: "Bert"},
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), `"Json"`) || strings.Contains(err.Error(), "Bert") {
+		t.Fatalf("err = %v, want one naming the first unknown function, Json", err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a virtual timestamp in nanoseconds since simulation start.
 type Time int64
@@ -40,7 +37,31 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Millis converts a virtual time to floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// Event is a scheduled callback. Events are pooled: once dispatched or
+// Action is what a scheduled event does: the engine calls Fire with the
+// clock at the event's time. A long-lived record that implements Action
+// (the porter's pooled requests and its instances) can be scheduled over
+// and over without allocating, where a fresh closure per event would.
+type Action interface{ Fire(now Time) }
+
+// funcAction adapts a plain callback to an Action. A func value is
+// pointer-shaped, so the conversion stores it in the interface without
+// allocating.
+type funcAction func()
+
+func (f funcAction) Fire(Time) { f() }
+
+// timeFunc adapts a callback that takes the firing time to an Action;
+// Exec's done and Acquire's grant callback use it. A nil callback is a
+// no-op.
+type timeFunc func(now Time)
+
+func (f timeFunc) Fire(now Time) {
+	if f != nil {
+		f(now)
+	}
+}
+
+// event is a scheduled Action. Events are pooled: once dispatched or
 // cancelled the struct returns to the owning engine's free list and its
 // generation counter advances, so stale EventIDs cannot touch the
 // recycled slot.
@@ -48,8 +69,11 @@ type event struct {
 	at  Time
 	seq uint64 // insertion order; tie-breaker for determinism
 	gen uint32 // recycle generation; guards Cancel after reuse
-	fn  func()
-	idx int // position in the heap
+	idx int    // position in the heap
+	act Action
+	// res is set on a Resource job's completion event: the job's slot
+	// is released before act fires.
+	res *Resource
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The
@@ -61,33 +85,6 @@ type EventID struct {
 	gen uint32
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
 // Engine is a single-threaded virtual clock plus event queue.
 // It is not safe for concurrent use; simulations run on one goroutine.
 // The heap holds only live events: Cancel removes its event, and a
@@ -95,7 +92,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now      Time
 	seq      uint64
-	events   eventHeap
+	events   []*event // binary min-heap in (at, seq) order
 	lazy     int      // batch members scheduled but not yet on the heap
 	free     []*event // recycled event structs; hot path is alloc-free
 	executed uint64
@@ -118,13 +115,22 @@ func (e *Engine) Advance(d Time) {
 }
 
 // At schedules fn to run at absolute time t (>= Now).
-func (e *Engine) At(t Time, fn func()) EventID {
+func (e *Engine) At(t Time, fn func()) EventID { return e.Schedule(t, funcAction(fn)) }
+
+// Schedule schedules a to fire at absolute time t (>= Now).
+func (e *Engine) Schedule(t Time, a Action) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("des: schedule in the past: %v < now %v", t, e.now))
 	}
-	ev := e.push(t, e.seq, fn)
-	e.seq++
+	ev := e.schedule(t, a)
 	return EventID{ev, ev.gen}
+}
+
+// schedule pushes a at t with the next sequence number.
+func (e *Engine) schedule(t Time, a Action) *event {
+	ev := e.push(t, e.seq, a)
+	e.seq++
+	return ev
 }
 
 // AtSorted schedules fn(i) at time at(i) for every i in [0, n). It
@@ -150,7 +156,7 @@ func (e *Engine) AtSorted(n int, at func(i int) Time, fn func(i int)) {
 	e.seq += uint64(n)
 	e.lazy += n - 1
 	next := 0
-	var fire func()
+	var fire funcAction
 	fire = func() {
 		i := next
 		if next++; next < n {
@@ -163,10 +169,79 @@ func (e *Engine) AtSorted(n int, at func(i int) Time, fn func(i int)) {
 }
 
 // push puts a new event on the heap.
-func (e *Engine) push(t Time, seq uint64, fn func()) *event {
+func (e *Engine) push(t Time, seq uint64, a Action) *event {
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, seq, fn
-	heap.Push(&e.events, ev)
+	ev.at, ev.seq, ev.act = t, seq, a
+	ev.idx = len(e.events)
+	e.events = append(e.events, ev)
+	e.up(ev.idx)
+	return ev
+}
+
+// before reports whether a dispatches ahead of b: earlier time first,
+// then insertion order. Sequence numbers are unique, so the order is
+// total and the dispatch order does not depend on the heap's shape.
+func before(a, b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// up moves the event at heap position i toward the root while it
+// dispatches ahead of its parent.
+func (e *Engine) up(i int) {
+	h := e.events
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(ev, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].idx = i
+		i = parent
+	}
+	h[i] = ev
+	ev.idx = i
+}
+
+// down moves the event at heap position i toward the leaves while a
+// child dispatches ahead of it, and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	h := e.events
+	ev := h[i]
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = i
+		i = c
+	}
+	h[i] = ev
+	ev.idx = i
+	return i > i0
+}
+
+// remove takes the event at heap position i off the heap: the last
+// event fills the hole and sifts down, or up if it cannot go down.
+func (e *Engine) remove(i int) *event {
+	n := len(e.events) - 1
+	ev, last := e.events[i], e.events[n]
+	e.events[n] = nil
+	e.events = e.events[:n]
+	if i < n {
+		e.events[i] = last
+		if !e.down(i) {
+			e.up(i)
+		}
+	}
 	return ev
 }
 
@@ -186,7 +261,7 @@ func (e *Engine) alloc() *event {
 // recycle returns a popped or removed event to the free list. Bumping
 // the generation first invalidates every EventID that still points here.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.act, ev.res = nil, nil
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -207,8 +282,7 @@ func (e *Engine) Cancel(id EventID) {
 	if id.ev == nil || id.ev.gen != id.gen {
 		return
 	}
-	heap.Remove(&e.events, id.ev.idx)
-	e.recycle(id.ev)
+	e.recycle(e.remove(id.ev.idx))
 }
 
 // Executed reports the number of events dispatched since construction.
@@ -229,14 +303,21 @@ func (e *Engine) Step() bool {
 
 // dispatch pops the earliest event and runs it.
 func (e *Engine) dispatch() {
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.remove(0)
 	e.now = ev.at
-	fn := ev.fn
-	// Recycle before dispatch: if fn schedules a follow-up event it
-	// reuses this struct, keeping the steady state allocation-free.
+	act, res := ev.act, ev.res
+	// Recycle before dispatch: if the action schedules a follow-up event
+	// it reuses this struct, keeping the steady state allocation-free.
 	e.recycle(ev)
 	e.executed++
-	fn()
+	if res != nil {
+		// A finished Resource job frees its slot first; the release may
+		// grant the slot to the next waiter before act runs.
+		res.Release()
+	}
+	if act != nil {
+		act.Fire(e.now)
+	}
 }
 
 // Stop makes the in-flight Run or RunUntil return after the current
@@ -297,8 +378,19 @@ type Resource struct {
 	eng   *Engine
 	slots int
 	busy  int
-	queue []func(start Time)
+	queue []job
 }
+
+// job is a slot request waiting in a Resource's queue. A Run job holds
+// its slot for dur and then fires act; an Acquire waiter (dur == held)
+// fires act when granted and gives the slot back with Release.
+type job struct {
+	dur Time
+	act Action
+}
+
+// held marks an Acquire waiter's job.
+const held Time = -1
 
 // NewResource returns a resource with n slots on engine e.
 func NewResource(e *Engine, n int) *Resource {
@@ -317,13 +409,40 @@ func (r *Resource) QueueLen() int { return len(r.queue) }
 // Acquire requests a slot. fn runs (is called) at the virtual time the
 // slot is granted, receiving that time. The caller must later call
 // Release exactly once per granted slot.
-func (r *Resource) Acquire(fn func(start Time)) {
+func (r *Resource) Acquire(fn func(start Time)) { r.request(job{held, timeFunc(fn)}) }
+
+// Run occupies a slot for dur virtual nanoseconds, starting as soon as
+// one frees, then fires a (which may be nil) at the completion time.
+// The completion event is scheduled when the slot is granted, and the
+// slot is released before a fires, so a queued job starts at the same
+// instant.
+func (r *Resource) Run(dur Time, a Action) {
+	if dur < 0 {
+		panic(fmt.Sprintf("des: negative job duration %d", dur))
+	}
+	r.request(job{dur, a})
+}
+
+// Exec is Run with a plain callback that receives the completion time.
+func (r *Resource) Exec(dur Time, done func(end Time)) { r.Run(dur, timeFunc(done)) }
+
+// request grants j a free slot or queues it.
+func (r *Resource) request(j job) {
 	if r.busy < r.slots {
 		r.busy++
-		fn(r.eng.Now())
+		r.start(j)
 		return
 	}
-	r.queue = append(r.queue, fn)
+	r.queue = append(r.queue, j)
+}
+
+// start begins j on a granted slot.
+func (r *Resource) start(j job) {
+	if j.dur == held {
+		j.act.Fire(r.eng.now)
+		return
+	}
+	r.eng.schedule(r.eng.now+j.dur, j.act).res = r
 }
 
 // Release frees a slot, immediately granting it to the head of the queue
@@ -334,24 +453,10 @@ func (r *Resource) Release() {
 	}
 	if len(r.queue) > 0 {
 		next := r.queue[0]
-		r.queue[0] = nil
+		r.queue[0] = job{}
 		r.queue = r.queue[1:]
-		next(r.eng.Now())
+		r.start(next)
 		return
 	}
 	r.busy--
-}
-
-// Exec is the common acquire→advance→release pattern for one-shot jobs:
-// it occupies a slot for dur virtual nanoseconds starting as soon as a
-// slot frees, then calls done with the completion time.
-func (r *Resource) Exec(dur Time, done func(end Time)) {
-	r.Acquire(func(start Time) {
-		r.eng.At(start+dur, func() {
-			r.Release()
-			if done != nil {
-				done(r.eng.Now())
-			}
-		})
-	})
 }

@@ -7,8 +7,11 @@
 // broken by insertion order, so a simulation with a fixed RNG seed is
 // fully reproducible.
 //
-// Entry points: NewEngine; Engine.At, After and Every schedule events,
-// Engine.Run drains them, and NewResource models a contended unit with
-// queueing. The engine's determinism is what makes every figure
-// reproducible bit-for-bit (DESIGN.md §1).
+// Entry points: NewEngine; Engine.At, After and Every schedule
+// callbacks, Engine.Schedule schedules an Action (a reusable record
+// with a Fire method, so a hot path need not allocate a closure per
+// event), Engine.Run drains them, and NewResource models a contended
+// unit with FIFO queueing (Resource.Run, Exec, Acquire). The engine's
+// determinism is what makes every figure reproducible bit-for-bit
+// (DESIGN.md §1).
 package des

@@ -2,8 +2,11 @@
 // by the experiment drivers: exact percentile estimation over recorded
 // samples and simple time-weighted gauges.
 //
-// Entry points: NewLatencyRecorder; Counter, Gauge
-// and the *Counters bundles (faults, dedup, capacity) are plain
-// accumulators threaded through the subsystems. The percentile
-// reporting backs the paper's P50/P99 evaluation metrics (§6-§7).
+// Entry points: NewLatencyRecorder, and Union, a read-only recorder
+// over several recorders that stores no samples of its own (the
+// porter's overall latency is the union of its per-function ones);
+// Counter, Gauge and the *Counters bundles (faults, dedup, capacity)
+// are plain accumulators threaded through the subsystems. The
+// percentile reporting backs the paper's P50/P99 evaluation metrics
+// (§6-§7).
 package metrics

@@ -8,54 +8,101 @@ import (
 	"cxlfork/internal/des"
 )
 
-// LatencyRecorder collects latency samples and reports percentiles.
+// LatencyRecorder collects latency samples and reports percentiles. A
+// recorder built by Union holds no samples of its own and reads its
+// parts' instead.
 type LatencyRecorder struct {
 	samples []des.Time
 	sorted  int // samples[:sorted] is in ascending order
 	sum     des.Time
+	parts   []*LatencyRecorder // a union's parts; nil for a plain recorder
 }
 
 // NewLatencyRecorder returns an empty recorder.
 func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
 
+// Union returns a read-only recorder over parts. It stores no samples:
+// every statistic is that of all the parts' samples together, including
+// samples recorded into a part after the union was built. Percentiles
+// select exact order statistics across the parts by binary search on
+// the value, O(64 · parts · log n) per query. Record, Grow and Reset on
+// a union panic.
+func Union(parts ...*LatencyRecorder) *LatencyRecorder {
+	return &LatencyRecorder{parts: append(make([]*LatencyRecorder, 0, len(parts)), parts...)}
+}
+
+// mutable panics on a union.
+func (r *LatencyRecorder) mutable() {
+	if r.parts != nil {
+		panic("metrics: a union recorder is read-only")
+	}
+}
+
 // Record adds a sample.
 func (r *LatencyRecorder) Record(d des.Time) {
+	r.mutable()
 	r.samples = append(r.samples, d)
 	r.sum += d
 }
 
+// Grow makes room for n more samples, so the next n Records do not
+// reallocate the buffer.
+func (r *LatencyRecorder) Grow(n int) {
+	r.mutable()
+	r.samples = slices.Grow(r.samples, n)
+}
+
 // Count returns the number of samples.
-func (r *LatencyRecorder) Count() int { return len(r.samples) }
+func (r *LatencyRecorder) Count() int {
+	if r.parts == nil {
+		return len(r.samples)
+	}
+	n := 0
+	for _, q := range r.parts {
+		n += q.Count()
+	}
+	return n
+}
 
 // Sum returns the total of all samples.
-func (r *LatencyRecorder) Sum() des.Time { return r.sum }
+func (r *LatencyRecorder) Sum() des.Time {
+	if r.parts == nil {
+		return r.sum
+	}
+	var s des.Time
+	for _, q := range r.parts {
+		s += q.Sum()
+	}
+	return s
+}
 
 // Mean returns the average latency (0 with no samples).
 func (r *LatencyRecorder) Mean() des.Time {
-	if len(r.samples) == 0 {
+	n := r.Count()
+	if n == 0 {
 		return 0
 	}
-	return r.sum / des.Time(len(r.samples))
+	return r.Sum() / des.Time(n)
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using
 // nearest-rank on the sorted samples. It returns 0 with no samples.
 func (r *LatencyRecorder) Percentile(p float64) des.Time {
-	if len(r.samples) == 0 {
+	n := r.Count()
+	if n == 0 {
 		return 0
 	}
-	r.sort()
 	if p <= 0 {
-		return r.samples[0]
+		return r.at(0)
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))
+	rank := int(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > len(r.samples) {
-		rank = len(r.samples)
+	if rank > n {
+		rank = n
 	}
-	return r.samples[rank-1]
+	return r.at(rank - 1)
 }
 
 // Quantile returns the p-th percentile (0 <= p <= 100) with linear
@@ -66,35 +113,90 @@ func (r *LatencyRecorder) Percentile(p float64) des.Time {
 // p/100*(n-1) degenerates to position 0 of an unguarded formula and
 // historically reported 0 for P50.
 func (r *LatencyRecorder) Quantile(p float64) des.Time {
-	if len(r.samples) == 0 {
+	n := r.Count()
+	if n == 0 {
 		return 0
 	}
-	r.sort()
-	if len(r.samples) == 1 {
-		return r.samples[0]
-	}
-	if p <= 0 {
-		return r.samples[0]
+	if n == 1 || p <= 0 {
+		return r.at(0)
 	}
 	if p >= 100 {
-		return r.samples[len(r.samples)-1]
+		return r.at(n - 1)
 	}
-	pos := p / 100 * float64(len(r.samples)-1)
+	pos := p / 100 * float64(n-1)
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if frac == 0 {
-		return r.samples[lo]
+		return r.at(lo)
 	}
-	a, b := float64(r.samples[lo]), float64(r.samples[lo+1])
+	a, b := float64(r.at(lo)), float64(r.at(lo+1))
 	return des.Time(math.Round(a + frac*(b-a)))
+}
+
+// at returns the k-th smallest sample, 0 <= k < Count(). A union
+// searches the value range for the smallest value v with more than k
+// samples at or below it, which is always a sample.
+func (r *LatencyRecorder) at(k int) des.Time {
+	if r.parts == nil {
+		r.sort()
+		return r.samples[k]
+	}
+	first := true
+	var lo, hi des.Time
+	for _, q := range r.parts {
+		if n := q.Count(); n > 0 {
+			if a, b := q.at(0), q.at(n-1); first {
+				lo, hi, first = a, b, false
+			} else {
+				lo, hi = min(lo, a), max(hi, b)
+			}
+		}
+	}
+	for lo < hi {
+		mid := lo + des.Time(uint64(hi-lo)/2)
+		if r.countLE(mid) > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// countLE returns the number of samples at or below v.
+func (r *LatencyRecorder) countLE(v des.Time) int {
+	if r.parts != nil {
+		n := 0
+		for _, q := range r.parts {
+			n += q.countLE(v)
+		}
+		return n
+	}
+	r.sort()
+	lo, hi := 0, len(r.samples)
+	for lo < hi {
+		mid := int(uint(lo+hi) / 2)
+		if r.samples[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Presort sorts the sample buffer ahead of percentile queries, so a
 // worker pool can pay the O(n log n) for many recorders in parallel
 // before a sequential summary pass reads them. Sorting is the
 // recorders' only deferred work; after Presort, Percentile and
-// Quantile are read-only until the next Record.
-func (r *LatencyRecorder) Presort() { r.sort() }
+// Quantile are read-only until the next Record. A union presorts its
+// parts.
+func (r *LatencyRecorder) Presort() {
+	for _, q := range r.parts {
+		q.Presort()
+	}
+	r.sort()
+}
 
 // sort brings the buffer into ascending order. Only the samples
 // recorded since the last sort are sorted; they are then merged into
@@ -133,6 +235,7 @@ func (r *LatencyRecorder) Max() des.Time { return r.Percentile(100) }
 
 // Reset discards all samples.
 func (r *LatencyRecorder) Reset() {
+	r.mutable()
 	r.samples = r.samples[:0]
 	r.sorted = 0
 	r.sum = 0

@@ -87,7 +87,7 @@ func (p *Porter) evictScore(e Entry) float64 {
 		return -float64(reclaimEstimate(e.Image))
 	default: // EvictCostBenefit
 		var base float64
-		if st, ok := p.fns[e.Function]; ok {
+		if st, ok := p.byName[e.Function]; ok {
 			base = st.scoreBase
 		}
 		return base + p.costBenefit(e.Function, e.Restores, reclaimEstimate(e.Image))
@@ -103,7 +103,7 @@ func (p *Porter) evictScore(e Entry) float64 {
 func (p *Porter) costBenefit(fn string, fallbackRestores int64, bytes int64) float64 {
 	pol := rfork.MigrateOnWrite
 	restores := fallbackRestores
-	if st, ok := p.fns[fn]; ok {
+	if st, ok := p.byName[fn]; ok {
 		pol = st.policy
 		// Popularity is whole-run request demand, not the store entry's
 		// restore counter: that counter resets on re-publication, and
@@ -387,12 +387,13 @@ func (p *Porter) snapshot(fn string, img rfork.Image) {
 // the completing instance's node. The rebuild cost occupies one of
 // that node's cores off the request critical path.
 func (p *Porter) maybeRecheckpoint(inst *instance) {
-	st := p.fns[inst.fn]
-	snap := p.snaps[inst.fn]
+	st := inst.fn
+	fn := st.spec.Name
+	snap := p.snaps[fn]
 	if snap == nil || st.reckpting {
 		return
 	}
-	if _, ok := p.store.Get(p.cfg.User, inst.fn); ok {
+	if _, ok := p.store.Get(p.cfg.User, fn); ok {
 		st.coldRuns = 0
 		return
 	}
@@ -402,7 +403,7 @@ func (p *Porter) maybeRecheckpoint(inst *instance) {
 	}
 	st.coldRuns = 0
 	need := int64(len(snap.tokens))*int64(p.c.P.PageSize) + snap.metaBytes
-	if !p.admitCheckpoint(inst.fn, need) {
+	if !p.admitCheckpoint(fn, need) {
 		return
 	}
 	st.reckpting = true
@@ -413,7 +414,7 @@ func (p *Porter) maybeRecheckpoint(inst *instance) {
 		if p.c.Faults.NodeDown(node.os.Index) {
 			return
 		}
-		p.republish(inst.fn, node, end-cost, cost)
+		p.republish(fn, node, end-cost, cost)
 	})
 }
 
@@ -441,7 +442,7 @@ func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
 		}
 		p.store.Put(p.cfg.User, fn, rimg)
 		p.admits.Inc()
-		if st := p.fns[fn]; st != nil {
+		if st := p.byName[fn]; st != nil {
 			st.scoreBase = p.agingL
 		}
 		p.capc.Recheckpoints.Inc()
@@ -481,7 +482,7 @@ func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
 	}
 	p.store.Put(p.cfg.User, fn, img)
 	p.admits.Inc()
-	if st := p.fns[fn]; st != nil {
+	if st := p.byName[fn]; st != nil {
 		st.scoreBase = p.agingL
 	}
 	p.capc.Recheckpoints.Inc()

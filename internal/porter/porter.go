@@ -101,11 +101,14 @@ const (
 	instDead
 )
 
-// instance is one live function instance in the queue model.
+// instance is one live function instance in the queue model. It runs
+// under its function's current tiering policy (maybePromote switches a
+// function's live instances with it), and it is the Action of its own
+// keep-alive timer.
 type instance struct {
-	fn        string
+	p         *Porter
+	fn        *fnState
 	node      *nodeState
-	policy    rfork.Policy
 	pages     int
 	ownsCtr   bool // spawned a fresh container (owns its 512 KB overhead)
 	state     instState
@@ -115,19 +118,33 @@ type instance struct {
 	warmRuns  int
 }
 
+// Fire is the keep-alive expiry: an instance still idle when its window
+// closes is torn down, and the freed room goes to queued requests.
+func (in *instance) Fire(des.Time) {
+	if in.state == instIdle {
+		in.p.destroy(in)
+		in.p.pump()
+	}
+}
+
 // nodeState is the per-node scheduler view.
 type nodeState struct {
-	os     *kernel.OS
-	rt     *container.Runtime
-	cpu    *des.Resource
-	ghosts map[string]int // idle sandboxes per function
+	os  *kernel.OS
+	rt  *container.Runtime
+	cpu *des.Resource
+	// gauge samples the node's memory utilization during a replay.
+	gauge *metrics.Gauge
 
 	budgetPages   int
 	usedPages     int
 	reservedPages int // Mitosis shadow copies pinned on this node
 
-	idle map[string][]*instance
-	all  map[*instance]bool
+	// ghosts, idle and live are indexed by function id: the pooled
+	// empty sandboxes, the idle instances in the order they idled, and
+	// the count of instances not yet destroyed (busy or idle).
+	ghosts []int
+	idle   [][]*instance
+	live   []int
 }
 
 func (n *nodeState) freePages() int {
@@ -138,10 +155,22 @@ func (n *nodeState) utilization() float64 {
 	return float64(n.usedPages+n.reservedPages) / float64(n.budgetPages)
 }
 
+// numPolicies is the number of tiering policies a profile table holds.
+const numPolicies = int(rfork.HybridTiering) + 1
+
 // fnState is per-function control state.
 type fnState struct {
-	spec    faas.Spec
-	policy  rfork.Policy
+	// id is the function's dense index: its position in Porter.fns, in
+	// Setup order, and in every node's per-function slices.
+	id     int
+	spec   faas.Spec
+	policy rfork.Policy
+	// profs is the function's profile under each policy, resolved at
+	// Setup with profile's fallback (nil: none calibrated).
+	profs [numPolicies]*Profile
+	// rec records the latency of each of the function's completed
+	// requests in the current replay.
+	rec     *metrics.LatencyRecorder
 	slo     des.Time
 	lateEWM float64 // EWMA of latency/SLO ratio
 	queue   []*pending
@@ -166,16 +195,37 @@ type fnState struct {
 	reckpting bool
 }
 
+// pending is one request from arrival to completion. Records are
+// pooled: newReq takes one from the porter's free list and complete
+// returns it. A warm-served request is the Action of its own CPU job.
 type pending struct {
-	fn      string
+	p       *Porter
+	fn      *fnState
 	arrived des.Time
 	// cold marks a request served by a fresh spawn (fork restore or
 	// scratch cold start) rather than a warm instance.
 	cold bool
+	// inst, dur and submit describe a warm invocation in flight: the
+	// instance, the jittered execution time, and when it reached the
+	// CPU queue.
+	inst   *instance
+	dur    des.Time
+	submit des.Time
+}
+
+// profile returns the function's profile under pol.
+func (st *fnState) profile(pol rfork.Policy) Profile {
+	if pr := st.profs[pol]; pr != nil {
+		return *pr
+	}
+	panic(fmt.Sprintf("porter: no %v profile for %s", pol, st.spec.Name))
 }
 
 // Results summarizes a trace replay.
 type Results struct {
+	// Overall is the read-only union of the PerFunction recorders
+	// (metrics.Union): every latency is stored once, in its function's
+	// recorder.
 	Overall     *metrics.LatencyRecorder
 	PerFunction map[string]*metrics.LatencyRecorder
 	Completed   int
@@ -324,8 +374,16 @@ type Porter struct {
 	cfg   Config
 	store *ObjectStore
 	nodes []*nodeState
-	fns   map[string]*fnState
-	rng   *rand.Rand
+	// fns holds the provisioned functions in Setup order, indexed by
+	// id; byName finds them from the names arrivals, the object store
+	// and capacity scoring carry.
+	fns    []*fnState
+	byName map[string]*fnState
+	rng    *rand.Rand
+	// freeReqs recycles completed request records; cands is placeOn's
+	// reusable candidate buffer.
+	freeReqs []*pending
+	cands    []*nodeState
 
 	res      Results
 	base     des.Time
@@ -393,7 +451,7 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 		c:      c,
 		cfg:    cfg,
 		store:  NewObjectStore(),
-		fns:    make(map[string]*fnState),
+		byName: make(map[string]*fnState),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		policy: pol,
 		snaps:  make(map[string]*ckptSnapshot),
@@ -412,10 +470,7 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 			os:          os,
 			rt:          container.NewRuntime(os),
 			cpu:         des.NewResource(c.Eng, c.P.CoresPerNode),
-			ghosts:      make(map[string]int),
 			budgetPages: int(budget / int64(c.P.PageSize)),
-			idle:        make(map[string][]*instance),
-			all:         make(map[*instance]bool),
 		})
 	}
 	p.registerTelemetry()
@@ -565,7 +620,7 @@ func (p *Porter) provision(s faas.Spec) error {
 			p.snapshot(s.Name, img)
 			p.store.Put(p.cfg.User, s.Name, img)
 			p.admits.Inc()
-			if st := p.fns[s.Name]; st != nil {
+			if st := p.byName[s.Name]; st != nil {
 				st.scoreBase = p.agingL
 			}
 			in.Exit()
@@ -600,8 +655,13 @@ func (p *Porter) provision(s faas.Spec) error {
 	if p.cfg.StaticPolicy != nil {
 		st.policy = *p.cfg.StaticPolicy
 	}
-	st.slo = des.Time(p.cfg.SLOFactor * float64(p.profile(s.Name, rfork.MigrateOnAccess).WarmExec))
-	p.fns[s.Name] = st
+	for pol := range st.profs {
+		if pr, ok := p.lookupProfile(s.Name, rfork.Policy(pol)); ok {
+			st.profs[pol] = &pr
+		}
+	}
+	st.slo = des.Time(p.cfg.SLOFactor * float64(st.profile(rfork.MigrateOnAccess).WarmExec))
+	p.addFn(st)
 
 	if p.ghostsCompatible() {
 		for _, n := range p.nodes {
@@ -612,7 +672,7 @@ func (p *Porter) provision(s faas.Spec) error {
 				if _, err := n.rt.Create(); err != nil {
 					return err
 				}
-				n.ghosts[s.Name]++
+				n.ghosts[st.id]++
 				n.usedPages += int(cp.GhostContainerBytes / int64(cp.PageSize))
 			}
 		}
@@ -620,15 +680,40 @@ func (p *Porter) provision(s faas.Spec) error {
 	return nil
 }
 
+// addFn registers st under the next dense id, or under the id of an
+// earlier provision of the same function, which it replaces; every
+// node's per-function slices grow with the ids.
+func (p *Porter) addFn(st *fnState) {
+	if old := p.byName[st.spec.Name]; old != nil {
+		st.id = old.id
+		p.fns[st.id] = st
+	} else {
+		st.id = len(p.fns)
+		p.fns = append(p.fns, st)
+		for _, n := range p.nodes {
+			n.ghosts = append(n.ghosts, 0)
+			n.idle = append(n.idle, nil)
+			n.live = append(n.live, 0)
+		}
+	}
+	p.byName[st.spec.Name] = st
+}
+
 // profile fetches the profile for a function under a policy, falling
 // back to the mechanism's canonical (MoW-keyed) entry for baselines.
 func (p *Porter) profile(fn string, pol rfork.Policy) Profile {
-	if pr, ok := p.cfg.Profiles[ProfileKey{fn, p.cfg.Mechanism.Name(), pol}]; ok {
-		return pr
-	}
-	pr, ok := p.cfg.Profiles[ProfileKey{fn, p.cfg.Mechanism.Name(), rfork.MigrateOnWrite}]
+	pr, ok := p.lookupProfile(fn, pol)
 	if !ok {
 		panic(fmt.Sprintf("porter: no profile for %s/%s", fn, p.cfg.Mechanism.Name()))
 	}
 	return pr
+}
+
+// lookupProfile is profile without the panic.
+func (p *Porter) lookupProfile(fn string, pol rfork.Policy) (Profile, bool) {
+	if pr, ok := p.cfg.Profiles[ProfileKey{fn, p.cfg.Mechanism.Name(), pol}]; ok {
+		return pr, true
+	}
+	pr, ok := p.cfg.Profiles[ProfileKey{fn, p.cfg.Mechanism.Name(), rfork.MigrateOnWrite}]
+	return pr, ok
 }

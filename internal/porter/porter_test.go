@@ -1,6 +1,8 @@
 package porter_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"cxlfork/internal/azure"
@@ -219,5 +221,63 @@ func TestObjectStore(t *testing.T) {
 	}
 	if st.Reclaim("u", "fn") {
 		t.Fatal("double reclaim succeeded")
+	}
+}
+
+// TestRunPanicsNamingUnprovisionedFunction: a trace naming a function
+// Setup did not provision is a programming error (the facade rejects
+// such traces), so Run panics with the function's name before it
+// replays anything.
+func TestRunPanicsNamingUnprovisionedFunction(t *testing.T) {
+	po, c := newPorter(t, 1<<30, cxlMech, "CXLfork")
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"Json"`) {
+			t.Fatalf("panic %q, want one naming Json", msg)
+		}
+		if c.Eng.Executed() != 0 {
+			t.Fatalf("%d events ran before the panic", c.Eng.Executed())
+		}
+	}()
+	po.Run([]azure.Request{{At: 0, Function: "Tiny"}, {At: des.Millisecond, Function: "Json"}})
+}
+
+// TestWarmReplayAllocationsPerArrival bounds the replay's heap
+// allocations on a warm-only trace of two functions. Requests are
+// pooled records that serve as their own CPU jobs' actions, an idle
+// instance is its own keep-alive action, and the latency recorders are
+// sized before the replay, so only the handful of cold spawns at the
+// start allocate.
+func TestWarmReplayAllocationsPerArrival(t *testing.T) {
+	p := params.Default()
+	p.NodeDRAMBytes = 1 << 30
+	p.CXLBytes = 1 << 30
+	c := cluster.MustNew(p, 2)
+	specs := []faas.Spec{tinySpec(), tinySpec()}
+	specs[1].Name = "Tiny2"
+	profs := profiles("CXLfork")
+	for k, v := range profiles("CXLfork") {
+		k.Function = "Tiny2"
+		profs[k] = v
+	}
+	po := porter.New(c, porter.Config{Mechanism: core.New(c.Dev), Profiles: profs, Seed: 1})
+	if err := po.Setup(specs); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	trace := make([]azure.Request, n)
+	for i := range trace {
+		trace[i] = azure.Request{At: des.Time(i) * 3 * des.Millisecond, Function: specs[i%2].Name}
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := po.Run(trace)
+	runtime.ReadMemStats(&m1)
+	if res.Completed != n || res.WarmStarts < n-20 {
+		t.Fatalf("completed %d, warm %d of %d arrivals: not a warm-only replay", res.Completed, res.WarmStarts, n)
+	}
+	if per := float64(m1.Mallocs-m0.Mallocs) / n; per >= 0.1 {
+		t.Fatalf("replay allocates %.3f objects per arrival, want < 0.1", per)
 	}
 }

@@ -7,46 +7,6 @@ import (
 	"cxlfork/internal/metrics"
 )
 
-// hostsFn reports whether the node currently holds any state for fn: a
-// pooled ghost, an idle instance, or a running one. Such nodes are
-// "dedup-warm" placements — the function's pages are already resident
-// locally and deduped on the device.
-func (n *nodeState) hostsFn(fn string) bool {
-	if n.ghosts[fn] > 0 || len(n.idle[fn]) > 0 {
-		return true
-	}
-	for in := range n.all {
-		if in.fn == fn {
-			return true
-		}
-	}
-	return false
-}
-
-// ghostFallback picks the least-loaded surviving node with room for a
-// ghost container, preferring dedup-warm nodes at equal load.
-func (p *Porter) ghostFallback(fn string, ghostPages int) *nodeState {
-	cands := make([]*nodeState, 0, len(p.nodes))
-	for _, n := range p.nodes {
-		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < ghostPages {
-			continue
-		}
-		cands = append(cands, n)
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		li := cands[i].cpu.Busy() + cands[i].cpu.QueueLen()
-		lj := cands[j].cpu.Busy() + cands[j].cpu.QueueLen()
-		if li != lj {
-			return li < lj
-		}
-		return cands[i].hostsFn(fn) && !cands[j].hostsFn(fn)
-	})
-	return cands[0]
-}
-
 // Fingerprint folds every scalar result and the latency distributions
 // into one FNV-1a hash. Two replays of the same seeded trace must
 // produce equal fingerprints — the golden determinism tests compare

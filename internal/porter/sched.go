@@ -3,8 +3,8 @@ package porter
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"slices"
-	"sort"
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/des"
@@ -23,17 +23,14 @@ import (
 func (p *Porter) Run(trace []azure.Request) Results {
 	eng := p.c.Eng
 	p.res = Results{
-		Overall:        metrics.NewLatencyRecorder(),
-		PerFunction:    make(map[string]*metrics.LatencyRecorder),
-		MemGauge:       make(map[string]*metrics.Gauge),
+		PerFunction:    make(map[string]*metrics.LatencyRecorder, len(p.fns)),
+		MemGauge:       make(map[string]*metrics.Gauge, len(p.nodes)),
 		ColdLatency:    metrics.NewLatencyRecorder(),
 		RestoreLatency: metrics.NewLatencyRecorder(),
 	}
-	for fn := range p.fns {
-		p.res.PerFunction[fn] = metrics.NewLatencyRecorder()
-	}
 	for _, n := range p.nodes {
-		p.res.MemGauge[n.os.Name] = &metrics.Gauge{}
+		n.gauge = &metrics.Gauge{}
+		p.res.MemGauge[n.os.Name] = n.gauge
 	}
 	base := eng.Now()
 	p.base = base
@@ -47,9 +44,31 @@ func (p *Porter) Run(trace []azure.Request) Results {
 		trace = slices.Clone(trace)
 		slices.SortStableFunc(trace, byTime)
 	}
+	// Resolve every arrival's function once, and size each function's
+	// recorder for its arrivals: each completes exactly once, so no
+	// recorder grows during the replay. Overall is their union, so
+	// every latency is stored once.
+	ids := make([]int32, len(trace))
+	counts := make([]int, len(p.fns))
+	for i, r := range trace {
+		st := p.byName[r.Function]
+		if st == nil {
+			panic(fmt.Sprintf("porter: trace names function %q, which Setup did not provision", r.Function))
+		}
+		ids[i] = int32(st.id)
+		counts[st.id]++
+	}
+	recs := make([]*metrics.LatencyRecorder, len(p.fns))
+	for i, st := range p.fns {
+		st.rec = metrics.NewLatencyRecorder()
+		st.rec.Grow(counts[i])
+		recs[i] = st.rec
+		p.res.PerFunction[st.spec.Name] = st.rec
+	}
+	p.res.Overall = metrics.Union(recs...)
 	eng.AtSorted(len(trace),
 		func(i int) des.Time { return base + trace[i].At },
-		func(i int) { p.arrive(trace[i].Function) })
+		func(i int) { p.arrive(p.fns[ids[i]]) })
 	var last des.Time
 	if n := len(trace); n > 0 {
 		last = trace[n-1].At
@@ -208,38 +227,54 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	// own buffer, sorting is order-insensitive, and the replay itself
 	// is already over — so SimWorkers > 1 cannot change any result,
 	// only the wall-clock cost of the O(n log n) at scale (a
-	// million-request trace sorts ~1M samples here).
-	recs := []*metrics.LatencyRecorder{p.res.Overall, p.res.ColdLatency, p.res.RestoreLatency}
-	for _, r := range p.res.PerFunction {
-		recs = append(recs, r)
-	}
+	// million-request trace sorts ~1M samples here). Overall reads the
+	// per-function buffers, so sorting those sorts it.
+	recs = append(recs, p.res.ColdLatency, p.res.RestoreLatency)
 	p.c.Sim.Each(len(recs), func(i int) { recs[i].Presort() })
 	return p.res
 }
 
 // arrive handles one request arrival.
-func (p *Porter) arrive(fn string) {
+func (p *Porter) arrive(st *fnState) {
 	p.maybeReclaim()
-	if st := p.fns[fn]; st != nil {
-		st.demand++
-	}
-	req := &pending{fn: fn, arrived: p.c.Eng.Now()}
-	if inst := p.findIdle(fn); inst != nil {
+	st.demand++
+	req := p.newReq(st)
+	if inst := p.findIdle(st); inst != nil {
 		p.serve(inst, req)
 		return
 	}
-	if p.trySpawn(fn, req) {
+	if p.trySpawn(st, req) {
 		return
 	}
-	p.fns[fn].queue = append(p.fns[fn].queue, req)
+	st.queue = append(st.queue, req)
 }
 
-// findIdle pops the most recently idled instance of fn (warmest caches).
-func (p *Porter) findIdle(fn string) *instance {
+// newReq takes a request record from the free list for an arrival of
+// st now.
+func (p *Porter) newReq(st *fnState) *pending {
+	var req *pending
+	if n := len(p.freeReqs); n > 0 {
+		req = p.freeReqs[n-1]
+		p.freeReqs = p.freeReqs[:n-1]
+	} else {
+		req = &pending{p: p}
+	}
+	req.fn, req.arrived = st, p.c.Eng.Now()
+	return req
+}
+
+// freeReq returns a completed request's record to the free list.
+func (p *Porter) freeReq(req *pending) {
+	*req = pending{p: p}
+	p.freeReqs = append(p.freeReqs, req)
+}
+
+// findIdle pops the most recently idled instance of st (warmest caches).
+func (p *Porter) findIdle(st *fnState) *instance {
 	var best *nodeState
 	var bestSince des.Time
 	for _, n := range p.nodes {
-		if list := n.idle[fn]; len(list) > 0 {
+		if list := n.idle[st.id]; len(list) > 0 {
 			if since := list[len(list)-1].idleSince; best == nil || since > bestSince {
 				best, bestSince = n, since
 			}
@@ -248,19 +283,19 @@ func (p *Porter) findIdle(fn string) *instance {
 	if best == nil {
 		return nil
 	}
-	list := best.idle[fn]
+	list := best.idle[st.id]
 	in := list[len(list)-1]
 	list[len(list)-1] = nil
-	best.idle[fn] = list[:len(list)-1]
+	best.idle[st.id] = list[:len(list)-1]
 	p.cancelExpire(in)
 	return in
 }
 
 func (p *Porter) removeIdle(in *instance) {
-	list := in.node.idle[in.fn]
+	list := in.node.idle[in.fn.id]
 	for i, x := range list {
 		if x == in {
-			in.node.idle[in.fn] = append(list[:i], list[i+1:]...)
+			in.node.idle[in.fn.id] = append(list[:i], list[i+1:]...)
 			break
 		}
 	}
@@ -275,34 +310,39 @@ func (p *Porter) cancelExpire(in *instance) {
 	}
 }
 
-// serve runs one warm invocation of req on inst.
+// serve runs one warm invocation of req on inst; req is the CPU job's
+// Action.
 func (p *Porter) serve(inst *instance, req *pending) {
 	inst.state = instBusy
-	prof := p.profile(inst.fn, inst.policy)
-	dur := p.jitter(prof.WarmExec)
+	req.inst = inst
+	req.dur = p.jitter(inst.fn.profile(inst.fn.policy).WarmExec)
 	p.res.WarmStarts++
-	submit := p.c.Eng.Now()
-	inst.node.cpu.Exec(dur, func(end des.Time) {
-		span := p.c.Trace.EmitFlow(inst.node.os.Index, trace.CatPorter, "warm-start", end-dur, dur, 0, 0)
-		if p.c.XRay.Enabled() {
-			execStart := end - dur
-			p.c.XRay.Observe(xray.Request{
-				Class:   "warm-start",
-				Name:    inst.fn,
-				Span:    int(span),
-				Arrived: int64(req.arrived),
-				Latency: int64(end - req.arrived),
-				Device:  -1,
-				Components: []xray.Component{
-					{Name: xray.CompPorterQueue, NS: int64(submit - req.arrived)},
-					{Name: xray.CompCPUQueue, NS: int64(execStart - submit)},
-					{Name: xray.CompExec, NS: int64(dur)},
-				},
-			})
-		}
-		inst.warmRuns++
-		p.complete(inst, req, end)
-	})
+	req.submit = p.c.Eng.Now()
+	inst.node.cpu.Run(req.dur, req)
+}
+
+// Fire completes the warm invocation req was served by.
+func (req *pending) Fire(end des.Time) {
+	p, inst, dur := req.p, req.inst, req.dur
+	span := p.c.Trace.EmitFlow(inst.node.os.Index, trace.CatPorter, "warm-start", end-dur, dur, 0, 0)
+	if p.c.XRay.Enabled() {
+		execStart := end - dur
+		p.c.XRay.Observe(xray.Request{
+			Class:   "warm-start",
+			Name:    inst.fn.spec.Name,
+			Span:    int(span),
+			Arrived: int64(req.arrived),
+			Latency: int64(end - req.arrived),
+			Device:  -1,
+			Components: []xray.Component{
+				{Name: xray.CompPorterQueue, NS: int64(req.submit - req.arrived)},
+				{Name: xray.CompCPUQueue, NS: int64(execStart - req.submit)},
+				{Name: xray.CompExec, NS: int64(dur)},
+			},
+		})
+	}
+	inst.warmRuns++
+	p.complete(inst, req, end)
 }
 
 // trySpawn starts a new instance of fn to serve req. It returns false
@@ -310,10 +350,10 @@ func (p *Porter) serve(inst *instance, req *pending) {
 // restore faults degrade gracefully: a crashed target node is excluded
 // and the restore retried elsewhere; a transient device-full falls back
 // to a scratch cold start.
-func (p *Porter) trySpawn(fn string, req *pending) bool {
-	st := p.fns[fn]
+func (p *Porter) trySpawn(st *fnState, req *pending) bool {
+	fn := st.spec.Name
 	img, haveCkpt := p.store.Get(p.cfg.User, fn)
-	excluded := make(map[*nodeState]bool)
+	var excluded map[*nodeState]bool // nodes a restore found down
 
 	// t0 is the spawn decision instant; everything before it is porter
 	// queueing. probeNS/backoffNS split failoverDelay for attribution.
@@ -379,18 +419,18 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 	var useGhost bool
 	for {
 		if haveCkpt {
-			prof = p.profile(fn, pol)
+			prof = st.profile(pol)
 			pages = prof.LocalPages
 			remoteCopy = p.jitter(prof.RemoteCopy)
 			dur = p.jitter(prof.Restore + prof.ColdExec - prof.RemoteCopy)
 		} else {
-			prof = p.profile(fn, rfork.MigrateOnWrite)
+			prof = st.profile(rfork.MigrateOnWrite)
 			pages = prof.FootprintPages
 			remoteCopy = 0
 			dur = p.jitter(prof.ColdInit + prof.ColdInitExec)
 		}
 
-		node, useGhost = p.placeOn(fn, pages, excluded)
+		node, useGhost = p.placeOn(st, pages, excluded)
 		if node == nil {
 			return false
 		}
@@ -404,6 +444,9 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 		if errors.Is(err, rfork.ErrNodeDown) {
 			// The restore target died: retry on an alternate node after
 			// a backed-off delay, if the request's budget allows it.
+			if excluded == nil {
+				excluded = make(map[*nodeState]bool)
+			}
 			excluded[node] = true
 			p.c.Faults.Counters.Retries.Inc()
 			if exhausted() {
@@ -474,10 +517,10 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 	ownsCtr := false
 	var containerNS des.Time
 	if useGhost && haveCkpt {
-		node.ghosts[fn]--
+		node.ghosts[st.id]--
 		dur += p.c.P.GhostContainerTrigger
 		containerNS = p.c.P.GhostContainerTrigger
-		p.replenishGhosts(node, fn)
+		p.replenishGhosts(node, st.id)
 	} else {
 		// Fresh container: creation cost plus its fixed overhead.
 		dur += p.c.P.ContainerCreate
@@ -488,8 +531,8 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 	node.usedPages += pages
 	p.observeMem()
 
-	inst := &instance{fn: fn, node: node, policy: pol, pages: pages, ownsCtr: ownsCtr, state: instSpawning}
-	node.all[inst] = true
+	inst := &instance{p: p, fn: st, node: node, pages: pages, ownsCtr: ownsCtr, state: instSpawning}
+	node.live[st.id]++
 	req.cold = true
 	if haveCkpt {
 		p.res.ColdForks++
@@ -498,9 +541,7 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 		// every in-flight restore (the eviction-safety invariant).
 		img.Retain()
 		p.store.Touch(p.cfg.User, fn, p.c.Eng.Now())
-		if st := p.fns[fn]; st != nil {
-			st.scoreBase = p.agingL
-		}
+		st.scoreBase = p.agingL
 	} else {
 		p.res.ScratchCold++
 	}
@@ -572,25 +613,25 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 // (off the request critical path) to keep the per-function pool at its
 // configured size (§5 maintains "a few configured but empty containers
 // per function").
-func (p *Porter) replenishGhosts(node *nodeState, fn string) {
+func (p *Porter) replenishGhosts(node *nodeState, id int) {
 	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
-	if node.ghosts[fn] >= p.cfg.GhostsPerFunction {
+	if node.ghosts[id] >= p.cfg.GhostsPerFunction {
 		return
 	}
 	if node.freePages() < ghostPages {
 		// The consuming node is full: fall back to the least-loaded
-		// surviving node with room, preferring one that already hosts fn
-		// (a dedup-warm placement — see placeOn).
-		node = p.ghostFallback(fn, ghostPages)
+		// surviving node with room, preferring one that already hosts
+		// the function (a dedup-warm placement — see placeOn).
+		node = p.ghostFallback(id, ghostPages)
 		if node == nil {
 			return
 		}
 	}
 	p.c.Eng.After(p.c.P.ContainerCreate, func() {
-		if node.ghosts[fn] >= p.cfg.GhostsPerFunction || node.freePages() < ghostPages {
+		if node.ghosts[id] >= p.cfg.GhostsPerFunction || node.freePages() < ghostPages {
 			return
 		}
-		node.ghosts[fn]++
+		node.ghosts[id]++
 		node.usedPages += ghostPages
 		p.observeMem()
 		p.pump()
@@ -601,29 +642,26 @@ func (p *Porter) replenishGhosts(node *nodeState, fn string) {
 // evicting idle instances if necessary. Crashed nodes and nodes in
 // excluded are never candidates. It returns (nil, false) when no node
 // can host the instance.
-func (p *Porter) placeOn(fn string, pages int, excluded map[*nodeState]bool) (*nodeState, bool) {
-	// Prefer nodes with a ghost for fn and room, least loaded first.
-	cands := make([]*nodeState, 0, len(p.nodes))
+func (p *Porter) placeOn(st *fnState, pages int, excluded map[*nodeState]bool) (*nodeState, bool) {
+	// Prefer nodes with a ghost for the function and room, least loaded
+	// first. Nothing below re-enters placeOn, so the buffer is free.
+	cands := p.cands[:0]
 	for _, n := range p.nodes {
 		if excluded[n] || p.c.Faults.NodeDown(n.os.Index) {
 			continue
 		}
 		cands = append(cands, n)
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		li := cands[i].cpu.Busy() + cands[i].cpu.QueueLen()
-		lj := cands[j].cpu.Busy() + cands[j].cpu.QueueLen()
-		if li != lj {
-			return li < lj
+	p.cands = cands
+	// A stable insertion sort: there are at most a few dozen nodes.
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && loadBefore(cands[j], cands[j-1], st.id); j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
-		// Equal load: prefer the node already hosting fn. Its restores
-		// and re-checkpoints run against device frames this function's
-		// pages already deduped into, and its page cache is warm.
-		return cands[i].hostsFn(fn) && !cands[j].hostsFn(fn)
-	})
+	}
 	if p.ghostsCompatible() {
 		for _, n := range cands {
-			if n.ghosts[fn] > 0 && n.freePages() >= pages {
+			if n.ghosts[st.id] > 0 && n.freePages() >= pages {
 				return n, true
 			}
 		}
@@ -637,13 +675,47 @@ func (p *Porter) placeOn(fn string, pages int, excluded map[*nodeState]bool) (*n
 	// keep-alive shortening handles the steady state, §5).
 	for _, n := range cands {
 		if p.evictFor(n, pages) {
-			if p.ghostsCompatible() && n.ghosts[fn] > 0 {
+			if p.ghostsCompatible() && n.ghosts[st.id] > 0 {
 				return n, true
 			}
 			return n, false
 		}
 	}
 	return nil, false
+}
+
+// loadBefore orders placement candidates: less CPU load (busy plus
+// queued work) first, and at equal load a node already hosting
+// function id — a ghost or a live instance — ahead of one that does
+// not. Such a node is a "dedup-warm" placement: its restores and
+// re-checkpoints run against device frames the function's pages
+// already deduped into, and its page cache is warm.
+func loadBefore(a, b *nodeState, id int) bool {
+	la := a.cpu.Busy() + a.cpu.QueueLen()
+	lb := b.cpu.Busy() + b.cpu.QueueLen()
+	if la != lb {
+		return la < lb
+	}
+	return a.hostsFn(id) && !b.hostsFn(id)
+}
+
+// hostsFn reports whether the node holds a ghost or a live (busy or
+// idle) instance of function id.
+func (n *nodeState) hostsFn(id int) bool { return n.ghosts[id] > 0 || n.live[id] > 0 }
+
+// ghostFallback picks the surviving node with room for a ghost container
+// that loadBefore ranks first; ties go to the lowest index.
+func (p *Porter) ghostFallback(id, ghostPages int) *nodeState {
+	var best *nodeState
+	for _, n := range p.nodes {
+		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < ghostPages {
+			continue
+		}
+		if best == nil || loadBefore(n, best, id) {
+			best = n
+		}
+	}
+	return best
 }
 
 // evictFor evicts the oldest idle instances on n until pages fit.
@@ -676,7 +748,7 @@ func (p *Porter) oldestIdle(n *nodeState) *instance {
 func (p *Porter) destroy(in *instance) {
 	p.removeIdle(in)
 	in.state = instDead
-	delete(in.node.all, in)
+	in.node.live[in.fn.id]--
 	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
 	release := in.pages
 	if p.ghostsCompatible() {
@@ -684,7 +756,7 @@ func (p *Porter) destroy(in *instance) {
 			// The sandbox overhead stays allocated and joins the pool.
 			release -= ghostPages
 		}
-		in.node.ghosts[in.fn]++
+		in.node.ghosts[in.fn.id]++
 	}
 	// CRIU-CXL containers are torn down entirely (in.pages includes the
 	// overhead for every CRIU spawn, since ownsCtr is always true).
@@ -692,14 +764,15 @@ func (p *Porter) destroy(in *instance) {
 	p.observeMem()
 }
 
-// complete finishes a request on inst.
+// complete finishes a request on inst and recycles its record.
 func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
+	st := inst.fn
 	lat := end - req.arrived
-	p.res.Overall.Record(lat)
-	p.res.PerFunction[inst.fn].Record(lat)
+	st.rec.Record(lat)
 	if req.cold && p.res.ColdLatency != nil {
 		p.res.ColdLatency.Record(lat)
 	}
+	p.freeReq(req)
 	p.res.Completed++
 	if end > p.lastDone {
 		p.lastDone = end
@@ -708,7 +781,6 @@ func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
 		p.res.WindowCompleted++
 	}
 
-	st := p.fns[inst.fn]
 	if st.slo > 0 {
 		ratio := float64(lat) / float64(st.slo)
 		st.lateEWM = 0.7*st.lateEWM + 0.3*ratio
@@ -724,17 +796,12 @@ func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
 
 	inst.state = instIdle
 	inst.idleSince = end
-	inst.node.idle[inst.fn] = append(inst.node.idle[inst.fn], inst)
+	inst.node.idle[st.id] = append(inst.node.idle[st.id], inst)
 	window := p.c.P.KeepAlive
 	if p.memPressure() {
 		window = p.c.P.KeepAliveShort
 	}
-	inst.expire = p.c.Eng.After(window, func() {
-		if inst.state == instIdle {
-			p.destroy(inst)
-			p.pump()
-		}
-	})
+	inst.expire = p.c.Eng.Schedule(p.c.Eng.Now()+window, inst)
 	inst.hasExpire = true
 
 	p.pump()
@@ -753,19 +820,13 @@ func (p *Porter) maybePromote(st *fnState) {
 	if p.memPressure() {
 		return
 	}
+	// Running and idle instances adopt the new policy too, since each
+	// runs under its function's: the porter migrates their hot
+	// checkpointed pages to local memory over the following invocations
+	// (modelled as an immediate profile switch; the transition cost is a
+	// few MoA faults per instance).
 	st.policy = rfork.HybridTiering
 	p.res.PolicyPromotions++
-	// Running and idle instances adopt the new policy too: the porter
-	// migrates their hot checkpointed pages to local memory over the
-	// following invocations (modelled as an immediate profile switch;
-	// the transition cost is a few MoA faults per instance).
-	for _, n := range p.nodes {
-		for in := range n.all {
-			if in.fn == st.spec.Name {
-				in.policy = rfork.HybridTiering
-			}
-		}
-	}
 }
 
 // memPressure reports whether mean node utilization exceeds HighMem.
@@ -793,12 +854,12 @@ func (p *Porter) pump() {
 			return
 		}
 		req := st.queue[0]
-		if inst := p.findIdle(req.fn); inst != nil {
+		if inst := p.findIdle(st); inst != nil {
 			st.popQueue()
 			p.serve(inst, req)
 			continue
 		}
-		if p.trySpawn(req.fn, req) {
+		if p.trySpawn(st, req) {
 			st.popQueue()
 			continue
 		}
@@ -818,12 +879,9 @@ func (st *fnState) popQueue() *pending {
 
 // observeMem samples node memory utilization into the gauges.
 func (p *Porter) observeMem() {
-	if p.res.MemGauge == nil {
-		return
-	}
 	for _, n := range p.nodes {
-		if g, ok := p.res.MemGauge[n.os.Name]; ok {
-			g.Observe(p.c.Eng.Now(), n.utilization())
+		if n.gauge != nil {
+			n.gauge.Observe(p.c.Eng.Now(), n.utilization())
 		}
 	}
 }
