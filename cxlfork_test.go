@@ -263,9 +263,9 @@ func TestAutoscalerSmoke(t *testing.T) {
 	}
 }
 
-// TestAutoscalerRejectsTraceOutsideMix replays an explicit trace that
-// names a function the mix does not provision: RunAutoscaler must
-// return an error naming it instead of replaying (which panicked).
+// TestAutoscalerRejectsTraceOutsideMix hands RunAutoscaler an explicit
+// trace that names functions the mix does not provision: it must return
+// an error naming the first of them, not replay the trace.
 func TestAutoscalerRejectsTraceOutsideMix(t *testing.T) {
 	sys := NewSystem(smallConfig())
 	_, err := sys.RunAutoscaler(AutoscalerConfig{
