@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -36,8 +37,10 @@ func main() {
 		NodeBudget: int64(*memFrac * float64(12<<30)),
 		Seed:       *seed,
 	}
+	fns := cxlfork.FunctionNames()
 	if *functions != "" {
 		cfg.Functions = strings.Split(*functions, ",")
+		fns = cfg.Functions
 	}
 	switch *mech {
 	case "cxlfork":
@@ -57,10 +60,6 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		fns := cxlfork.FunctionNames()
-		if *functions != "" {
-			fns = strings.Split(*functions, ",")
-		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
@@ -105,8 +104,16 @@ func main() {
 		res.WarmStarts, res.ColdForks, res.ScratchCold)
 	fmt.Printf("evictions %d, tiering promotions %d, throughput %.1f req/s\n",
 		res.Evictions, res.Promotions, res.Throughput)
-	fmt.Println("\nper-function P99:")
-	for fn, p99 := range res.PerFunctionP99 {
-		fmt.Printf("  %-10s %v\n", fn, p99.Round(time.Millisecond))
+	writeP99s(os.Stdout, fns, res.PerFunctionP99)
+}
+
+// writeP99s prints the per-function P99 block in workload-mix order,
+// skipping functions with no completions (absent from p99).
+func writeP99s(w io.Writer, fns []string, p99 map[string]time.Duration) {
+	fmt.Fprintln(w, "\nper-function P99:")
+	for _, fn := range fns {
+		if d, ok := p99[fn]; ok {
+			fmt.Fprintf(w, "  %-10s %v\n", fn, d.Round(time.Millisecond))
+		}
 	}
 }

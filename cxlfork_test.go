@@ -1,6 +1,7 @@
 package cxlfork
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -337,5 +338,76 @@ func TestWorkersAreResultNeutral(t *testing.T) {
 		if d != d1 || l != l1 || c != c1 {
 			t.Fatalf("workers=%d diverged: %v/%d/%d vs %v/%d/%d", w, d, l, c, d1, l1, c1)
 		}
+	}
+}
+
+// TestFacadeTelemetryDedupAndAccessors covers facade methods that no
+// command or example calls: on-demand telemetry snapshots and their
+// exports, the dedup counters, and the function and checkpoint
+// accessors.
+func TestFacadeTelemetryDedupAndAccessors(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Telemetry.Enabled = true
+	sys := NewSystem(cfg)
+	if !sys.TelemetryEnabled() {
+		t.Fatal("telemetry enabled in Config but not reported")
+	}
+	fn, err := sys.DeployFunction(1, "Float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fn.Node() != 1 || fn.Name() != "Float" {
+		t.Fatalf("function %q on node %d, want Float on node 1", fn.Name(), fn.Node())
+	}
+	if err := fn.Warmup(16); err != nil {
+		t.Fatal(err)
+	}
+
+	// A second checkpoint of the same function dedups against the first.
+	ck, err := sys.Checkpoint(fn, CXLfork, "float-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Checkpoint(fn, CXLfork, "float-b"); err != nil {
+		t.Fatal(err)
+	}
+	if d := sys.DedupStats(); d.Hits <= 0 || d.HitRate() <= 0 || d.HitRate() >= 1 {
+		t.Fatalf("dedup %+v, hit rate %g: want hits and a rate in (0, 1)", d, d.HitRate())
+	}
+	info := ck.Describe()
+	if ck.ID() != "float-a" || ck.ID() != info.ID || ck.Mechanism().String() != info.Mechanism ||
+		ck.Pages() != info.DataPages || ck.CXLBytes() != info.CXLBytes {
+		t.Fatalf("accessors %q %v %d %d disagree with Describe %+v",
+			ck.ID(), ck.Mechanism(), ck.Pages(), ck.CXLBytes(), info)
+	}
+
+	if err := sys.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.TelemetrySamples(); got != 1 {
+		t.Fatalf("TelemetrySamples = %d after one Snapshot, want 1", got)
+	}
+	if got := sys.TelemetryDropped(); got != 0 {
+		t.Fatalf("TelemetryDropped = %d, want 0", got)
+	}
+	for _, f := range []MetricsFormat{MetricsPrometheus, MetricsOpenMetrics, MetricsCSV, MetricsJSON} {
+		var b strings.Builder
+		if err := sys.WriteMetrics(&b, f); err != nil || b.Len() == 0 {
+			t.Fatalf("WriteMetrics(%s) wrote %d bytes, err %v", f, b.Len(), err)
+		}
+	}
+	if err := sys.WriteMetrics(io.Discard, "xml"); err == nil {
+		t.Fatal("unknown metrics format accepted")
+	}
+
+	off := NewSystem(smallConfig())
+	if off.TelemetryEnabled() {
+		t.Fatal("telemetry reported on by default")
+	}
+	if err := off.Snapshot(); err == nil {
+		t.Fatal("Snapshot succeeded with telemetry off")
+	}
+	if err := off.WriteMetrics(io.Discard, MetricsPrometheus); err == nil {
+		t.Fatal("WriteMetrics succeeded with telemetry off")
 	}
 }

@@ -331,9 +331,6 @@ func (e *Engine) dispatch() {
 // Call it only from the goroutine running the engine.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Run drains the event queue. Events may schedule further events.
 func (e *Engine) Run() {
 	for !e.stopped && e.Step() {

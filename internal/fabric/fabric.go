@@ -3,7 +3,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -366,20 +365,6 @@ func (s *Spec) Build(p params.Params) (*Topology, error) {
 	return t, nil
 }
 
-// MustBuild parses and builds spec text, panicking on error — for
-// tests and generated specs that are correct by construction.
-func MustBuild(text string, p params.Params) *Topology {
-	s, err := Parse(text)
-	if err != nil {
-		panic(err)
-	}
-	t, err := s.Build(p)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // routesFrom runs a deterministic Dijkstra from node src and returns
 // the route to every device. Priority is (latency, hops, lexicographic
 // predecessor-name chain): with unique tie-breaking the chosen routes
@@ -522,31 +507,6 @@ func (t *Topology) DeviceCost(d int) des.Time {
 	return sum / des.Time(len(t.paths))
 }
 
-// NearestDevice returns the device with the lowest route latency from
-// host h among the candidate indices (all devices when cands is nil),
-// ties broken by device index. -1 when there are no candidates.
-func (t *Topology) NearestDevice(h int, cands []int) int {
-	best := -1
-	for d := 0; d < t.Devices(); d++ {
-		if cands != nil {
-			found := false
-			for _, c := range cands {
-				if c == d {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-		}
-		if best == -1 || t.paths[h][d].lat < t.paths[h][best].lat {
-			best = d
-		}
-	}
-	return best
-}
-
 // LinkLabel returns link li's human-readable label: both endpoint
 // names sorted lexicographically and joined with "-" — the stable key
 // attribution heatmaps render links under.
@@ -574,16 +534,6 @@ func (t *Topology) LinkSwitch(li int) string {
 	return best
 }
 
-// PathLinks returns a copy of the host h -> device d route's link
-// indices in traversal order — the per-link join attribution uses to
-// map a restore onto the heatmap.
-func (t *Topology) PathLinks(h, d int) []int {
-	return append([]int(nil), t.paths[h][d].links...)
-}
-
-// LinkStreams returns link li's concurrent full-rate stream capacity.
-func (t *Topology) LinkStreams(li int) int { return t.links[li].streams }
-
 // Trivial reports whether the topology collapses to the flat
 // single-hop model the rest of the simulator was calibrated on: one
 // switch, one device, and every link at its parameter-derived default.
@@ -593,22 +543,4 @@ func (t *Topology) LinkStreams(li int) int { return t.links[li].streams }
 // equivalence regression test pins this).
 func (t *Topology) Trivial() bool {
 	return len(t.spec.Switches) == 1 && len(t.spec.Devices) == 1 && !t.explicit
-}
-
-// Summary renders a one-line description for experiment headers.
-func (t *Topology) Summary() string {
-	return fmt.Sprintf("%d hosts × %d switches × %d devices, %d links, min link %s",
-		t.Hosts(), t.Switches(), t.Devices(), len(t.links), t.minLat)
-}
-
-// SortDevicesByCost stable-sorts device indices by (DeviceCost, index)
-// — a helper shared by locality placement and its tests.
-func (t *Topology) SortDevicesByCost(devs []int) {
-	sort.SliceStable(devs, func(i, j int) bool {
-		ci, cj := t.DeviceCost(devs[i]), t.DeviceCost(devs[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return devs[i] < devs[j]
-	})
 }

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"cxlfork/internal/des"
@@ -113,16 +112,9 @@ func TestPathsAndCosts(t *testing.T) {
 	if topo.PathLat(1, 0) != topo.PathLat(0, 1) {
 		t.Fatal("path latency not symmetric")
 	}
-	// DeviceCost is the mean over hosts, so both devices tie here and
-	// NearestDevice resolves by path latency per host.
+	// DeviceCost is the mean over hosts, so both devices tie here.
 	if topo.DeviceCost(0) != topo.DeviceCost(1) {
 		t.Fatal("symmetric fixture should tie on device cost")
-	}
-	if got := topo.NearestDevice(0, []int{0, 1}); got != 0 {
-		t.Fatalf("h0 nearest = d%d, want d0", got)
-	}
-	if got := topo.NearestDevice(1, []int{0, 1}); got != 1 {
-		t.Fatalf("h1 nearest = d%d, want d1", got)
 	}
 	if topo.MinLinkLatency() != edge {
 		t.Fatalf("min link latency %v, want %v", topo.MinLinkLatency(), edge)
@@ -194,20 +186,6 @@ func TestGridSpecShapes(t *testing.T) {
 	}
 }
 
-func TestSortDevicesByCost(t *testing.T) {
-	// Chain of three switches: d2 sits two trunks from most hosts.
-	topo := build(t, GridSpec(3, 3, 3))
-	devs := []int{2, 1, 0}
-	topo.SortDevicesByCost(devs)
-	for i := 1; i < len(devs); i++ {
-		a, b := devs[i-1], devs[i]
-		if topo.DeviceCost(a) > topo.DeviceCost(b) {
-			t.Fatalf("order %v not cost-sorted: cost(d%d)=%v > cost(d%d)=%v",
-				devs, a, topo.DeviceCost(a), b, topo.DeviceCost(b))
-		}
-	}
-}
-
 // TestRelabelInvariance builds two isomorphic specs whose node names and
 // declaration orders differ and checks every routing observable matches:
 // placement heuristics built on these must not depend on spelling.
@@ -243,22 +221,4 @@ link mem_A leaf0
 	if a.MinLinkLatency() != b.MinLinkLatency() {
 		t.Fatal("relabeled min link latency differs")
 	}
-}
-
-func TestSummaryMentionsShape(t *testing.T) {
-	s := build(t, twoSwitch).Summary()
-	for _, want := range []string{"2", "host", "switch", "device"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary %q missing %q", s, want)
-		}
-	}
-}
-
-func TestMustBuildPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustBuild accepted a bad spec")
-		}
-	}()
-	MustBuild("host h0\n", params.Default())
 }

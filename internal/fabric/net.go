@@ -54,9 +54,6 @@ func NewNet(t *Topology) *Net {
 	return n
 }
 
-// Topology returns the graph the net runs over.
-func (n *Net) Topology() *Topology { return n.topo }
-
 // Transfer moves pages from device d to host h starting at virtual
 // time at, mutating link occupancy, and returns the total transfer
 // duration. Paths are symmetric, so the same call prices a checkpoint

@@ -3,7 +3,6 @@ package fsim
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"cxlfork/internal/cxl"
 	"cxlfork/internal/memsim"
@@ -40,16 +39,6 @@ func (fs *FS) Lookup(path string) (*File, error) {
 		return nil, fmt.Errorf("fsim: no such file %q", path)
 	}
 	return f, nil
-}
-
-// Paths returns all file paths in sorted order.
-func (fs *FS) Paths() []string {
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PageToken returns the deterministic content token of page idx of the
@@ -113,35 +102,6 @@ func (pc *PageCache) Get(f *File, idx int) (*memsim.Frame, bool, error) {
 	return fr, false, nil
 }
 
-// Contains reports residency without faulting the page in.
-func (pc *PageCache) Contains(f *File, idx int) bool {
-	_, ok := pc.entries[pcKey{f.Path, idx}]
-	return ok
-}
-
-// Drop evicts all cached pages of one file.
-func (pc *PageCache) Drop(path string) int {
-	n := 0
-	for k, fr := range pc.entries {
-		if k.path == path {
-			pc.pool.Put(fr)
-			delete(pc.entries, k)
-			n++
-		}
-	}
-	return n
-}
-
-// DropAll empties the cache (memory reclaim).
-func (pc *PageCache) DropAll() int {
-	n := len(pc.entries)
-	for k, fr := range pc.entries {
-		pc.pool.Put(fr)
-		delete(pc.entries, k)
-	}
-	return n
-}
-
 // CXLFS is the in-CXL-memory filesystem shared between nodes, used to
 // hold CRIU image files. Each file is one blob charged against the CXL
 // device through its own arena, so files are individually removable
@@ -201,15 +161,6 @@ func (c *CXLFS) Read(name string) ([]byte, error) {
 	return cxl.Get[[]byte](f.arena, f.off), nil
 }
 
-// Size returns the byte size of a stored file.
-func (c *CXLFS) Size(name string) (int64, error) {
-	f, ok := c.files[name]
-	if !ok {
-		return 0, fmt.Errorf("cxlfs: no such file %q", name)
-	}
-	return f.size, nil
-}
-
 // Remove deletes a file, releasing its device capacity.
 func (c *CXLFS) Remove(name string) bool {
 	f, ok := c.files[name]
@@ -219,13 +170,6 @@ func (c *CXLFS) Remove(name string) bool {
 	f.arena.Release()
 	delete(c.files, name)
 	return true
-}
-
-// Unmount releases every file.
-func (c *CXLFS) Unmount() {
-	for name := range c.files {
-		c.Remove(name)
-	}
 }
 
 // Files returns the number of stored files.

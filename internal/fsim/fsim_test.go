@@ -18,9 +18,6 @@ func TestFSCreateLookup(t *testing.T) {
 	if _, err := fs.Lookup("/nope"); err == nil {
 		t.Fatal("phantom file found")
 	}
-	if got := fs.Paths(); len(got) != 1 || got[0] != "/lib/a.so" {
-		t.Fatalf("paths = %v", got)
-	}
 }
 
 func TestPageTokensDeterministicAndDistinct(t *testing.T) {
@@ -61,32 +58,6 @@ func TestPageCacheSharing(t *testing.T) {
 	if pc.Hits != 1 || pc.Misses != 1 || pc.Pages() != 1 {
 		t.Fatalf("stats hits=%d misses=%d pages=%d", pc.Hits, pc.Misses, pc.Pages())
 	}
-	if !pc.Contains(f, 0) || pc.Contains(f, 1) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestPageCacheDrop(t *testing.T) {
-	pool := memsim.NewPool("dram", memsim.Local, 1<<20, 4096)
-	pc := NewPageCache(pool)
-	fs := NewFS()
-	a := fs.Create("/a", 4096*4)
-	b := fs.Create("/b", 4096*4)
-	pc.Get(a, 0)
-	pc.Get(a, 1)
-	pc.Get(b, 0)
-	if n := pc.Drop("/a"); n != 2 {
-		t.Fatalf("dropped %d", n)
-	}
-	if pool.UsedPages() != 1 {
-		t.Fatalf("pool used = %d", pool.UsedPages())
-	}
-	if n := pc.DropAll(); n != 1 {
-		t.Fatalf("drop all = %d", n)
-	}
-	if pool.UsedPages() != 0 {
-		t.Fatal("leak after DropAll")
-	}
 }
 
 func newDev() *cxl.Device {
@@ -105,9 +76,6 @@ func TestCXLFSWriteRead(t *testing.T) {
 	got, err := fs.Read("ck1.img")
 	if err != nil || string(got) != "image-bytes" {
 		t.Fatalf("read: %q %v", got, err)
-	}
-	if sz, _ := fs.Size("ck1.img"); sz != 100_000 {
-		t.Fatalf("logical size = %d", sz)
 	}
 	if dev.UsedBytes() != 100_000 {
 		t.Fatalf("device charge = %d", dev.UsedBytes())
@@ -148,16 +116,5 @@ func TestCXLFSCapacity(t *testing.T) {
 	fs := NewCXLFS(newDev())
 	if err := fs.Write("big", []byte("x"), 2<<20); err == nil {
 		t.Fatal("over-capacity write accepted")
-	}
-}
-
-func TestCXLFSUnmount(t *testing.T) {
-	dev := newDev()
-	fs := NewCXLFS(dev)
-	fs.Write("a", []byte("1"), 10)
-	fs.Write("b", []byte("2"), 10)
-	fs.Unmount()
-	if fs.Files() != 0 || dev.UsedBytes() != 0 {
-		t.Fatal("unmount incomplete")
 	}
 }

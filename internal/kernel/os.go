@@ -100,11 +100,6 @@ func (o *OS) ForEachTask(fn func(*Task)) {
 	}
 }
 
-// FreeBytes returns unallocated local DRAM.
-func (o *OS) FreeBytes() int64 {
-	return int64(o.Mem.FreePages()) * int64(o.P.PageSize)
-}
-
 // MemUtilization returns local DRAM occupancy in [0,1].
 func (o *OS) MemUtilization() float64 { return o.Mem.Utilization() }
 

@@ -9,66 +9,6 @@ import (
 	"cxlfork/internal/vma"
 )
 
-// Munmap removes the mapping with the given VMA ID, unmapping every
-// present page in its range (releasing local frames; CXL frames remain
-// owned by their checkpoint) and invalidating cache/TLB state.
-func (mm *MM) Munmap(vmaID int) error {
-	v := mm.VMAs.ByID(vmaID)
-	if v == nil {
-		return fmt.Errorf("kernel: munmap: no vma %d", vmaID)
-	}
-	start, end := v.Start, v.End
-	var cost des.Time
-	for va := start; va < end; va += 1 << pt.PageShift {
-		if e, _ := mm.PT.Lookup(va); e.Present() {
-			mm.Unmap(va)
-			cost += mm.OS.P.PTECopy
-		}
-	}
-	cost += mm.OS.P.TLBShootdown // batched flush
-	mm.VMAs.Remove(vmaID)
-	mm.OS.Eng.Advance(cost)
-	return nil
-}
-
-// Mprotect changes a mapping's permissions. Removing write access
-// downgrades present writable PTEs (with a batched TLB shootdown);
-// granting write access upgrades present anonymous PTEs eagerly.
-// Mappings into checkpointed (CXL) state stay read-only — writes keep
-// going through the CoW path.
-func (mm *MM) Mprotect(vmaID int, prot vma.Prot) error {
-	v := mm.VMAs.ByID(vmaID)
-	if v == nil {
-		return fmt.Errorf("kernel: mprotect: no vma %d", vmaID)
-	}
-	nv := *v
-	nv.Prot = prot
-	if err := mm.VMAs.Update(nv); err != nil {
-		return err
-	}
-	var cost des.Time
-	for va := nv.Start; va < nv.End; va += 1 << pt.PageShift {
-		e, _ := mm.PT.Lookup(va)
-		if !e.Present() {
-			continue
-		}
-		switch {
-		case prot&vma.Write == 0 && e.Flags.Has(pt.Writable):
-			e.Flags &^= pt.Writable | pt.Dirty
-			mm.PT.Set(va, e)
-			cost += mm.OS.P.PTECopy
-		case prot&vma.Write != 0 && !e.Flags.Has(pt.Writable) &&
-			!e.Flags.Has(pt.CoW) && !e.Flags.Has(pt.OnCXL) && !e.Flags.Has(pt.FileBacked):
-			e.Flags |= pt.Writable
-			mm.PT.Set(va, e)
-			cost += mm.OS.P.PTECopy
-		}
-	}
-	cost += mm.OS.P.TLBShootdown
-	mm.OS.Eng.Advance(cost)
-	return nil
-}
-
 // MmapShared maps nPages of fabric-shared memory backed by freshly
 // allocated CXL frames, writable through explicit Publish writes only
 // (loads go through the normal access path at CXL latency). This is the

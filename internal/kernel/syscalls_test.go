@@ -8,71 +8,6 @@ import (
 	"cxlfork/internal/vma"
 )
 
-func TestMunmapFreesPages(t *testing.T) {
-	o := testNode(t)
-	task := o.NewTask("t")
-	v, err := task.MM.Mmap(vma.VMA{Start: 0x10000, End: 0x20000, Prot: vma.Read | vma.Write, Kind: vma.Anon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		task.MM.Access(pt.VirtAddr(0x10000+i*0x1000), true)
-	}
-	if o.Mem.UsedPages() != 16 {
-		t.Fatalf("used = %d", o.Mem.UsedPages())
-	}
-	if err := task.MM.Munmap(v.ID); err != nil {
-		t.Fatal(err)
-	}
-	if o.Mem.UsedPages() != 0 {
-		t.Fatalf("munmap leaked %d pages", o.Mem.UsedPages())
-	}
-	if err := task.MM.Access(0x10000, false); !errors.Is(err, ErrSegfault) {
-		t.Fatalf("access after munmap: %v", err)
-	}
-	if err := task.MM.Munmap(v.ID); err == nil {
-		t.Fatal("double munmap succeeded")
-	}
-}
-
-func TestMprotectDowngrade(t *testing.T) {
-	o := testNode(t)
-	task := o.NewTask("t")
-	v, _ := task.MM.Mmap(vma.VMA{Start: 0x10000, End: 0x12000, Prot: vma.Read | vma.Write, Kind: vma.Anon})
-	task.MM.Access(0x10000, true)
-	if err := task.MM.Mprotect(v.ID, vma.Read); err != nil {
-		t.Fatal(err)
-	}
-	if err := task.MM.Access(0x10000, true); !errors.Is(err, ErrProtection) {
-		t.Fatalf("store after mprotect(R): %v", err)
-	}
-	if err := task.MM.Access(0x10000, false); err != nil {
-		t.Fatalf("load after mprotect(R): %v", err)
-	}
-}
-
-func TestMprotectUpgrade(t *testing.T) {
-	o := testNode(t)
-	task := o.NewTask("t")
-	v, _ := task.MM.Mmap(vma.VMA{Start: 0x10000, End: 0x12000, Prot: vma.Read | vma.Write, Kind: vma.Anon})
-	task.MM.Access(0x10000, true)
-	task.MM.Mprotect(v.ID, vma.Read)
-	if err := task.MM.Mprotect(v.ID, vma.Read|vma.Write); err != nil {
-		t.Fatal(err)
-	}
-	if err := task.MM.Access(0x10000, true); err != nil {
-		t.Fatalf("store after re-upgrade: %v", err)
-	}
-}
-
-func TestMprotectMissingVMA(t *testing.T) {
-	o := testNode(t)
-	task := o.NewTask("t")
-	if err := task.MM.Mprotect(999, vma.Read); err == nil {
-		t.Fatal("mprotect on phantom vma succeeded")
-	}
-}
-
 func TestSharedMappingCrossNode(t *testing.T) {
 	o := testNode(t)
 	// Producer publishes two pages.

@@ -99,15 +99,6 @@ func (t *FDTable) OpenAt(num int, kind FDKind, path string, perm uint32, pos int
 	return fd, nil
 }
 
-// Close removes a descriptor.
-func (t *FDTable) Close(num int) bool {
-	if _, ok := t.fds[num]; !ok {
-		return false
-	}
-	delete(t.fds, num)
-	return true
-}
-
 // Len returns the number of open descriptors.
 func (t *FDTable) Len() int { return len(t.fds) }
 

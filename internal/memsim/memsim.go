@@ -103,9 +103,8 @@ type Pool struct {
 	free []int // LIFO of freed pfns
 	next int   // lowest never-allocated pfn
 
-	used     int
-	peakUsed int
-	version  uint64
+	used    int
+	version uint64
 }
 
 // NewPool creates a pool with capacity bytes of pageSize pages.
@@ -152,9 +151,6 @@ func (p *Pool) CapacityPages() int { return p.capacity }
 // UsedPages returns the number of allocated frames.
 func (p *Pool) UsedPages() int { return p.used }
 
-// PeakUsedPages returns the allocation high-water mark.
-func (p *Pool) PeakUsedPages() int { return p.peakUsed }
-
 // UsedBytes returns allocated bytes.
 func (p *Pool) UsedBytes() int64 { return int64(p.used) * int64(p.pageSize) }
 
@@ -165,9 +161,6 @@ func (p *Pool) FreePages() int { return p.capacity - p.used }
 func (p *Pool) Utilization() float64 {
 	return float64(p.used) / float64(p.capacity)
 }
-
-// ResetPeak resets the high-water mark to the current usage.
-func (p *Pool) ResetPeak() { p.peakUsed = p.used }
 
 // Version counts allocations and reference-count changes on the pool's
 // frames. Observers that derive a value from frame refcounts can cache
@@ -193,9 +186,6 @@ func (p *Pool) Alloc() (*Frame, error) {
 	f.gen++
 	p.used++
 	p.version++
-	if p.used > p.peakUsed {
-		p.peakUsed = p.used
-	}
 	return f, nil
 }
 

@@ -105,21 +105,6 @@ func TestDoubleFreePanics(t *testing.T) {
 	p.Put(f)
 }
 
-func TestPeakTracking(t *testing.T) {
-	p := NewPool("test", Local, 8*4096, 4096)
-	a := p.MustAlloc()
-	b := p.MustAlloc()
-	p.Put(a)
-	p.Put(b)
-	if p.PeakUsedPages() != 2 {
-		t.Fatalf("peak = %d, want 2", p.PeakUsedPages())
-	}
-	p.ResetPeak()
-	if p.PeakUsedPages() != 0 {
-		t.Fatalf("peak after reset = %d", p.PeakUsedPages())
-	}
-}
-
 func TestCopy(t *testing.T) {
 	p := NewPool("test", Local, 2*4096, 4096)
 	a := p.MustAlloc()

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/container"
 	"cxlfork/internal/cxl"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
@@ -130,7 +129,6 @@ func (in *instance) Fire(des.Time) {
 // nodeState is the per-node scheduler view.
 type nodeState struct {
 	os  *kernel.OS
-	rt  *container.Runtime
 	cpu *des.Resource
 	// gauge samples the node's memory utilization during a replay.
 	gauge *metrics.Gauge
@@ -145,6 +143,22 @@ type nodeState struct {
 	ghosts []int
 	idle   [][]*instance
 	live   []int
+}
+
+// createGhost pins a ghost container's sandbox overhead, pages frames
+// of the node's DRAM, and charges its creation to the clock. The frames
+// stay allocated for the rest of the run. A node without room for all
+// of them keeps none.
+func (n *nodeState) createGhost(pages int) error {
+	if free := n.os.Mem.FreePages(); free < pages {
+		return fmt.Errorf("porter: ghost container on %s needs %d frames, %d free: %w",
+			n.os.Name, pages, free, memsim.ErrOutOfMemory)
+	}
+	for i := 0; i < pages; i++ {
+		n.os.Mem.MustAlloc()
+	}
+	n.os.Eng.Advance(n.os.P.ContainerCreate)
+	return nil
 }
 
 func (n *nodeState) freePages() int {
@@ -374,6 +388,9 @@ type Porter struct {
 	cfg   Config
 	store *ObjectStore
 	nodes []*nodeState
+	// ghostPages is the node memory one ghost container's sandbox
+	// overhead occupies: GhostContainerBytes in pages.
+	ghostPages int
 	// fns holds the provisioned functions in Setup order, indexed by
 	// id; byName finds them from the names arrivals, the object store
 	// and capacity scoring carry.
@@ -448,13 +465,14 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 		panic(err)
 	}
 	p := &Porter{
-		c:      c,
-		cfg:    cfg,
-		store:  NewObjectStore(),
-		byName: make(map[string]*fnState),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		policy: pol,
-		snaps:  make(map[string]*ckptSnapshot),
+		c:          c,
+		cfg:        cfg,
+		store:      NewObjectStore(),
+		byName:     make(map[string]*fnState),
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		policy:     pol,
+		snaps:      make(map[string]*ckptSnapshot),
+		ghostPages: int(c.P.GhostContainerBytes / int64(c.P.PageSize)),
 	}
 	if c.Pool != nil && c.Pool.N() > 1 {
 		p.rep = replica.New(c.Pool, c.Eng, c.P)
@@ -468,7 +486,6 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 	for _, os := range c.Nodes {
 		p.nodes = append(p.nodes, &nodeState{
 			os:          os,
-			rt:          container.NewRuntime(os),
 			cpu:         des.NewResource(c.Eng, c.P.CoresPerNode),
 			budgetPages: int(budget / int64(c.P.PageSize)),
 		})
@@ -669,11 +686,11 @@ func (p *Porter) provision(s faas.Spec) error {
 				continue
 			}
 			for i := 0; i < p.cfg.GhostsPerFunction; i++ {
-				if _, err := n.rt.Create(); err != nil {
+				if err := n.createGhost(p.ghostPages); err != nil {
 					return err
 				}
 				n.ghosts[st.id]++
-				n.usedPages += int(cp.GhostContainerBytes / int64(cp.PageSize))
+				n.usedPages += p.ghostPages
 			}
 		}
 	}

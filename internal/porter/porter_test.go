@@ -1,6 +1,7 @@
 package porter_test
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
+	"cxlfork/internal/memsim"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
@@ -173,6 +175,75 @@ func TestGhostsCutColdStartLatency(t *testing.T) {
 	resCRIU := poCRIU.Run(burst)
 	if resCXL.Overall.P99()*2 > resCRIU.Overall.P99() {
 		t.Fatalf("ghost cold start %v not ≪ CRIU %v", resCXL.Overall.P99(), resCRIU.Overall.P99())
+	}
+}
+
+// setupGhosts runs Setup for Tiny on a fresh two-node cluster with
+// ghostsPerFn ghost containers per node, or none when disable is set,
+// after taking fill frames of node 1's DRAM.
+func setupGhosts(t *testing.T, ghostsPerFn int, disable bool, fill int) (*cluster.Cluster, error) {
+	t.Helper()
+	p := params.Default()
+	p.NodeDRAMBytes = 64 << 20
+	p.CXLBytes = 1 << 30
+	c := cluster.MustNew(p, 2)
+	for i := 0; i < fill; i++ {
+		c.Nodes[1].Mem.MustAlloc()
+	}
+	po := porter.New(c, porter.Config{
+		Mechanism:         core.New(c.Dev),
+		Profiles:          profiles("CXLfork"),
+		GhostsPerFunction: ghostsPerFn,
+		DisableGhosts:     disable,
+		Seed:              1,
+	})
+	return c, po.Setup([]faas.Spec{tinySpec()})
+}
+
+// TestSetupPinsGhostContainers: each ghost container Setup provisions
+// charges one container creation and pins 512 KiB of its node's DRAM
+// (128 frames of 4 KiB), measured against the same Setup without ghosts.
+func TestSetupPinsGhostContainers(t *testing.T) {
+	const ghosts = 3
+	c, err := setupGhosts(t, ghosts, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := setupGhosts(t, ghosts, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Eng.Now()-ref.Eng.Now(), des.Time(len(c.Nodes)*ghosts)*c.P.ContainerCreate; got != want {
+		t.Fatalf("ghosts charged %v of setup time, want %v", got, want)
+	}
+	for i := range c.Nodes {
+		if got := c.Nodes[i].Mem.UsedPages() - ref.Nodes[i].Mem.UsedPages(); got != ghosts*128 {
+			t.Fatalf("node %d: ghosts pin %d frames, want %d", i, got, ghosts*128)
+		}
+	}
+}
+
+// TestSetupGhostOutOfMemory: when a node has room for one and a half
+// ghost containers, Setup fails with ErrOutOfMemory, the ghost that does
+// not fit holds no frames, and only whole ghosts are charged.
+func TestSetupGhostOutOfMemory(t *testing.T) {
+	ref, err := setupGhosts(t, 2, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without ghosts, node 1 ends Setup holding only Tiny's page cache.
+	cached := ref.Nodes[1].Mem.UsedPages()
+	fill := ref.Nodes[1].Mem.CapacityPages() - cached - 128*3/2
+	c, err := setupGhosts(t, 2, false, fill)
+	if !errors.Is(err, memsim.ErrOutOfMemory) {
+		t.Fatalf("Setup err = %v, want ErrOutOfMemory", err)
+	}
+	if got, want := c.Nodes[1].Mem.UsedPages(), fill+cached+128; got != want {
+		t.Fatalf("node 1 holds %d frames, want %d: one whole ghost and no part of the second", got, want)
+	}
+	// Node 0's two ghosts and node 1's first are the only ones charged.
+	if got, want := c.Eng.Now()-ref.Eng.Now(), 3*c.P.ContainerCreate; got != want {
+		t.Fatalf("ghosts charged %v of setup time, want %v", got, want)
 	}
 }
 

@@ -513,7 +513,6 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 		p.res.RestoreLatency.Record(prof.Restore + failoverDelay + fabricExtra)
 	}
 
-	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
 	ownsCtr := false
 	var containerNS des.Time
 	if useGhost && haveCkpt {
@@ -525,7 +524,7 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 		// Fresh container: creation cost plus its fixed overhead.
 		dur += p.c.P.ContainerCreate
 		containerNS = p.c.P.ContainerCreate
-		pages += ghostPages
+		pages += p.ghostPages
 		ownsCtr = true
 	}
 	node.usedPages += pages
@@ -614,25 +613,24 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 // configured size (§5 maintains "a few configured but empty containers
 // per function").
 func (p *Porter) replenishGhosts(node *nodeState, id int) {
-	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
 	if node.ghosts[id] >= p.cfg.GhostsPerFunction {
 		return
 	}
-	if node.freePages() < ghostPages {
+	if node.freePages() < p.ghostPages {
 		// The consuming node is full: fall back to the least-loaded
 		// surviving node with room, preferring one that already hosts
 		// the function (a dedup-warm placement — see placeOn).
-		node = p.ghostFallback(id, ghostPages)
+		node = p.ghostFallback(id)
 		if node == nil {
 			return
 		}
 	}
 	p.c.Eng.After(p.c.P.ContainerCreate, func() {
-		if node.ghosts[id] >= p.cfg.GhostsPerFunction || node.freePages() < ghostPages {
+		if node.ghosts[id] >= p.cfg.GhostsPerFunction || node.freePages() < p.ghostPages {
 			return
 		}
 		node.ghosts[id]++
-		node.usedPages += ghostPages
+		node.usedPages += p.ghostPages
 		p.observeMem()
 		p.pump()
 	})
@@ -705,10 +703,10 @@ func (n *nodeState) hostsFn(id int) bool { return n.ghosts[id] > 0 || n.live[id]
 
 // ghostFallback picks the surviving node with room for a ghost container
 // that loadBefore ranks first; ties go to the lowest index.
-func (p *Porter) ghostFallback(id, ghostPages int) *nodeState {
+func (p *Porter) ghostFallback(id int) *nodeState {
 	var best *nodeState
 	for _, n := range p.nodes {
-		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < ghostPages {
+		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < p.ghostPages {
 			continue
 		}
 		if best == nil || loadBefore(n, best, id) {
@@ -749,12 +747,11 @@ func (p *Porter) destroy(in *instance) {
 	p.removeIdle(in)
 	in.state = instDead
 	in.node.live[in.fn.id]--
-	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
 	release := in.pages
 	if p.ghostsCompatible() {
 		if in.ownsCtr {
 			// The sandbox overhead stays allocated and joins the pool.
-			release -= ghostPages
+			release -= p.ghostPages
 		}
 		in.node.ghosts[in.fn.id]++
 	}

@@ -148,9 +148,7 @@ func (t *Tree) Lookup(va VirtAddr) (PTE, bool) {
 	return l.PTEs[index(va, 1)], true
 }
 
-// LeafFor returns the leaf covering va, or nil.
-func (t *Tree) LeafFor(va VirtAddr) *Leaf { return t.leaf(va) }
-
+// leaf returns the leaf covering va, or nil.
 func (t *Tree) leaf(va VirtAddr) *Leaf {
 	n := t.root
 	for lvl := Levels; lvl > 2; lvl-- {
@@ -220,18 +218,6 @@ func (t *Tree) Set(va VirtAddr, pte PTE) SetResult {
 	res.Old = leaf.PTEs[index(va, 1)]
 	leaf.PTEs[index(va, 1)] = pte
 	return res
-}
-
-// Clear removes the mapping for va (if any), breaking protected leaves.
-func (t *Tree) Clear(va VirtAddr) SetResult {
-	if l := t.leaf(va); l == nil || !l.PTEs[index(va, 1)].Present() {
-		old := PTE{}
-		if l != nil {
-			old = l.PTEs[index(va, 1)]
-		}
-		return SetResult{Old: old}
-	}
-	return t.Set(va, PTE{})
 }
 
 // AttachLeaf links a checkpointed leaf into the tree at vaBase, which

@@ -41,20 +41,20 @@ func TestSetLookup(t *testing.T) {
 	}
 }
 
+// TestClear: setting a zero PTE clears a mapping and returns the old
+// entry; clearing it again returns a non-present one.
 func TestClear(t *testing.T) {
 	tr := NewTree()
 	va := VirtAddr(0x1000)
 	tr.Set(va, PTE{Flags: Present, PFN: 3})
-	res := tr.Clear(va)
+	res := tr.Set(va, PTE{})
 	if !res.Old.Present() || res.Old.PFN != 3 {
-		t.Fatalf("Clear returned old=%+v", res.Old)
+		t.Fatalf("clear returned old=%+v", res.Old)
 	}
 	if e, _ := tr.Lookup(va); e.Present() {
 		t.Fatal("entry still present after clear")
 	}
-	// Clearing an absent entry is a no-op.
-	res = tr.Clear(va)
-	if res.Old.Present() {
+	if res = tr.Set(va, PTE{}); res.Old.Present() {
 		t.Fatal("second clear returned present old")
 	}
 }
@@ -209,7 +209,7 @@ func TestCountPresent(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Set(VirtAddr(i)<<PageShift, PTE{Flags: Present, PFN: int32(i)})
 	}
-	tr.Clear(0)
+	tr.Set(0, PTE{})
 	if got := tr.CountPresent(); got != 99 {
 		t.Fatalf("CountPresent = %d", got)
 	}

@@ -419,24 +419,9 @@ func (m *Manager) OnDeviceLoss(dev int) {
 	}
 }
 
-// Shed drops key's least-preferred healthy replica to relieve capacity
+// ShedOn drops key's replica on device dev to relieve capacity
 // pressure. It refuses — returning false — when the image has one or
 // zero healthy copies: shedding never removes the last healthy copy.
-func (m *Manager) Shed(key string) bool {
-	st := m.images[key]
-	if st == nil {
-		return false
-	}
-	for i := len(st.placed) - 1; i >= 0; i-- {
-		if _, live := st.replicas[st.placed[i]]; live {
-			return m.ShedOn(key, st.placed[i])
-		}
-	}
-	return false
-}
-
-// ShedOn drops key's replica on device dev, under the same
-// last-healthy-copy refusal as Shed.
 func (m *Manager) ShedOn(key string, dev int) bool {
 	st := m.images[key]
 	if st == nil || len(st.replicas) <= 1 {
@@ -459,7 +444,7 @@ func (m *Manager) ShedOn(key string, dev int) bool {
 }
 
 // SheddableOn reports whether key has a healthy replica on dev that
-// Shed could legally drop (more than one healthy copy).
+// ShedOn could legally drop (more than one healthy copy).
 func (m *Manager) SheddableOn(key string, dev int) bool {
 	st := m.images[key]
 	if st == nil || len(st.replicas) <= 1 || m.pool.Failed(dev) {

@@ -118,13 +118,18 @@ func TestShedNeverDropsLastHealthyCopy(t *testing.T) {
 	}
 	defer img.Release()
 
-	if !m.Shed("u/s") {
+	// Each step sheds the least-preferred copy.
+	shedLast := func() bool {
+		r := m.Replicas("u/s")
+		return m.ShedOn("u/s", r[len(r)-1].Dev)
+	}
+	if !shedLast() {
 		t.Fatal("first shed (3 copies) should succeed")
 	}
-	if !m.Shed("u/s") {
+	if !shedLast() {
 		t.Fatal("second shed (2 copies) should succeed")
 	}
-	if m.Shed("u/s") {
+	if shedLast() {
 		t.Fatal("shed must refuse the last healthy copy")
 	}
 	if h, _ := m.Probe("u/s"); h != 1 {

@@ -31,7 +31,14 @@ func localityManager(t testing.TB, spec string, rf int, policy string) *Manager 
 	p.CXLBytes = 16 << 30
 	p.ReplicationFactor = rf
 	p.PlacementPolicy = policy
-	topo := fabric.MustBuild(spec, p)
+	s, err := fabric.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := s.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.CXLDevices = topo.Devices()
 	pool := cxl.NewDevicePool(p, topo.Devices())
 	if err := pool.Place(topo); err != nil {

@@ -1,10 +1,15 @@
 package rfork
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"cxlfork/internal/cxl"
+	"cxlfork/internal/des"
+	"cxlfork/internal/fsim"
 	"cxlfork/internal/kernel"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/vma"
 )
@@ -33,6 +38,42 @@ func TestGlobalStateRoundTrip(t *testing.T) {
 	}
 	if out.PIDNS != "pidns-42" || out.Regs != gs.Regs {
 		t.Fatalf("pidns/regs mismatch: %+v", out)
+	}
+}
+
+// TestRestoreGlobalStateKeepsSandbox: restore rebuilds the descriptors,
+// mounts and PID namespace from the checkpoint, but the network
+// namespace and cgroup stay those of the task it restores into, the
+// sandbox the function is deployed in (§4.2 reconfigurable state).
+func TestRestoreGlobalStateKeepsSandbox(t *testing.T) {
+	p := params.Default()
+	p.NodeDRAMBytes = 16 << 20
+	p.CXLBytes = 16 << 20
+	fs := fsim.NewFS()
+	fs.Create("/etc/conf", 4096)
+	o := kernel.NewOS("n0", p, des.NewEngine(), cxl.NewDevice(p), fs, p.NodeDRAMBytes)
+	child := o.NewTask("fn")
+	child.NS.NetNS, child.NS.Cgroup = "netns-sandbox", "/docker/sandbox"
+	gs := GlobalState{
+		FDs:    []FDRecord{{Num: 3, Kind: kernel.FDFile, Path: "/etc/conf", Perm: 0o444}},
+		Mounts: []string{"/", "/data"},
+		PIDNS:  "pidns-parent",
+	}
+	before := o.Eng.Now()
+	if err := RestoreGlobalState(child, gs); err != nil {
+		t.Fatal(err)
+	}
+	if ns := child.NS; ns.NetNS != "netns-sandbox" || ns.Cgroup != "/docker/sandbox" {
+		t.Fatalf("restore replaced the sandbox: netns %q, cgroup %q", ns.NetNS, ns.Cgroup)
+	}
+	if !reflect.DeepEqual(child.NS.Mounts, gs.Mounts) || child.NS.PIDNS != gs.PIDNS {
+		t.Fatalf("mounts %v, pidns %q; want %v, %q", child.NS.Mounts, child.NS.PIDNS, gs.Mounts, gs.PIDNS)
+	}
+	if fds := child.FDs.All(); len(fds) != 1 || fds[0].Path != "/etc/conf" {
+		t.Fatalf("descriptors = %+v", fds)
+	}
+	if got, want := o.Eng.Now()-before, p.FDReopen+p.NamespaceRestore; got != want {
+		t.Fatalf("restore charged %v, want %v", got, want)
 	}
 }
 

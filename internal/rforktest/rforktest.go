@@ -1,7 +1,6 @@
 package rforktest
 
 import (
-	"fmt"
 	"testing"
 
 	"cxlfork/internal/cluster"
@@ -184,6 +183,3 @@ func VerifyCloneContent(t testing.TB, clone *kernel.Task, snap map[pt.VirtAddr]u
 func AddrOf(base pt.VirtAddr, i int) pt.VirtAddr {
 	return base + pt.VirtAddr(i<<pt.PageShift)
 }
-
-// FmtPages renders a page count for diagnostics.
-func FmtPages(n int) string { return fmt.Sprintf("%d pages", n) }

@@ -149,13 +149,6 @@ func (s *Session) append(frame any) {
 	s.mu.Unlock()
 }
 
-func (s *Session) setState(st State) {
-	s.mu.Lock()
-	s.state = st
-	s.signalLocked()
-	s.mu.Unlock()
-}
-
 // requestCancel records the cancel reason and stops the run. It is a
 // no-op once the session is terminal; the first reason wins.
 func (s *Session) requestCancel(reason string) bool {

@@ -126,20 +126,6 @@ func (e *Engine) burn(o Objective, window, now des.Time) float64 {
 	return (float64(bad) / float64(total)) / o.Budget
 }
 
-// BurnRate exposes the burn computation for one named objective and
-// window — the inspection hook for tests and cxlstat.
-func (e *Engine) BurnRate(name string, window, now des.Time) float64 {
-	if e == nil {
-		return 0
-	}
-	for _, o := range e.objs {
-		if o.Name == name {
-			return e.burn(o.Objective, window, now)
-		}
-	}
-	return 0
-}
-
 // Evaluate advances every objective to virtual time now: computes both
 // window burns, applies the fire/resolve transitions, and runs the
 // actions of firing objectives.

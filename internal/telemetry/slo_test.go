@@ -26,7 +26,7 @@ func TestNilEngineIsNoOp(t *testing.T) {
 	var e *Engine
 	e.Add(Objective{Short: 1, Long: 2}, nil)
 	e.Evaluate(0)
-	if e.Firing("x") || e.Alerts() != nil || e.Fired() != 0 || e.BurnRate("x", 1, 1) != 0 {
+	if e.Firing("x") || e.Alerts() != nil || e.Fired() != 0 {
 		t.Fatal("nil engine must absorb every call")
 	}
 	if NewEngine(nil) != nil {
@@ -46,16 +46,18 @@ func TestBurnRateMath(t *testing.T) {
 	}, nil)
 	drive(e)
 	now := des.Time(len(vals)-1) * 100 * des.Millisecond
-	if got := e.BurnRate("o", 900*des.Millisecond, now); got != 2.0 {
+	o := e.objs[0].Objective
+	if got := e.burn(o, 900*des.Millisecond, now); got != 2.0 {
 		t.Fatalf("long burn = %g, want 2.0", got)
 	}
 	// Short window [450ms, 900ms] holds samples 5..9: two violations
 	// of five → (2/5)/0.2 = 2.0.
-	if got := e.BurnRate("o", 450*des.Millisecond, now); got != 2.0 {
+	if got := e.burn(o, 450*des.Millisecond, now); got != 2.0 {
 		t.Fatalf("short burn = %g, want 2.0", got)
 	}
-	if got := e.BurnRate("missing", des.Second, now); got != 0 {
-		t.Fatal("unknown objective must burn 0")
+	o.Series = "missing"
+	if got := e.burn(o, des.Second, now); got != 0 {
+		t.Fatal("an objective over an unregistered series must burn 0")
 	}
 }
 

@@ -233,54 +233,6 @@ func (t *Tree) splitLeaf(li int) {
 	t.stats.LocalLeaves++
 }
 
-// Remove deletes the VMA with the given ID, breaking its leaf if
-// protected. It reports whether it was found.
-func (t *Tree) Remove(id int) bool {
-	for li, l := range t.leaves {
-		for i := range l.VMAs {
-			if l.VMAs[i].ID != id {
-				continue
-			}
-			wl := t.breakLeaf(li)
-			wl.VMAs = append(wl.VMAs[:i], wl.VMAs[i+1:]...)
-			if len(wl.VMAs) == 0 {
-				t.leaves = append(t.leaves[:li], t.leaves[li+1:]...)
-				t.stats.LocalLeaves--
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// Update replaces the VMA with v.ID by v (mprotect/resize), breaking the
-// leaf if protected. The new range must not overlap other VMAs.
-func (t *Tree) Update(v VMA) error {
-	for li, l := range t.leaves {
-		for i := range l.VMAs {
-			if l.VMAs[i].ID != v.ID {
-				continue
-			}
-			old := l.VMAs[i]
-			if v.Start != old.Start || v.End != old.End {
-				// Re-inserting handles reordering; simplest correct path.
-				wl := t.breakLeaf(li)
-				wl.VMAs = append(wl.VMAs[:i], wl.VMAs[i+1:]...)
-				if len(wl.VMAs) == 0 {
-					t.leaves = append(t.leaves[:li], t.leaves[li+1:]...)
-					t.stats.LocalLeaves--
-				}
-				_, err := t.Insert(v)
-				return err
-			}
-			wl := t.breakLeaf(li)
-			wl.VMAs[i] = v
-			return nil
-		}
-	}
-	return fmt.Errorf("vma: id %d not found", v.ID)
-}
-
 // AttachLeaf appends a checkpointed leaf to the tree. Leaves must be
 // attached in ascending address order into an empty or
 // ascending-compatible tree (restore builds the index front-to-back).
@@ -315,18 +267,6 @@ func (t *Tree) Walk(fn func(v VMA)) {
 			fn(v)
 		}
 	}
-}
-
-// ByID returns the VMA with the given ID, or nil.
-func (t *Tree) ByID(id int) *VMA {
-	for _, l := range t.leaves {
-		for i := range l.VMAs {
-			if l.VMAs[i].ID == id {
-				return &l.VMAs[i]
-			}
-		}
-	}
-	return nil
 }
 
 // Validate checks structural invariants: sorted, non-overlapping,

@@ -76,49 +76,6 @@ func TestLeafSplit(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tr := NewTree()
-	v, _ := tr.Insert(mk(0x1000, 0x2000))
-	if !tr.Remove(v.ID) {
-		t.Fatal("Remove failed")
-	}
-	if tr.Find(0x1000) != nil {
-		t.Fatal("found after remove")
-	}
-	if tr.Remove(v.ID) {
-		t.Fatal("double remove succeeded")
-	}
-}
-
-func TestUpdateProt(t *testing.T) {
-	tr := NewTree()
-	v, _ := tr.Insert(mk(0x1000, 0x2000))
-	v2 := v
-	v2.Prot = Read | Write
-	if err := tr.Update(v2); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Find(0x1000); got.Prot != Read|Write {
-		t.Fatalf("prot = %v", got.Prot)
-	}
-}
-
-func TestUpdateResize(t *testing.T) {
-	tr := NewTree()
-	v, _ := tr.Insert(mk(0x1000, 0x2000))
-	v2 := v
-	v2.End = 0x5000
-	if err := tr.Update(v2); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Find(0x4fff) == nil {
-		t.Fatal("grown range not found")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAttachLeafAndBreak(t *testing.T) {
 	tr := NewTree()
 	leaf := &Leaf{InCXL: true, Protected: true, VMAs: []VMA{
@@ -175,8 +132,8 @@ func TestIDsPreservedAcrossAttach(t *testing.T) {
 	if v.ID <= 41 {
 		t.Fatalf("new ID %d collides with attached", v.ID)
 	}
-	if tr.ByID(41) == nil {
-		t.Fatal("ByID failed for attached VMA")
+	if got := tr.Find(0x1000); got == nil || got.ID != 41 {
+		t.Fatalf("attached VMA found as %+v, want ID 41", got)
 	}
 }
 
@@ -232,6 +189,65 @@ func TestInsertProperty(t *testing.T) {
 	}
 }
 
+// TestMutationProperty: random interleavings of checkpointed-leaf
+// attaches and inserts, each insert breaking the attached leaf it lands
+// in, keep the tree valid and consistent with a reference list, and
+// leave every checkpointed leaf as it was attached.
+func TestMutationProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := NewTree()
+		var ref []VMA
+		var attached []*Leaf
+		// An attach maps the low half of the next 64 KiB slot, so
+		// attaches stay ascending; an insert maps the free high half of
+		// an earlier slot. Attach IDs step by 1000 so that the IDs
+		// Insert hands out in between never collide with them.
+		highFree := map[int]bool{}
+		for op := 0; op < 100; op++ {
+			slot := len(attached)
+			if slot == 0 || rng.Intn(2) == 0 {
+				base := uint64(slot) * 0x10000
+				v := mk(base, base+0x8000)
+				v.ID = (slot + 1) * 1000
+				l := &Leaf{InCXL: true, Protected: true, VMAs: []VMA{v}}
+				if tr.AttachLeaf(l) != nil {
+					return false
+				}
+				attached = append(attached, l)
+				ref = append(ref, v)
+				highFree[slot] = true
+			} else if s := rng.Intn(slot); highFree[s] {
+				base := uint64(s)*0x10000 + 0x8000
+				v, err := tr.Insert(mk(base, base+0x1000))
+				if err != nil {
+					return false
+				}
+				ref = append(ref, v)
+				highFree[s] = false
+			}
+			st := tr.Stats()
+			if tr.Validate() != nil || tr.Count() != len(ref) || st.AttachedLeaves+st.LeafBreaks != len(attached) {
+				return false
+			}
+		}
+		for _, v := range ref {
+			if got := tr.Find(v.Start + pt.VirtAddr(v.Len()/2)); got == nil || *got != v {
+				return false
+			}
+		}
+		for i, l := range attached {
+			if len(l.VMAs) != 1 || l.VMAs[0].ID != (i+1)*1000 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVMAHelpers(t *testing.T) {
 	v := VMA{Start: 0x1000, End: 0x5000, Prot: Read | Exec, Kind: FilePrivate, Name: "lib.so"}
 	if v.Len() != 0x4000 || v.Pages() != 4 {
@@ -242,71 +258,5 @@ func TestVMAHelpers(t *testing.T) {
 	}
 	if !v.Contains(0x1000) || v.Contains(0x5000) {
 		t.Fatal("Contains boundary wrong")
-	}
-}
-
-// TestMutationProperty: random interleavings of insert/remove/update
-// keep the tree valid and consistent with a reference map.
-func TestMutationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := NewTree()
-		ref := make(map[int]VMA) // id → current value
-		slotOf := func(id int) uint64 { return uint64(id) * 0x100000 }
-		nextSlot := 0
-		for op := 0; op < 300; op++ {
-			switch rng.Intn(4) {
-			case 0, 1: // insert into a fresh slot
-				base := slotOf(nextSlot)
-				nextSlot++
-				v, err := tr.Insert(VMA{
-					Start: pt.VirtAddr(base + 0x1000),
-					End:   pt.VirtAddr(base + 0x1000 + uint64(1+rng.Intn(16))*0x1000),
-					Prot:  Read | Write, Kind: Anon,
-				})
-				if err != nil {
-					return false
-				}
-				ref[v.ID] = v
-			case 2: // remove a random live VMA
-				for id := range ref {
-					if !tr.Remove(id) {
-						return false
-					}
-					delete(ref, id)
-					break
-				}
-			case 3: // update prot of a random live VMA
-				for id, v := range ref {
-					v.Prot = Prot(rng.Intn(8))
-					if err := tr.Update(v); err != nil {
-						return false
-					}
-					ref[id] = v
-					break
-				}
-			}
-			if tr.Count() != len(ref) {
-				return false
-			}
-			if err := tr.Validate(); err != nil {
-				return false
-			}
-		}
-		// Every reference entry is findable with the right value.
-		for id, v := range ref {
-			got := tr.ByID(id)
-			if got == nil || *got != v {
-				return false
-			}
-			mid := v.Start + pt.VirtAddr(v.Len()/2)
-			if f := tr.Find(mid); f == nil || f.ID != id {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
