@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,8 +28,8 @@ func main() {
 	exp := flag.String("exp", "", "experiment id: table1, fig1, fig3c, fig6, fig7a, fig7b, fig8, fig9, fig10, ckpt, faults, scale, workflow, lanes, capacity, slo, chaos, fabric, xray, all")
 	lanesFn := flag.String("lanes-fn", "Float", "lanes: function to sweep")
 	invocations := flag.Int("invocations", 128, "fig1: invocations per function")
-	rps := flag.Float64("rps", 150, "fig10/capacity/slo: aggregate request rate")
-	duration := flag.Float64("duration", 60, "fig10/capacity/slo: trace duration in seconds")
+	rps := flag.Float64("rps", 0, "porter experiments (fig10, capacity, slo, chaos, fabric, xray): aggregate request rate; 0 keeps the experiment's own")
+	duration := flag.Float64("duration", 0, "porter experiments (fig10, capacity, slo, chaos, fabric, xray): trace duration in seconds; 0 keeps the experiment's own")
 	telem := flag.Bool("telemetry", false, "enable virtual-time metric sampling (DESIGN.md §11)")
 	workers := flag.Int("workers", 1, "simulation workers (DESIGN.md §13); results are byte-identical at any count")
 	flag.Parse()
@@ -45,144 +46,82 @@ func main() {
 		p.SimWorkers = *workers
 	}
 	w := os.Stdout
+	// workload applies -rps and -duration to a porter experiment's
+	// trace.
+	workload := func(wl *experiments.Workload) {
+		if *rps > 0 {
+			wl.RPS = *rps
+		}
+		if *duration > 0 {
+			wl.Duration = des.Time(*duration * float64(des.Second))
+		}
+	}
 
 	run := func(id string) error {
+		var r interface{ Render(io.Writer) }
+		var err error
 		switch id {
 		case "table1":
 			experiments.Table1Render(w)
+			return nil
 		case "fig1":
-			r, err := experiments.Fig1(p, *invocations)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Fig1(p, *invocations)
 		case "fig3c":
-			r, err := experiments.Fig3c(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Fig3c(p)
 		case "fig6":
-			r, err := experiments.Fig6(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Fig6(p)
 		case "fig7a", "fig7b", "fig7":
-			r, err := experiments.Fig7(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Fig7(p)
 		case "fig8":
-			r, err := experiments.Fig8(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Fig8(p)
 		case "fig9":
-			r, err := experiments.Fig9(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Fig9(p)
 		case "fig10", "fig10ab", "fig10c":
 			cfg := experiments.DefaultFig10Config()
-			cfg.RPS = *rps
-			cfg.Duration = des.Time(*duration * float64(des.Second))
-			r, err := experiments.Fig10(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			workload(&cfg.Workload)
+			r, err = experiments.Fig10(p, cfg)
 		case "ckpt":
-			r, err := experiments.Ckpt(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Ckpt(p)
 		case "faults":
-			r, err := experiments.Faults(p)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Faults(p)
 		case "scale":
-			r, err := experiments.Scale(p, "Rnn", 4, nil)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Scale(p, "Rnn", 4, nil)
 		case "workflow":
-			r, err := experiments.Workflow(p, 4, nil)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			r, err = experiments.Workflow(p, 4, nil)
 		case "capacity":
 			cfg := experiments.DefaultCapacityConfig()
-			cfg.RPS = *rps
-			cfg.Duration = des.Time(*duration * float64(des.Second))
-			r, err := experiments.Capacity(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			workload(&cfg.Workload)
+			r, err = experiments.Capacity(p, cfg)
 		case "slo":
 			cfg := experiments.DefaultSLOConfig()
-			cfg.RPS = *rps
-			cfg.Duration = des.Time(*duration * float64(des.Second))
-			r, err := experiments.SLO(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			workload(&cfg.Workload)
+			r, err = experiments.SLO(p, cfg)
 		case "chaos":
 			cfg := experiments.DefaultChaosConfig()
-			cfg.RPS = *rps
-			if *duration != 60 {
-				cfg.Duration = des.Time(*duration * float64(des.Second))
-			}
-			r, err := experiments.Chaos(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			workload(&cfg.Workload)
+			r, err = experiments.Chaos(p, cfg)
 		case "lanes":
-			r, err := experiments.LaneSweep(p, *lanesFn, nil)
+			ls, err := experiments.LaneSweep(p, *lanesFn, nil)
 			if err != nil {
 				return err
 			}
-			fmt.Fprint(w, experiments.FormatLaneSweep(r))
+			fmt.Fprint(w, experiments.FormatLaneSweep(ls))
+			return nil
 		case "fabric":
 			cfg := experiments.DefaultFabricExpConfig()
-			if *rps != 150 {
-				cfg.RPS = *rps
-			}
-			if *duration != 60 {
-				cfg.Duration = des.Time(*duration * float64(des.Second))
-			}
-			r, err := experiments.FabricSweep(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			workload(&cfg.Workload)
+			r, err = experiments.FabricSweep(p, cfg)
 		case "xray":
 			cfg := experiments.DefaultXRayExpConfig()
-			if *rps != 150 {
-				cfg.Fabric.RPS = *rps
-			}
-			if *duration != 60 {
-				cfg.Fabric.Duration = des.Time(*duration * float64(des.Second))
-			}
-			r, err := experiments.XRaySweep(p, cfg)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
+			workload(&cfg.Fabric.Workload)
+			r, err = experiments.XRaySweep(p, cfg)
 		default:
 			return fmt.Errorf("unknown experiment %q", id)
 		}
+		if err != nil {
+			return err
+		}
+		r.Render(w)
 		return nil
 	}
 

@@ -62,12 +62,14 @@ func main() {
 		fnList = strings.Split(*fns, ",")
 	}
 	res, err := experiments.TelemetryTrace(experiments.ExpParams(), experiments.TelemetryTraceConfig{
-		RPS:               *rps,
-		Duration:          des.Time(*duration * float64(des.Second)),
+		Workload: experiments.Workload{
+			RPS:       *rps,
+			Duration:  des.Time(*duration * float64(des.Second)),
+			Functions: fnList,
+			Seed:      *seed,
+		},
 		DeviceFrac:        *frac,
-		Functions:         fnList,
 		Policy:            *policy,
-		Seed:              *seed,
 		SampleEvery:       des.Time(*sample * float64(des.Millisecond)),
 		SLOOccupancy:      *slo,
 		SLODrive:          *drive,

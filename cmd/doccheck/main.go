@@ -1,7 +1,7 @@
 // Command doccheck enforces the repository's documentation invariants.
 // CI runs it as the docs job; it exits non-zero listing every problem.
 //
-// Four checks:
+// Five checks:
 //
 //  1. Every Go package (root, internal/..., cmd/..., examples/...) has
 //     a package comment — godoc's first requirement, and this repo's
@@ -19,6 +19,10 @@
 //  4. Packages listed in exportedDocPackages are held to a stricter
 //     bar: every exported symbol (type, func, method, var, const) has
 //     its own doc comment, not just the package.
+//
+//  5. Every backticked repository path (`internal/…`, `cmd/…`,
+//     `examples/…`, `wlbench/…`, `docs/…`) in the documents listed in
+//     pathDocs exists; a glob must match something.
 //
 // Usage: go run ./cmd/doccheck [-root dir]
 package main
@@ -40,6 +44,11 @@ import (
 // checked. Package comments are checked for every package regardless.
 var markdownDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", "CHANGES.md", "PAPER.md", "docs/API.md"}
 
+// pathDocs are the documents whose backticked repository paths must
+// exist (check 5). ROADMAP.md and CHANGES.md record history, so they
+// may name code that is gone.
+var pathDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "docs/API.md"}
+
 // exportedDocPackages are checked symbol-by-symbol (check 4). The
 // serving layer is API surface for HTTP clients and the facade alike,
 // so its godoc must be complete; the attribution report is serialized
@@ -54,6 +63,7 @@ func main() {
 	problems = append(problems, checkPackageComments(*root)...)
 	problems = append(problems, checkMarkdown(*root)...)
 	problems = append(problems, checkExportedDocs(*root)...)
+	problems = append(problems, checkRepoPaths(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -127,6 +137,9 @@ var (
 	// form is checked).
 	designRef = regexp.MustCompile(`DESIGN\.md §(\d+)`)
 	mdHeading = regexp.MustCompile(`(?m)^(#{1,6})\s+(.+)$`)
+	// `internal/porter`, `./examples/served/walkthrough.sh`, `cmd/*`: a
+	// code span that is nothing but a repository path.
+	repoPath = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples|wlbench|docs)/[^`\\s]*)`")
 )
 
 // checkMarkdown verifies relative links, intra-document anchors, and
@@ -187,6 +200,24 @@ func checkMarkdown(root string) []string {
 		for _, m := range designRef.FindAllStringSubmatch(text, -1) {
 			if !designSections[m[1]] {
 				problems = append(problems, fmt.Sprintf("%s: stale reference DESIGN.md §%s (no such section)", doc, m[1]))
+			}
+		}
+	}
+	return problems
+}
+
+// checkRepoPaths enforces check 5: every backticked repository path in
+// pathDocs names a file or directory that exists, relative to root.
+func checkRepoPaths(root string) []string {
+	var problems []string
+	for _, doc := range pathDocs {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			continue // optional document
+		}
+		for _, m := range repoPath.FindAllStringSubmatch(string(b), -1) {
+			if hits, _ := filepath.Glob(filepath.Join(root, filepath.FromSlash(m[1]))); len(hits) == 0 {
+				problems = append(problems, fmt.Sprintf("%s: stale path `%s` (no such file or directory)", doc, m[1]))
 			}
 		}
 	}

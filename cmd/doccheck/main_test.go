@@ -80,6 +80,26 @@ func TestDesignSectionCrossReferences(t *testing.T) {
 	}
 }
 
+func TestRepoPathsExist(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "internal/here/doc.go", "// Package here exists.\npackage here\n")
+	write(t, root, "examples/run.sh", "#!/bin/sh\n")
+	write(t, root, "README.md", strings.Join([]string{
+		"`internal/here` and `./examples/run.sh` and `examples/*` exist;",
+		"`internal/gone` does not; `cmd/cxlsim -exp fig10` is a command.",
+	}, "\n"))
+	// History documents may name deleted code.
+	write(t, root, "ROADMAP.md", "`internal/gone` was deleted\n")
+
+	problems := checkRepoPaths(root)
+	if len(problems) != 1 {
+		t.Fatalf("problems = %v, want exactly README.md's internal/gone", problems)
+	}
+	if !strings.Contains(problems[0], "README.md") || !strings.Contains(problems[0], "internal/gone") {
+		t.Fatalf("unexpected problem: %s", problems[0])
+	}
+}
+
 func TestGithubAnchor(t *testing.T) {
 	cases := map[string]string{
 		"Real Section":                 "real-section",
@@ -103,5 +123,8 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	if p := checkMarkdown(root); len(p) != 0 {
 		t.Fatalf("markdown: %v", p)
+	}
+	if p := checkRepoPaths(root); len(p) != 0 {
+		t.Fatalf("repository paths: %v", p)
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"runtime"
 	"time"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/params"
-	"cxlfork/internal/porter"
 )
 
 // AzureBench replays a large seeded Azure trace through a full porter
@@ -85,39 +83,34 @@ func AzureBench(p params.Params, cfg AzureBenchConfig) (*AzureBenchResult, error
 	if cfg.Duration <= 0 {
 		cfg.Duration = des.Second
 	}
-	specs, err := ResolveFunctions([]string{"Float", "Json"})
+	wl := Workload{
+		RPS:       float64(cfg.Requests) / cfg.Duration.Seconds(),
+		Duration:  cfg.Duration,
+		Functions: []string{"Float", "Json"},
+		Seed:      cfg.Seed,
+	}
+	specs, profiles, err := calibrated(p, wl, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, err
 	}
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
+	leg, err := NewLeg(p, cfg.Nodes, DesignCXLforkMoW, wl, 12<<30, specs, profiles)
 	if err != nil {
 		return nil, err
 	}
-
-	c := cluster.MustNew(p, cfg.Nodes)
-	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{
-		Profiles:        profiles,
-		Seed:            cfg.Seed,
-		NodeBudgetBytes: 12 << 30,
-	}, specs)
-	if err != nil {
-		return nil, err
-	}
-	trace := GenerateTrace(SpecNames(specs), nil, float64(cfg.Requests)/cfg.Duration.Seconds(), cfg.Duration, cfg.Seed)
 
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	results := po.Run(trace)
+	results := leg.Run()
 	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)
 
 	res := &AzureBenchResult{
 		Cfg:         cfg,
-		Arrivals:    len(trace),
+		Arrivals:    len(leg.Trace),
 		Completed:   results.Completed,
-		Events:      c.Eng.Executed(),
+		Events:      leg.C.Eng.Executed(),
 		SimTime:     results.Duration,
 		Wall:        wall,
 		Fingerprint: results.Fingerprint(),

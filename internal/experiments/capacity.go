@@ -30,59 +30,54 @@ var CapacityPolicies = []string{"lru", "largest", "costbenefit"}
 
 // CapacityConfig tunes the device-size sweep.
 type CapacityConfig struct {
-	// RPS is the aggregate request rate of the replayed trace.
-	RPS float64
-	// Duration is the replayed trace length.
-	Duration des.Time
+	// Workload is the replayed trace (default capacityTrace).
+	Workload
 	// DeviceFractions sizes the device as fractions of the measured
 	// aggregate checkpoint footprint.
 	DeviceFractions []float64
 	// Policies are the params.EvictPolicy values to compare.
 	Policies []string
-	// KeepAlive overrides the idle keep-alive window (see Fig10Config).
-	KeepAlive des.Time
-	// Functions restricts the workload mix (default: full suite).
-	Functions []string
-	// Weights skews each function's share of the request rate (missing
-	// entries get weight 1). The Azure traces the paper replays are
-	// heavily skewed — a small set of functions receives most
-	// invocations (Shahrad et al.) — and the skew is what separates the
-	// eviction policies: under a uniform mix, restore value per byte
-	// nearly coincides with size, and costbenefit degenerates into
-	// largest-first.
-	Weights map[string]float64
-	// Seed drives trace generation and jitter.
-	Seed int64
 }
 
-// DefaultCapacityConfig returns the Fig. 10 trace configuration with
-// the paper-default watermarks and every eviction policy.
-func DefaultCapacityConfig() CapacityConfig {
-	return CapacityConfig{
-		RPS:             150,
-		Duration:        60 * des.Second,
-		DeviceFractions: []float64{1.0, 0.5, 0.25},
-		Policies:        CapacityPolicies,
+// capacityTrace is the skewed Fig. 10 trace the capacity, chaos and slo
+// experiments replay. The Azure traces the paper replays are heavily
+// skewed — a small set of functions receives most invocations (Shahrad
+// et al.) — and the skew is what separates the eviction policies: under
+// a uniform mix, restore value per byte nearly coincides with size, and
+// costbenefit degenerates into largest-first.
+func capacityTrace() Workload {
+	return Workload{
+		RPS:      150,
+		Duration: 60 * des.Second,
 		// Shorter than the Fig. 10 window: the replayed trace's ~10 s calm
 		// gaps must outlive idle instances so that every burst goes back
 		// through the checkpoint store — the regime where eviction policy
 		// is visible at all.
 		KeepAlive: 3 * des.Second,
-		// Skewed popularity in the style of the Azure traces: a few
-		// functions carry most of the load, and popularity is deliberately
-		// not aligned with footprint. Cnn — the largest active image — is
-		// also the hottest function, the case where size-only eviction is
-		// wrong: largest-first always evicts it first, costbenefit keeps
-		// it and sheds cold images instead. Bert is inactive — a resident
-		// 630 MiB checkpoint with no arrivals, the stale-image lifecycle
-		// case (§8) eviction exists to clean up; it also cannot fit the
-		// 25% device at all, so with traffic it would pin every policy's
-		// cold tail to its own cold start and mask the comparison.
+		// Popularity is deliberately not aligned with footprint. Cnn — the
+		// largest active image — is also the hottest function, the case
+		// where size-only eviction is wrong: largest-first always evicts
+		// it first, costbenefit keeps it and sheds cold images instead.
+		// Bert is inactive — a resident 630 MiB checkpoint with no
+		// arrivals, the stale-image lifecycle case (§8) eviction exists
+		// to clean up; it also cannot fit the 25% device at all, so with
+		// traffic it would pin every policy's cold tail to its own cold
+		// start and mask the comparison.
 		Weights: map[string]float64{
 			"Cnn": 20, "Json": 2, "Float": 2, "Rnn": 2, "Chameleon": 1,
 			"Bert": 0,
 		},
 		Seed: 7,
+	}
+}
+
+// DefaultCapacityConfig returns the skewed Fig. 10 trace with the
+// paper-default watermarks and every eviction policy.
+func DefaultCapacityConfig() CapacityConfig {
+	return CapacityConfig{
+		Workload:        capacityTrace(),
+		DeviceFractions: []float64{1.0, 0.5, 0.25},
+		Policies:        CapacityPolicies,
 	}
 }
 
@@ -113,34 +108,31 @@ type CapacityResult struct {
 // checkpoint footprint, then replay the trace at every (fraction,
 // policy) pair.
 func Capacity(p params.Params, cfg CapacityConfig) (*CapacityResult, error) {
-	specs, err := ResolveFunctions(cfg.Functions)
-	if err != nil {
-		return nil, fmt.Errorf("capacity: %w", err)
-	}
 	// Static migrate-on-write keeps the sweep about eviction policy, not
 	// tiering adaptation; chaos, slo, fabric and xray replay the same
 	// design for the same reason.
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
+	specs, profiles, err := calibrated(p, cfg.Workload, DesignCXLforkMoW.Scenarios())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("capacity: %w", err)
 	}
-
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &CapacityResult{Cfg: cfg, FootprintBytes: footprint}
-	for _, frac := range cfg.DeviceFractions {
-		for _, pol := range cfg.Policies {
-			run, err := capacityRun(p, cfg, pol, frac, footprint, specs, profiles)
-			if err != nil {
-				return nil, fmt.Errorf("capacity %s@%.0f%%: %w", pol, 100*frac, err)
-			}
-			res.Runs = append(res.Runs, run)
+	// The fraction×policy grid, fraction-major and policy-minor.
+	np := len(cfg.Policies)
+	runs, err := sweep(p, len(cfg.DeviceFractions)*np, func(i int) (CapacityRun, error) {
+		pol, frac := cfg.Policies[i%np], cfg.DeviceFractions[i/np]
+		run, err := capacityRun(p, cfg.Workload, pol, frac, footprint, specs, profiles)
+		if err != nil {
+			return CapacityRun{}, fmt.Errorf("capacity %s@%.0f%%: %w", pol, 100*frac, err)
 		}
+		return run, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &CapacityResult{Cfg: cfg, FootprintBytes: footprint, Runs: runs}, nil
 }
 
 // capacityFootprint checkpoints the whole suite on an ample device and
@@ -158,22 +150,17 @@ func capacityFootprint(p params.Params, specs []faas.Spec, profiles map[porter.P
 	return fp, nil
 }
 
-func capacityRun(p params.Params, cfg CapacityConfig, policy string, frac float64, footprint int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (CapacityRun, error) {
-	if cfg.KeepAlive > 0 {
-		p.KeepAlive = cfg.KeepAlive
-	}
-	p.EvictPolicy = policy
-	p.CXLBytes = scaledBytes(p, footprint, frac)
+func capacityRun(p params.Params, wl Workload, policy string, frac float64, footprint int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (CapacityRun, error) {
 	if _, err := porter.ParseEvictPolicy(policy); err != nil {
 		return CapacityRun{}, err
 	}
-
-	c := cluster.MustNew(p, 2)
-	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
+	p.EvictPolicy = policy
+	p.CXLBytes = scaledBytes(p, footprint, frac)
+	leg, err := NewLeg(p, 2, DesignCXLforkMoW, wl, 0, specs, profiles)
 	if err != nil {
 		return CapacityRun{}, err
 	}
-	results := po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
+	results := leg.Run()
 
 	run := CapacityRun{
 		Policy:      policy,

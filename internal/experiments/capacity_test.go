@@ -13,13 +13,15 @@ import (
 // forcing evictions.
 func smallCapacityConfig() CapacityConfig {
 	return CapacityConfig{
-		RPS:             40,
-		Duration:        20 * des.Second,
+		Workload: Workload{
+			RPS:       40,
+			Duration:  20 * des.Second,
+			KeepAlive: 2 * des.Second,
+			Functions: []string{"Float", "Json"},
+			Seed:      7,
+		},
 		DeviceFractions: []float64{0.5},
 		Policies:        CapacityPolicies,
-		KeepAlive:       2 * des.Second,
-		Functions:       []string{"Float", "Json"},
-		Seed:            7,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/faultinject"
@@ -28,9 +27,8 @@ import (
 
 // ChaosConfig tunes the device-kill sweep.
 type ChaosConfig struct {
-	// RPS and Duration shape the replayed Fig. 10 trace.
-	RPS      float64
-	Duration des.Time
+	// Workload is the replayed trace (default capacityTrace over 30 s).
+	Workload
 	// Devices is the expander pool size.
 	Devices int
 	// Factors are the replication factors compared.
@@ -46,20 +44,16 @@ type ChaosConfig struct {
 	// budget when non-zero (the sweep wants convergence within the
 	// trace window).
 	RepairBandwidthPages int
-	// KeepAlive, Functions, Weights, Seed: as in CapacityConfig.
-	KeepAlive des.Time
-	Functions []string
-	Weights   map[string]float64
-	Seed      int64
 }
 
 // DefaultChaosConfig is a three-device pool under the capacity
 // experiment's skewed trace, killing each device in turn at one third
 // of the replay across RF 1, 2, and 3.
 func DefaultChaosConfig() ChaosConfig {
+	wl := capacityTrace()
+	wl.Duration = 30 * des.Second
 	return ChaosConfig{
-		RPS:          150,
-		Duration:     30 * des.Second,
+		Workload:     wl,
 		Devices:      3,
 		Factors:      []int{1, 2, 3},
 		KillAt:       10 * des.Second,
@@ -69,12 +63,6 @@ func DefaultChaosConfig() ChaosConfig {
 		// this much reserved repair bandwidth to converge inside the
 		// remaining trace window.
 		RepairBandwidthPages: 16384,
-		KeepAlive:            3 * des.Second,
-		Weights: map[string]float64{
-			"Cnn": 20, "Json": 2, "Float": 2, "Rnn": 2, "Chameleon": 1,
-			"Bert": 0,
-		},
-		Seed: 7,
 	}
 }
 
@@ -103,71 +91,49 @@ func Chaos(p params.Params, cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Devices < 2 {
 		return nil, fmt.Errorf("chaos: need at least 2 devices, got %d", cfg.Devices)
 	}
-	specs, err := ResolveFunctions(cfg.Functions)
+	specs, profiles, err := calibrated(p, cfg.Workload, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
-	if err != nil {
-		return nil, err
-	}
-
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res := &ChaosResult{Cfg: cfg, FootprintBytes: footprint}
-
-	// Every (factor, kill) replay builds its own cluster, pool, and
-	// trace, so the sweep fans out to params.SimWorkers goroutines with
-	// results in sweep order (factor-major, kill-minor).
-	type cell struct {
-		rf, kill int
-	}
-	var grid []cell
-	for _, rf := range cfg.Factors {
-		for kill := -1; kill < cfg.Devices; kill++ {
-			grid = append(grid, cell{rf, kill})
-		}
-	}
-	runs := make([]ChaosRun, len(grid))
-	pools := make([]int64, len(grid))
-	errs := make([]error, len(grid))
-	des.NewPool(p.SimWorkers).Each(len(grid), func(i int) {
-		runs[i], pools[i], errs[i] = chaosRun(p, cfg, grid[i].rf, grid[i].kill, footprint, specs, profiles)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("chaos rf=%d kill=%d: %w", grid[i].rf, grid[i].kill, err)
-		}
-	}
-	res.Runs = runs
-	res.PoolBytes = pools[len(pools)-1]
-	return res, nil
-}
-
-// chaosRun is one replay: pool of cfg.Devices devices, replication
-// factor rf, and — unless kill is -1 — a DeviceLoss fault at KillAt.
-func chaosRun(p params.Params, cfg ChaosConfig, rf, kill int, footprint int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (ChaosRun, int64, error) {
-	if cfg.KeepAlive > 0 {
-		p.KeepAlive = cfg.KeepAlive
-	}
 	p.CXLDevices = cfg.Devices
-	p.ReplicationFactor = rf
 	if cfg.RepairBandwidthPages > 0 {
 		p.RepairBandwidthPages = cfg.RepairBandwidthPages
 	}
 	p.CXLBytes = scaledBytes(p, footprint, cfg.PoolHeadroom)
 
-	c := cluster.MustNew(p, 2)
-	if kill >= 0 {
-		c.Faults.Inject(faultinject.Rule{Kind: faultinject.DeviceLoss, Device: kill, At: cfg.KillAt})
-	}
-	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
+	// The sweep is factor-major, kill-minor; kill -1 is the no-kill
+	// baseline.
+	nk := cfg.Devices + 1
+	runs, err := sweep(p, len(cfg.Factors)*nk, func(i int) (ChaosRun, error) {
+		rf, kill := cfg.Factors[i/nk], i%nk-1
+		run, err := chaosRun(p, cfg, rf, kill, specs, profiles)
+		if err != nil {
+			return ChaosRun{}, fmt.Errorf("chaos rf=%d kill=%d: %w", rf, kill, err)
+		}
+		return run, nil
+	})
 	if err != nil {
-		return ChaosRun{}, 0, err
+		return nil, err
 	}
-	results := po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
+	return &ChaosResult{Cfg: cfg, FootprintBytes: footprint, PoolBytes: p.CXLBytes, Runs: runs}, nil
+}
+
+// chaosRun is one replay on p's device pool at replication factor rf
+// and — unless kill is -1 — a DeviceLoss fault at KillAt.
+func chaosRun(p params.Params, cfg ChaosConfig, rf, kill int, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (ChaosRun, error) {
+	p.ReplicationFactor = rf
+	leg, err := NewLeg(p, 2, DesignCXLforkMoW, cfg.Workload, 0, specs, profiles)
+	if err != nil {
+		return ChaosRun{}, err
+	}
+	if kill >= 0 {
+		leg.C.Faults.Inject(faultinject.Rule{Kind: faultinject.DeviceLoss, Device: kill, At: cfg.KillAt})
+	}
+	results := leg.Run()
 
 	run := ChaosRun{
 		Factor:      rf,
@@ -178,7 +144,7 @@ func chaosRun(p params.Params, cfg ChaosConfig, rf, kill int, footprint int64, s
 	if cl := results.ColdLatency; cl != nil && cl.Count() > 0 {
 		run.ColdP99 = cl.P99()
 	}
-	return run, p.CXLBytes, nil
+	return run, nil
 }
 
 // run returns the replay for (rf, kill), or nil.

@@ -13,16 +13,18 @@ import (
 // device.
 func smallChaosConfig() ChaosConfig {
 	return ChaosConfig{
-		RPS:                  40,
-		Duration:             12 * des.Second,
+		Workload: Workload{
+			RPS:       40,
+			Duration:  12 * des.Second,
+			KeepAlive: 2 * des.Second,
+			Functions: []string{"Float", "Json"},
+			Seed:      7,
+		},
 		Devices:              3,
 		Factors:              []int{1, 2},
 		KillAt:               4 * des.Second,
 		PoolHeadroom:         4.5,
 		RepairBandwidthPages: 8192,
-		KeepAlive:            2 * des.Second,
-		Functions:            []string{"Float", "Json"},
-		Seed:                 7,
 	}
 }
 

@@ -26,9 +26,8 @@ import (
 
 // FabricExpConfig tunes the topology sweep.
 type FabricExpConfig struct {
-	// RPS and Duration shape the replayed Fig. 10 trace.
-	RPS      float64
-	Duration des.Time
+	// Workload is the replayed trace.
+	Workload
 	// Nodes is the cluster (and topology host) count.
 	Nodes int
 	// Switches and Devices are the grid axes.
@@ -44,24 +43,35 @@ type FabricExpConfig struct {
 	// PoolHeadroom sizes total pool capacity as a multiple of the
 	// suite's measured checkpoint footprint.
 	PoolHeadroom float64
-	// KeepAlive, Functions, Weights, Seed: as in CapacityConfig.
-	KeepAlive des.Time
-	Functions []string
-	Weights   map[string]float64
-	Seed      int64
 }
 
 // DefaultFabricExpConfig is a four-host sweep over 1–2 switches,
 // 1/2/6 devices, hash vs locality placement at replication factor 3.
 func DefaultFabricExpConfig() FabricExpConfig {
 	return FabricExpConfig{
-		// 300 rps over a short horizon is deliberately past the knee
-		// for the weakest cells: the stressed links queue visibly while
-		// every cell can still serve. Longer horizons drive the
-		// saturated single-device cells into open-loop collapse, which
-		// stops being a placement comparison.
-		RPS:      300,
-		Duration: 15 * des.Second,
+		Workload: Workload{
+			// 300 rps over a short horizon is deliberately past the knee
+			// for the weakest cells: the stressed links queue visibly
+			// while every cell can still serve. Longer horizons drive the
+			// saturated single-device cells into open-loop collapse, which
+			// stops being a placement comparison.
+			RPS:      300,
+			Duration: 15 * des.Second,
+			// A short keep-alive makes the replay restore-heavy: idle
+			// instances die fast, so most requests cold-fork off the
+			// fabric and the per-link contention actually bites — the
+			// regime where topology decides the tail.
+			KeepAlive: 100 * des.Millisecond,
+			// Two big-footprint functions run hot: the consistent-hash
+			// ring happens to stack both of their non-affinity copies on
+			// the same device, which is exactly the accident locality
+			// placement is there to fix.
+			Weights: map[string]float64{
+				"Cnn": 20, "HTML": 8, "Json": 2, "Float": 2, "Rnn": 2,
+				"Chameleon": 1, "Bert": 0,
+			},
+			Seed: 7,
+		},
 		Nodes:    4,
 		Switches: []int{1, 2},
 		Devices:  []int{1, 2, 6},
@@ -77,20 +87,6 @@ func DefaultFabricExpConfig() FabricExpConfig {
 		// copy of every image, and a sweep that starves it measures
 		// eviction thrash, not fabric contention.
 		PoolHeadroom: 7.5,
-		// A short keep-alive makes the replay restore-heavy: idle
-		// instances die fast, so most requests cold-fork off the
-		// fabric and the per-link contention actually bites — the
-		// regime where topology decides the tail.
-		KeepAlive: 100 * des.Millisecond,
-		// Two big-footprint functions run hot: the consistent-hash ring
-		// happens to stack both of their non-affinity copies on the same
-		// device, which is exactly the accident locality placement is
-		// there to fix.
-		Weights: map[string]float64{
-			"Cnn": 20, "HTML": 8, "Json": 2, "Float": 2, "Rnn": 2,
-			"Chameleon": 1, "Bert": 0,
-		},
-		Seed: 7,
 	}
 }
 
@@ -125,19 +121,15 @@ func FabricSweep(p params.Params, cfg FabricExpConfig) (*FabricResult, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("fabric: need at least 2 nodes, got %d", cfg.Nodes)
 	}
-	specs, err := ResolveFunctions(cfg.Functions)
+	specs, profiles, err := calibrated(p, cfg.Workload, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
-	}
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
-	if err != nil {
-		return nil, err
 	}
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res := &FabricResult{Cfg: cfg, FootprintBytes: footprint}
+	p.CXLBytes = scaledBytes(p, footprint, cfg.PoolHeadroom)
 
 	type cell struct {
 		sw, dev int
@@ -154,53 +146,42 @@ func FabricSweep(p params.Params, cfg FabricExpConfig) (*FabricResult, error) {
 			}
 		}
 	}
-	runs := make([]FabricRun, len(grid))
-	pools := make([]int64, len(grid))
-	errs := make([]error, len(grid))
-	des.NewPool(p.SimWorkers).Each(len(grid), func(i int) {
-		runs[i], pools[i], _, errs[i] = fabricRun(p, cfg, grid[i].sw, grid[i].dev, grid[i].pol, footprint, specs, profiles)
-	})
-	for i, err := range errs {
+	runs, err := sweep(p, len(grid), func(i int) (FabricRun, error) {
+		g := grid[i]
+		run, _, err := fabricRun(p, cfg, g.sw, g.dev, g.pol, specs, profiles)
 		if err != nil {
-			return nil, fmt.Errorf("fabric sw=%d dev=%d pol=%s: %w", grid[i].sw, grid[i].dev, grid[i].pol, err)
+			return FabricRun{}, fmt.Errorf("fabric sw=%d dev=%d pol=%s: %w", g.sw, g.dev, g.pol, err)
 		}
+		return run, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Runs = runs
-	res.PoolBytes = pools[len(pools)-1]
-	return res, nil
+	return &FabricResult{Cfg: cfg, FootprintBytes: footprint, PoolBytes: p.CXLBytes, Runs: runs}, nil
 }
 
-// fabricRun is one replay on a GridSpec(nodes, sw, dev) topology. The
-// cluster is returned alongside the run so the xray experiment can
-// read attribution state off the same replay.
-func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, footprint int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (FabricRun, int64, *cluster.Cluster, error) {
-	if cfg.KeepAlive > 0 {
-		p.KeepAlive = cfg.KeepAlive
-	}
+// fabricRun is one replay on a GridSpec(nodes, sw, dev) topology over
+// p's pool. The cluster is returned alongside the run so the xray
+// experiment can read attribution state off the same replay.
+func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (FabricRun, *cluster.Cluster, error) {
 	p.Topology = fabric.GridSpec(cfg.Nodes, sw, dev)
 	p.PlacementPolicy = pol
 	p.ReplicationFactor = cfg.Factor
 	if p.ReplicationFactor > dev {
 		p.ReplicationFactor = dev
 	}
-	p.CXLBytes = scaledBytes(p, footprint, cfg.PoolHeadroom)
-
-	c, err := cluster.New(p, cfg.Nodes)
+	leg, err := NewLeg(p, cfg.Nodes, DesignCXLforkMoW, cfg.Workload, 0, specs, profiles)
 	if err != nil {
-		return FabricRun{}, 0, nil, err
+		return FabricRun{}, nil, err
 	}
-	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
-	if err != nil {
-		return FabricRun{}, 0, nil, err
-	}
-	results := po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
+	results := leg.Run()
 
 	run := FabricRun{
 		Switches:    sw,
 		Devices:     dev,
 		Policy:      pol,
 		Results:     results,
-		MinLinkLat:  c.Topo.MinLinkLatency(),
+		MinLinkLat:  leg.C.Topo.MinLinkLatency(),
 		Fingerprint: results.Fingerprint(),
 	}
 	if cl := results.ColdLatency; cl != nil && cl.Count() > 0 {
@@ -209,7 +190,7 @@ func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, fo
 	if rl := results.RestoreLatency; rl != nil && rl.Count() > 0 {
 		run.RestoreP99 = rl.P99()
 	}
-	return run, p.CXLBytes, c, nil
+	return run, leg.C, nil
 }
 
 // run returns the replay for (sw, dev, pol), or nil.

@@ -3,11 +3,9 @@ package experiments
 import (
 	"testing"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/fabric"
-	"cxlfork/internal/porter"
 )
 
 // goldenFabric pins the fabric sweep's fold at the config below. The
@@ -76,29 +74,25 @@ func TestDegenerateTopologyMatchesFlatModel(t *testing.T) {
 		t.Helper()
 		p := ExpParams()
 		p.Topology = topology
-		p.KeepAlive = 100 * des.Millisecond
 		specs := faas.Suite()[:4]
 		profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cluster.New(p, 2)
+		wl := Workload{RPS: 60, Duration: 4 * des.Second, KeepAlive: 100 * des.Millisecond, Seed: 3}
+		leg, err := NewLeg(p, 2, DesignCXLforkMoW, wl, 0, specs, profiles)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if topology != "" {
-			if c.Topo == nil || !c.Topo.Trivial() {
+			if leg.C.Topo == nil || !leg.C.Topo.Trivial() {
 				t.Fatal("degenerate grid did not build a Trivial topology")
 			}
-			if c.Net != nil {
+			if leg.C.Net != nil {
 				t.Fatal("Trivial topology must not carry a Net")
 			}
 		}
-		po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: 3}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return po.Run(GenerateTrace(SpecNames(specs), nil, 60, 4*des.Second, 3)).Fingerprint()
+		return leg.Run().Fingerprint()
 	}
 	flat := replay("")
 	degenerate := replay(fabric.GridSpec(2, 1, 1))

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
@@ -19,36 +17,30 @@ var Fig10Designs = []Design{DesignCRIU, DesignMitosis, DesignCXLforkMoW, DesignC
 
 // Fig10Config tunes the scaling experiment.
 type Fig10Config struct {
-	// RPS is the aggregate request rate (paper: 150).
-	RPS float64
-	// Duration is the replayed trace length.
-	Duration des.Time
+	// Workload is the replayed trace (paper: 150 rps). Its KeepAlive
+	// matters: the bursty trace has ~10 s calm periods between spikes,
+	// and a window shorter than the gaps makes every spike pay cold
+	// starts — the regime Fig. 10 studies ("the benefit of rfork comes
+	// from mitigating cold starts").
+	Workload
 	// MemoryFractions are the node budget scalings of Fig. 10c.
 	MemoryFractions []float64
 	// BaseBudgetBytes is the per-node budget at fraction 1.0.
 	BaseBudgetBytes int64
-	// KeepAlive overrides the idle keep-alive window. The replayed
-	// bursty trace has ~10 s calm periods between spikes; a window
-	// shorter than the gaps makes every spike pay cold starts — the
-	// regime Fig. 10 studies ("the benefit of rfork comes from
-	// mitigating cold starts"). Zero keeps the platform default.
-	KeepAlive des.Time
-	// Functions restricts the workload mix (default: full suite).
-	Functions []string
-	// Seed drives trace generation and jitter.
-	Seed int64
 }
 
 // DefaultFig10Config returns the paper's configuration scaled to the
 // simulated two-node cluster.
 func DefaultFig10Config() Fig10Config {
 	return Fig10Config{
-		RPS:             150,
-		Duration:        60 * des.Second,
+		Workload: Workload{
+			RPS:       150,
+			Duration:  60 * des.Second,
+			KeepAlive: 12 * des.Second,
+			Seed:      7,
+		},
 		MemoryFractions: []float64{1.0, 0.5, 0.25},
 		BaseBudgetBytes: 12 << 30,
-		KeepAlive:       12 * des.Second,
-		Seed:            7,
 	}
 }
 
@@ -111,65 +103,32 @@ func BuildProfiles(ms []*FnMeasurement) map[porter.ProfileKey]porter.Profile {
 // Fig10 runs the CXLporter scaling comparison: every design at every
 // memory fraction, replaying the same bursty trace.
 func Fig10(p params.Params, cfg Fig10Config) (*Fig10Result, error) {
-	specs, err := ResolveFunctions(cfg.Functions)
+	// Calibrate profiles once (mechanistic single-instance runs).
+	specs, profiles, err := calibrated(p, cfg.Workload, AllScenarios)
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
-	// Calibrate profiles once (mechanistic single-instance runs).
-	profiles, err := Calibrate(p, specs, AllScenarios)
+	// The design×fraction grid, fraction-major and design-minor.
+	nd := len(Fig10Designs)
+	runs, err := sweep(p, len(cfg.MemoryFractions)*nd, func(i int) (Fig10Run, error) {
+		d, frac := Fig10Designs[i%nd], cfg.MemoryFractions[i/nd]
+		leg, err := NewLeg(p, 2, d, cfg.Workload, int64(float64(cfg.BaseBudgetBytes)*frac), specs, profiles)
+		if err != nil {
+			return Fig10Run{}, fmt.Errorf("fig10 %s@%.0f%%: %w", d, 100*frac, err)
+		}
+		results := leg.Run()
+		return Fig10Run{
+			Design:  d,
+			MemFrac: frac,
+			Results: results,
+			P99:     results.Overall.P99(),
+			P50:     results.Overall.P50(),
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	// The design×fraction grid: every cell builds its own cluster and
-	// replays the same trace, so the cells are independent and fan out
-	// to params.SimWorkers goroutines. Results land in grid order
-	// (fraction-major, design-minor), so the report — and every
-	// fingerprint — is byte-identical at any worker count.
-	type cell struct {
-		frac float64
-		d    Design
-	}
-	var grid []cell
-	for _, frac := range cfg.MemoryFractions {
-		for _, d := range Fig10Designs {
-			grid = append(grid, cell{frac, d})
-		}
-	}
-	runs := make([]Fig10Run, len(grid))
-	errs := make([]error, len(grid))
-	des.NewPool(p.SimWorkers).Each(len(grid), func(i int) {
-		runs[i], errs[i] = fig10Run(p, cfg, grid[i].d, grid[i].frac, specs, profiles)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fig10 %s@%.0f%%: %w", grid[i].d, 100*grid[i].frac, err)
-		}
-	}
 	return &Fig10Result{Cfg: cfg, Functions: SpecNames(specs), Runs: runs}, nil
-}
-
-func fig10Run(p params.Params, cfg Fig10Config, d Design, frac float64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (Fig10Run, error) {
-	if cfg.KeepAlive > 0 {
-		p.KeepAlive = cfg.KeepAlive
-	}
-	c := cluster.MustNew(p, 2)
-	po, err := NewPorter(c, d, porter.Config{
-		Profiles:        profiles,
-		Seed:            cfg.Seed,
-		NodeBudgetBytes: int64(float64(cfg.BaseBudgetBytes) * frac),
-	}, specs)
-	if err != nil {
-		return Fig10Run{}, err
-	}
-	results := po.Run(GenerateTrace(SpecNames(specs), nil, cfg.RPS, cfg.Duration, cfg.Seed))
-	return Fig10Run{
-		Design:  d,
-		MemFrac: frac,
-		Results: results,
-		P99:     results.Overall.P99(),
-		P50:     results.Overall.P50(),
-	}, nil
 }
 
 // run returns the replay for (design, frac), or nil.

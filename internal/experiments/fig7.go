@@ -15,17 +15,13 @@ import (
 // legs are independent and fan out to params.SimWorkers goroutines;
 // results land in spec order either way (DESIGN.md §13).
 func MeasureAll(p params.Params, specs []faas.Spec, scens []Scenario) ([]*FnMeasurement, error) {
-	out := make([]*FnMeasurement, len(specs))
-	errs := make([]error, len(specs))
-	des.NewPool(p.SimWorkers).Each(len(specs), func(i int) {
-		out[i], errs[i] = MeasureFunction(p, specs[i], scens)
-	})
-	for i, err := range errs {
+	return sweep(p, len(specs), func(i int) (*FnMeasurement, error) {
+		m, err := MeasureFunction(p, specs[i], scens)
 		if err != nil {
 			return nil, fmt.Errorf("measuring %s: %w", specs[i].Name, err)
 		}
-	}
-	return out, nil
+		return m, nil
+	})
 }
 
 // Fig7Result holds the data of Fig. 7a (end-to-end cold-start execution

@@ -77,20 +77,15 @@ func LaneSweep(p params.Params, fnName string, laneCounts []int) (*LaneSweepResu
 	if len(laneCounts) == 0 {
 		laneCounts = DefaultLaneCounts
 	}
-	// Points build fresh environments, so they fan out to
-	// params.SimWorkers goroutines; the slice keeps sweep order.
-	points := make([]LanePoint, len(laneCounts))
-	errs := make([]error, len(laneCounts))
-	des.NewPool(p.SimWorkers).Each(len(laneCounts), func(i int) {
+	// Points build fresh environments, so they fan out.
+	points, err := sweep(p, len(laneCounts), func(i int) (LanePoint, error) {
 		pp := p
 		pp.CheckpointLanes = laneCounts[i]
 		pp.RestoreLanes = laneCounts[i]
-		points[i], errs[i] = laneSweepPoint(pp, spec, laneCounts[i])
+		return laneSweepPoint(pp, spec, laneCounts[i])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return &LaneSweepResult{Function: fnName, Points: points}, nil
 }

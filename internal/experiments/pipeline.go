@@ -18,9 +18,9 @@ import (
 // Every porter replay in the repository — the facade's RunWorkload and
 // RunAutoscaler, each experiment driver, the AzureBench trajectory leg —
 // is the same calibrate→cluster→porter→trace sequence (DESIGN.md §13).
-// The helpers below are its shared steps; each call site keeps only what
-// is its own: the platform parameters, the fault schedule, and the grid
-// it sweeps.
+// NewLeg assembles it once; each experiment keeps only what is its own:
+// the platform parameters, the fault schedule, and the grid it sweeps
+// through sweep.
 
 // Design names one rfork configuration of Fig. 10.
 type Design string
@@ -126,6 +126,90 @@ func GenerateTrace(names []string, weights map[string]float64, rps float64, dur 
 		}
 	}
 	return azure.Generate(azure.TraceConfig{TotalRPS: rps, Duration: dur, Loads: loads, Seed: seed})
+}
+
+// Workload is the replayed trace's shape: the seeded bursty arrivals
+// and the keep-alive window they replay under. Every porter experiment
+// embeds one and sweeps its own knob over it.
+type Workload struct {
+	// RPS is the aggregate request rate.
+	RPS float64
+	// Duration is the replayed trace length.
+	Duration des.Time
+	// KeepAlive overrides the idle keep-alive window when non-zero.
+	KeepAlive des.Time
+	// Functions restricts the workload mix (default: full suite).
+	Functions []string
+	// Weights overrides per-function request shares; unlisted functions
+	// keep their default share.
+	Weights map[string]float64
+	// Seed drives trace generation and jitter.
+	Seed int64
+}
+
+// calibrated resolves wl's functions and calibrates them under scens.
+func calibrated(p params.Params, wl Workload, scens []Scenario) ([]faas.Spec, map[porter.ProfileKey]porter.Profile, error) {
+	specs, err := ResolveFunctions(wl.Functions)
+	if err != nil {
+		return nil, nil, err
+	}
+	profiles, err := Calibrate(p, specs, scens)
+	if err != nil {
+		return nil, nil, err
+	}
+	return specs, profiles, nil
+}
+
+// Leg is one replay, assembled and not yet run: a fresh cluster, a
+// porter provisioned on it, and the trace it replays.
+type Leg struct {
+	// C is the leg's own cluster and engine.
+	C *cluster.Cluster
+	// Porter runs on C, with every spec already checkpointed.
+	Porter *porter.Porter
+	// Trace is the arrival stream Run replays.
+	Trace []azure.Request
+}
+
+// NewLeg assembles one replay of wl: it applies wl.KeepAlive to p,
+// builds a nodes-node cluster, provisions a design-d porter with a
+// per-node budget of budget bytes (0 keeps node DRAM), and generates
+// the trace. A caller that injects faults or installs observers does so
+// between NewLeg and Run.
+func NewLeg(p params.Params, nodes int, d Design, wl Workload, budget int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (*Leg, error) {
+	if wl.KeepAlive > 0 {
+		p.KeepAlive = wl.KeepAlive
+	}
+	c, err := cluster.New(p, nodes)
+	if err != nil {
+		return nil, err
+	}
+	po, err := NewPorter(c, d, porter.Config{Profiles: profiles, Seed: wl.Seed, NodeBudgetBytes: budget}, specs)
+	if err != nil {
+		return nil, err
+	}
+	trace := GenerateTrace(SpecNames(specs), wl.Weights, wl.RPS, wl.Duration, wl.Seed)
+	return &Leg{C: c, Porter: po, Trace: trace}, nil
+}
+
+// Run replays the leg's trace.
+func (l *Leg) Run() porter.Results { return l.Porter.Run(l.Trace) }
+
+// sweep runs cell(i) for every i in [0, n) on p.SimWorkers goroutines
+// (des.Pool). Cells must be independent: each builds its own cluster
+// and engine. Results come back in index order, so a report is
+// byte-identical at any worker count; on failure sweep returns the
+// lowest-index failing cell's error.
+func sweep[T any](p params.Params, n int, cell func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	des.NewPool(p.SimWorkers).Each(n, func(i int) { out[i], errs[i] = cell(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // scaledBytes is frac of footprint, rounded up to a whole page so

@@ -5,9 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
-	"cxlfork/internal/porter"
 )
 
 // Constant pins for the two replay pipelines the worker goldens do not
@@ -21,6 +19,8 @@ const (
 	goldenAzureBench = 0x8cb0c9402955e0f8
 )
 
+// The capacity grid fans out like the other sweeps, so its pin holds
+// at every golden worker count.
 func TestGoldenCapacityPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("porter replays are slow")
@@ -30,17 +30,21 @@ func TestGoldenCapacityPipeline(t *testing.T) {
 	cfg.DeviceFractions = []float64{1.0, 0.5}
 	cfg.Policies = []string{"lru", "costbenefit"}
 	cfg.Weights = map[string]float64{"Json": 3}
-	r, err := Capacity(ExpParams(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := uint64(fpOffset)
-	fpFold(&h, uint64(r.FootprintBytes))
-	for _, run := range r.Runs {
-		fpFold(&h, uint64(run.DeviceBytes), run.Fingerprint, uint64(run.ColdP99))
-	}
-	if h != uint64(goldenCapacity) {
-		t.Fatalf("capacity fingerprint %#x, golden %#x", h, uint64(goldenCapacity))
+	for _, workers := range goldenWorkerCounts {
+		p := ExpParams()
+		p.SimWorkers = workers
+		r, err := Capacity(p, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		h := uint64(fpOffset)
+		fpFold(&h, uint64(r.FootprintBytes))
+		for _, run := range r.Runs {
+			fpFold(&h, uint64(run.DeviceBytes), run.Fingerprint, uint64(run.ColdP99))
+		}
+		if h != uint64(goldenCapacity) {
+			t.Fatalf("workers=%d: capacity fingerprint %#x, golden %#x", workers, h, uint64(goldenCapacity))
+		}
 	}
 }
 
@@ -92,26 +96,24 @@ func TestGoldenAzureBenchObservers(t *testing.T) {
 	cfg := DefaultAzureBenchConfig()
 	cfg.Requests = 20_000
 	cfg.Duration = 8 * des.Second
-	specs, err := ResolveFunctions([]string{"Float", "Json"})
-	if err != nil {
-		t.Fatal(err)
+	wl := Workload{
+		RPS:       float64(cfg.Requests) / cfg.Duration.Seconds(),
+		Duration:  cfg.Duration,
+		Functions: []string{"Float", "Json"},
+		Seed:      cfg.Seed,
 	}
 	p := ExpParams()
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
+	specs, profiles, err := calibrated(p, wl, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.TraceEnabled, p.TelemetryEnabled, p.XRayEnabled = true, true, true
-	c := cluster.MustNew(p, cfg.Nodes)
-	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{
-		Profiles:        profiles,
-		Seed:            cfg.Seed,
-		NodeBudgetBytes: 12 << 30,
-	}, specs)
+	leg, err := NewLeg(p, cfg.Nodes, DesignCXLforkMoW, wl, 12<<30, specs, profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := po.Run(GenerateTrace(SpecNames(specs), nil, float64(cfg.Requests)/cfg.Duration.Seconds(), cfg.Duration, cfg.Seed))
+	res := leg.Run()
+	c, po := leg.C, leg.Porter
 
 	var prom, csv bytes.Buffer
 	if err := po.Telemetry().WritePrometheus(&prom); err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/fabric"
 	"cxlfork/internal/params"
@@ -26,27 +25,16 @@ import (
 // TelemetryTraceConfig tunes one telemetry-enabled trace replay — the
 // shared runner behind the SLO experiment and the cxlstat CLI.
 type TelemetryTraceConfig struct {
-	// RPS and Duration shape the replayed Fig. 10 trace.
-	RPS      float64
-	Duration des.Time
+	// Workload is the replayed trace.
+	Workload
 	// DeviceFrac, when non-zero, sizes the device to this fraction of
 	// the suite's measured checkpoint footprint (as in the capacity
 	// sweep); zero keeps the params device.
 	DeviceFrac float64
-	// KeepAlive overrides the idle keep-alive window when non-zero.
-	KeepAlive des.Time
-	// Functions restricts the workload mix (default: full suite);
-	// Weights skews request shares as in CapacityConfig.
-	Functions []string
-	Weights   map[string]float64
 	// Policy is the eviction policy ("" keeps the params default).
 	Policy string
-	// Seed drives trace generation and jitter.
-	Seed int64
-	// SampleEvery and SeriesCap override the telemetry defaults when
-	// non-zero.
+	// SampleEvery overrides the telemetry tick when non-zero.
 	SampleEvery des.Time
-	SeriesCap   int
 	// SLOOccupancy, when non-zero, declares the occupancy objective;
 	// SLODrive lets its alert drive the capacity manager.
 	SLOOccupancy float64
@@ -69,9 +57,6 @@ type TelemetryTraceConfig struct {
 	// (DESIGN.md §16); the blame report lands on the result. Being
 	// observational, it leaves Results (and its fingerprint) unchanged.
 	XRay bool
-	// XRayExemplars bounds the worst-request exemplars kept per class
-	// (0 keeps the attribution default).
-	XRayExemplars int
 }
 
 // TelemetryTraceResult is one telemetry-enabled replay: the sampled
@@ -93,13 +78,9 @@ type TelemetryTraceResult struct {
 // TelemetryTrace calibrates profiles, sizes the device, and replays
 // the trace with telemetry sampling on.
 func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceResult, error) {
-	specs, err := ResolveFunctions(cfg.Functions)
+	specs, profiles, err := calibrated(p, cfg.Workload, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
-	if err != nil {
-		return nil, err
 	}
 
 	out := &TelemetryTraceResult{}
@@ -117,12 +98,6 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 	p.TelemetryEnabled = true
 	if cfg.SampleEvery > 0 {
 		p.SampleEvery = cfg.SampleEvery
-	}
-	if cfg.SeriesCap > 0 {
-		p.TelemetrySeriesCap = cfg.SeriesCap
-	}
-	if cfg.KeepAlive > 0 {
-		p.KeepAlive = cfg.KeepAlive
 	}
 	if cfg.Policy != "" {
 		p.EvictPolicy = cfg.Policy
@@ -152,29 +127,26 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 	}
 	if cfg.XRay {
 		p.XRayEnabled = true
-		p.XRayExemplars = cfg.XRayExemplars
 	}
 	out.DeviceBytes = p.CXLBytes
 
-	c := cluster.MustNew(p, 2)
-	po, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: cfg.Seed}, specs)
+	leg, err := NewLeg(p, 2, DesignCXLforkMoW, cfg.Workload, 0, specs, profiles)
 	if err != nil {
 		return nil, err
 	}
-	out.Results = po.Run(GenerateTrace(SpecNames(specs), cfg.Weights, cfg.RPS, cfg.Duration, cfg.Seed))
-	out.Registry = po.Telemetry()
-	out.Alerts = po.SLOAlerts()
-	if c.XRay.Enabled() {
-		out.XRay = c.XRay.Report()
+	out.Results = leg.Run()
+	out.Registry = leg.Porter.Telemetry()
+	out.Alerts = leg.Porter.SLOAlerts()
+	if leg.C.XRay.Enabled() {
+		out.XRay = leg.C.XRay.Report()
 	}
 	return out, nil
 }
 
 // SLOConfig tunes the observe-vs-drive comparison.
 type SLOConfig struct {
-	// RPS and Duration shape the replayed trace.
-	RPS      float64
-	Duration des.Time
+	// Workload is the replayed trace (default capacityTrace).
+	Workload
 	// DeviceFrac sizes the device as a fraction of the measured suite
 	// footprint — undersized so occupancy pressure is real.
 	DeviceFrac float64
@@ -185,11 +157,6 @@ type SLOConfig struct {
 	// the params default). The objective only has room to act when it
 	// sits above this floor and below steady-state occupancy.
 	LowWatermark float64
-	// KeepAlive, Functions, Weights, Seed: as in CapacityConfig.
-	KeepAlive des.Time
-	Functions []string
-	Weights   map[string]float64
-	Seed      int64
 	// SampleEvery overrides the telemetry tick when non-zero.
 	SampleEvery des.Time
 }
@@ -201,17 +168,10 @@ type SLOConfig struct {
 // would force it.
 func DefaultSLOConfig() SLOConfig {
 	return SLOConfig{
-		RPS:          150,
-		Duration:     60 * des.Second,
+		Workload:     capacityTrace(),
 		DeviceFrac:   0.5,
 		Occupancy:    0.70,
 		LowWatermark: 0.60,
-		KeepAlive:    3 * des.Second,
-		Weights: map[string]float64{
-			"Cnn": 20, "Json": 2, "Float": 2, "Rnn": 2, "Chameleon": 1,
-			"Bert": 0,
-		},
-		Seed: 7,
 	}
 }
 
@@ -239,10 +199,11 @@ func SLO(p params.Params, cfg SLOConfig) (*SLOResult, error) {
 	res := &SLOResult{Cfg: cfg}
 	for _, drive := range []bool{false, true} {
 		tr, err := TelemetryTrace(p, TelemetryTraceConfig{
-			RPS: cfg.RPS, Duration: cfg.Duration, DeviceFrac: cfg.DeviceFrac,
-			KeepAlive: cfg.KeepAlive, Functions: cfg.Functions, Weights: cfg.Weights,
-			Seed: cfg.Seed, SampleEvery: cfg.SampleEvery,
-			SLOOccupancy: cfg.Occupancy, SLODrive: drive,
+			Workload:     cfg.Workload,
+			DeviceFrac:   cfg.DeviceFrac,
+			SampleEvery:  cfg.SampleEvery,
+			SLOOccupancy: cfg.Occupancy,
+			SLODrive:     drive,
 			LowWatermark: cfg.LowWatermark,
 		})
 		if err != nil {

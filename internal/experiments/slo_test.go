@@ -12,11 +12,13 @@ import (
 // short trace so the test stays fast while still sampling.
 func smallTelemetryConfig() TelemetryTraceConfig {
 	return TelemetryTraceConfig{
-		RPS:        40,
-		Duration:   10 * des.Second,
+		Workload: Workload{
+			RPS:       40,
+			Duration:  10 * des.Second,
+			Functions: []string{"Float", "Json"},
+			Seed:      7,
+		},
 		DeviceFrac: 0.5,
-		Functions:  []string{"Float", "Json"},
-		Seed:       7,
 	}
 }
 

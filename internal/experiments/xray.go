@@ -68,31 +68,25 @@ func XRaySweep(p params.Params, cfg XRayExpConfig) (*XRayResult, error) {
 	if fc.Nodes < 2 {
 		return nil, fmt.Errorf("xray: need at least 2 nodes, got %d", fc.Nodes)
 	}
-	specs, err := ResolveFunctions(fc.Functions)
+	specs, profiles, err := calibrated(p, fc.Workload, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, fmt.Errorf("xray: %w", err)
-	}
-	profiles, err := Calibrate(p, specs, DesignCXLforkMoW.Scenarios())
-	if err != nil {
-		return nil, err
 	}
 	footprint, err := capacityFootprint(p, specs, profiles, fc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res := &XRayResult{Cfg: cfg, FootprintBytes: footprint}
-
-	pr := p
-	pr.XRayEnabled = true
+	p.CXLBytes = scaledBytes(p, footprint, fc.PoolHeadroom)
+	p.XRayEnabled = true
+	res := &XRayResult{Cfg: cfg, FootprintBytes: footprint, PoolBytes: p.CXLBytes}
 	for _, pol := range fc.Policies {
 		if cfg.Devices == 1 && pol != "hash" {
 			continue // one device: placement has no choice
 		}
-		run, pool, c, err := fabricRun(pr, fc, cfg.Switches, cfg.Devices, pol, footprint, specs, profiles)
+		run, c, err := fabricRun(p, fc, cfg.Switches, cfg.Devices, pol, specs, profiles)
 		if err != nil {
 			return nil, fmt.Errorf("xray sw=%d dev=%d pol=%s: %w", cfg.Switches, cfg.Devices, pol, err)
 		}
-		res.PoolBytes = pool
 		res.Runs = append(res.Runs, XRayRun{Policy: pol, Run: run, Report: c.XRay.Report()})
 	}
 	return res, nil

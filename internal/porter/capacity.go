@@ -393,7 +393,7 @@ func (p *Porter) maybeRecheckpoint(inst *instance) {
 	if snap == nil || st.reckpting {
 		return
 	}
-	if _, ok := p.store.Get(p.cfg.User, fn); ok {
+	if _, ok := p.store.Get(tenant, fn); ok {
 		st.coldRuns = 0
 		return
 	}
@@ -427,7 +427,7 @@ func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
 	snap := p.snaps[fn]
 	dev := p.c.Dev
 	snap.gen++
-	id := fmt.Sprintf("cid-%s-%s#r%d", p.cfg.User, fn, snap.gen)
+	id := fmt.Sprintf("cid-%s-%s#r%d", tenant, fn, snap.gen)
 	if p.rep != nil {
 		// Replication active: rebuild through the placement manager so
 		// the re-published checkpoint gets the same preference list and
@@ -440,7 +440,7 @@ func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
 			p.capc.AdmitRefused.Inc()
 			return
 		}
-		p.store.Put(p.cfg.User, fn, rimg)
+		p.store.Put(tenant, fn, rimg)
 		p.admits.Inc()
 		if st := p.byName[fn]; st != nil {
 			st.scoreBase = p.agingL
@@ -480,7 +480,7 @@ func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
 		pages: len(snap.tokens),
 		refs:  rfork.NewRefCount(),
 	}
-	p.store.Put(p.cfg.User, fn, img)
+	p.store.Put(tenant, fn, img)
 	p.admits.Inc()
 	if st := p.byName[fn]; st != nil {
 		st.scoreBase = p.agingL

@@ -72,11 +72,6 @@ type Config struct {
 	// spawn pays container creation) — the ablation for §5's ghost
 	// containers.
 	DisableGhosts bool
-	// SLOFactor sets the per-function latency SLO as a multiple of its
-	// all-local warm execution time (default 1.25).
-	SLOFactor float64
-	// User is the store key namespace.
-	User string
 	// Seed drives execution-time jitter.
 	Seed int64
 	// NodeBudgetBytes overrides the per-node memory budget of the
@@ -84,6 +79,14 @@ type Config struct {
 	// to 50% and 25%.
 	NodeBudgetBytes int64
 }
+
+// tenant is the object store's user namespace: one tenant owns every
+// checkpoint, so checkpoint IDs read cid-tenant0-<function>.
+const tenant = "tenant0"
+
+// sloFactor sets each function's latency SLO as a multiple of its
+// all-local warm execution time.
+const sloFactor = 1.25
 
 // parentUplinkStreams is how many concurrent remote-fault copy streams
 // the Mitosis parent node sustains at full per-stream rate before
@@ -451,14 +454,8 @@ type Porter struct {
 
 // New creates a porter over a cluster.
 func New(c *cluster.Cluster, cfg Config) *Porter {
-	if cfg.SLOFactor == 0 {
-		cfg.SLOFactor = 1.25
-	}
 	if cfg.GhostsPerFunction == 0 {
 		cfg.GhostsPerFunction = 2
-	}
-	if cfg.User == "" {
-		cfg.User = "tenant0"
 	}
 	pol, err := ParseEvictPolicy(c.P.EvictPolicy)
 	if err != nil {
@@ -540,7 +537,7 @@ func (p *Porter) BackoffSchedule() []des.Time {
 }
 
 // replicaKey is the placement key for fn's checkpoint.
-func (p *Porter) replicaKey(fn string) string { return p.cfg.User + "/" + fn }
+func (p *Porter) replicaKey(fn string) string { return tenant + "/" + fn }
 
 // replicate fans a freshly published checkpoint out across the device
 // pool, returning the replicated image in place of the mechanism's.
@@ -630,12 +627,12 @@ func (p *Porter) provision(s faas.Spec) error {
 		if err := in.Warmup(cp.CheckpointAfter-1, p.rng); err != nil {
 			return err
 		}
-		img, err := p.checkpointWithReclaim(in.Task, fmt.Sprintf("cid-%s-%s", p.cfg.User, s.Name))
+		img, err := p.checkpointWithReclaim(in.Task, fmt.Sprintf("cid-%s-%s", tenant, s.Name))
 		switch {
 		case err == nil:
 			img = p.replicate(s.Name, img)
 			p.snapshot(s.Name, img)
-			p.store.Put(p.cfg.User, s.Name, img)
+			p.store.Put(tenant, s.Name, img)
 			p.admits.Inc()
 			if st := p.byName[s.Name]; st != nil {
 				st.scoreBase = p.agingL
@@ -677,7 +674,7 @@ func (p *Porter) provision(s faas.Spec) error {
 			st.profs[pol] = &pr
 		}
 	}
-	st.slo = des.Time(p.cfg.SLOFactor * float64(st.profile(rfork.MigrateOnAccess).WarmExec))
+	st.slo = des.Time(sloFactor * float64(st.profile(rfork.MigrateOnAccess).WarmExec))
 	p.addFn(st)
 
 	if p.ghostsCompatible() {

@@ -85,7 +85,7 @@ func (p *Porter) Run(trace []azure.Request) Results {
 			return
 		}
 		for _, st := range p.fns {
-			if img, ok := p.store.Get(p.cfg.User, st.spec.Name); ok {
+			if img, ok := p.store.Get(tenant, st.spec.Name); ok {
 				if ck, ok := img.(aBitResetter); ok {
 					ck.ClearABits()
 				}
@@ -352,7 +352,7 @@ func (req *pending) Fire(end des.Time) {
 // to a scratch cold start.
 func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 	fn := st.spec.Name
-	img, haveCkpt := p.store.Get(p.cfg.User, fn)
+	img, haveCkpt := p.store.Get(tenant, fn)
 	var excluded map[*nodeState]bool // nodes a restore found down
 
 	// t0 is the spawn decision instant; everything before it is porter
@@ -387,7 +387,7 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 			switch {
 			case healthy == 0:
 				p.res.FailedRestores++
-				p.store.Reclaim(p.cfg.User, fn)
+				p.store.Reclaim(tenant, fn)
 				delete(p.snaps, fn)
 				img, haveCkpt = nil, false
 			case deadAhead > 0:
@@ -539,7 +539,7 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 		// drop it from the store meanwhile, but its frames must outlive
 		// every in-flight restore (the eviction-safety invariant).
 		img.Retain()
-		p.store.Touch(p.cfg.User, fn, p.c.Eng.Now())
+		p.store.Touch(tenant, fn, p.c.Eng.Now())
 		st.scoreBase = p.agingL
 	} else {
 		p.res.ScratchCold++

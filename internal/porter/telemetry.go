@@ -127,7 +127,7 @@ func (p *Porter) registerTelemetry() {
 // regime), 1 when above the low watermark, 0 otherwise.
 func (p *Porter) ladderLevel() int {
 	for fn := range p.snaps {
-		if _, ok := p.store.Get(p.cfg.User, fn); !ok {
+		if _, ok := p.store.Get(tenant, fn); !ok {
 			return 3
 		}
 	}

@@ -261,6 +261,10 @@ func TestValidate(t *testing.T) {
 		{"excess cxl capacity", func(s *Spec) { s.Config.CXLCapacityBytes = 1 << 62 }},
 		{"oversized platform", func(s *Spec) { s.Config.Nodes, s.Config.NodeDRAMBytes = MaxNodes, 64<<30 }},
 		{"default dram on many nodes", func(s *Spec) { s.Config.Nodes, s.Config.NodeDRAMBytes = 3, 0 }},
+		{"excess checkpoint lanes", func(s *Spec) { s.Config.CheckpointLanes = MaxLanes + 1 }},
+		{"excess restore lanes", func(s *Spec) { s.Config.RestoreLanes = MaxLanes + 1 }},
+		{"excess devices", func(s *Spec) { s.Config.Replication.Devices = MaxDevices + 1 }},
+		{"excess series cap", func(s *Spec) { s.Config.Telemetry.SeriesCap = MaxSeriesCap + 1 }},
 	}
 	m := NewManager(Config{})
 	for _, tc := range cases {
@@ -293,6 +297,11 @@ func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 			Nodes: 2, NodeDRAMBytes: 6 << 30, CXLCapacityBytes: 8 << 30,
 		}},
 		"at cap": {Config: ConfigSpec{Nodes: 4, NodeDRAMBytes: 64 << 30, CXLCapacityBytes: 16 << 30}},
+		"at count caps": {Config: ConfigSpec{
+			CheckpointLanes: MaxLanes, RestoreLanes: MaxLanes,
+			Replication: ReplicationSpec{Devices: MaxDevices},
+			Telemetry:   TelemetrySpec{SeriesCap: MaxSeriesCap},
+		}},
 	}
 	for name, spec := range specs {
 		if err := spec.Validate(0); err != nil {

@@ -196,6 +196,17 @@ const (
 	MaxPlatformBytes = 272 << 30
 )
 
+// Count bounds at admission. Each field sizes an allocation when the
+// run starts: the lane makespan holds one slot per lane, the device pool
+// builds one device per entry, and every telemetry series preallocates
+// a ring of SeriesCap samples. Zero and negative values keep the
+// defaults.
+const (
+	MaxLanes     = 64
+	MaxDevices   = 16
+	MaxSeriesCap = 1 << 16
+)
+
 // platformBytes is the simulated memory c builds: nodes × node DRAM plus
 // CXL capacity, zero fields at the defaults a run applies.
 func (c ConfigSpec) platformBytes() int64 {
@@ -241,6 +252,19 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 	if b := c.platformBytes(); b > MaxPlatformBytes {
 		return fmt.Errorf("platform memory %d bytes (nodes × node_dram_bytes + cxl_capacity_bytes) exceeds cap %d",
 			b, int64(MaxPlatformBytes))
+	}
+	for _, b := range []struct {
+		field    string
+		val, max int
+	}{
+		{"checkpoint_lanes", c.CheckpointLanes, MaxLanes},
+		{"restore_lanes", c.RestoreLanes, MaxLanes},
+		{"replication.devices", c.Replication.Devices, MaxDevices},
+		{"telemetry.series_cap", c.Telemetry.SeriesCap, MaxSeriesCap},
+	} {
+		if b.val > b.max {
+			return fmt.Errorf("%s %d exceeds cap %d", b.field, b.val, b.max)
+		}
 	}
 	if s.Workload.RPS < 0 || s.Workload.RPS > MaxRPS {
 		return fmt.Errorf("rps %g out of range [0,%d]", s.Workload.RPS, MaxRPS)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
 	"cxlfork/internal/porter"
@@ -200,9 +199,6 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	if opts != nil && opts.OnSample != nil {
 		p.TelemetryEnabled = true
 	}
-	if wl.KeepAlive > 0 {
-		p.KeepAlive = des.Time(wl.KeepAlive)
-	}
 
 	// Calibrate with telemetry off: the mechanistic single-instance
 	// measurements are a sizing probe, not part of the observed replay
@@ -214,19 +210,18 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		return nil, err
 	}
 
-	c, err := cluster.New(p, nodes)
+	leg, err := experiments.NewLeg(p, nodes, design, experiments.Workload{
+		RPS:       wl.RPS,
+		Duration:  des.Time(wl.Duration),
+		KeepAlive: des.Time(wl.KeepAlive),
+		Functions: wl.Functions,
+		Weights:   wl.Weights,
+		Seed:      wl.Seed,
+	}, wl.NodeBudgetBytes, specs, profiles)
 	if err != nil {
 		return nil, err
 	}
-	po, err := experiments.NewPorter(c, design, porter.Config{
-		Profiles:        profiles,
-		Seed:            wl.Seed,
-		NodeBudgetBytes: wl.NodeBudgetBytes,
-	}, specs)
-	if err != nil {
-		return nil, err
-	}
-	trace := experiments.GenerateTrace(experiments.SpecNames(specs), wl.Weights, wl.RPS, des.Time(wl.Duration), wl.Seed)
+	c, po := leg.C, leg.Porter
 
 	interrupted := false
 	if opts != nil && opts.OnSample != nil {
@@ -254,7 +249,7 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		})
 	}
 
-	results := po.Run(trace)
+	results := leg.Run()
 	report := buildReport(wl.Design, results, po.SLOAlerts(), interrupted)
 	if c.XRay.Enabled() {
 		report.XRay = c.XRay.Report()
