@@ -113,7 +113,7 @@ func main() {
 			r, err = experiments.FabricSweep(p, cfg)
 		case "xray":
 			cfg := experiments.DefaultXRayExpConfig()
-			workload(&cfg.Fabric.Workload)
+			workload(&cfg.Workload)
 			r, err = experiments.XRaySweep(p, cfg)
 		default:
 			return fmt.Errorf("unknown experiment %q", id)

@@ -2,6 +2,7 @@ package cxlfork
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -122,5 +123,17 @@ func TestDegradeFabricSlowsCheckpoint(t *testing.T) {
 	slow, fast := elapsed(true), elapsed(false)
 	if slow <= fast {
 		t.Fatalf("degraded checkpoint %v not slower than %v", slow, fast)
+	}
+}
+
+// TestRunWorkloadRejectsUnknownEvictPolicy: an eviction policy the
+// porter does not know ends the run with an error, not a panic that
+// takes down the caller's process.
+func TestRunWorkloadRejectsUnknownEvictPolicy(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Capacity.EvictPolicy = "fifo"
+	_, err := RunWorkload(cfg, Workload{RPS: 20, Duration: time.Second, Functions: []string{"Float"}}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"fifo"`) {
+		t.Fatalf("RunWorkload = %v, want an unknown eviction policy error", err)
 	}
 }

@@ -93,7 +93,7 @@ func generateOne(rng *rand.Rand, l FunctionLoad, baseRPS float64, dur des.Time) 
 			rate *= l.BurstFactor
 		}
 		var next des.Time
-		if rate <= 0 {
+		if !(rate > 0) { // zero, or NaN from an all-zero weight mix: no arrivals
 			next = dur
 		} else {
 			next = now + expTime(rng, des.Time(float64(des.Second)/rate))

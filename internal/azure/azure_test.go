@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"cxlfork/internal/des"
 )
@@ -126,5 +127,29 @@ func TestSummarizeEmpty(t *testing.T) {
 	st := Summarize(nil, 0)
 	if st.Requests != 0 || st.MeanRPS != 0 || st.BurstShare != 0 {
 		t.Fatal("empty summary not zero")
+	}
+}
+
+// TestAllZeroWeightsEmptyTrace pins the degenerate mix: weights that are
+// all zero leave no rate to share (each share is 0/0), so the trace is
+// empty at any length and comes back at once instead of emitting an
+// arrival every virtual nanosecond.
+func TestAllZeroWeightsEmptyTrace(t *testing.T) {
+	c := cfg(4)
+	for i := range c.Loads {
+		c.Loads[i].Weight = 0
+	}
+	for _, dur := range []des.Time{des.Millisecond, 3600 * des.Second} {
+		c.Duration = dur
+		done := make(chan []Request, 1)
+		go func() { done <- Generate(c) }()
+		select {
+		case reqs := <-done:
+			if len(reqs) != 0 {
+				t.Fatalf("duration %v: %d arrivals from an all-zero mix, want 0", dur, len(reqs))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("duration %v: Generate did not return within 10s", dur)
+		}
 	}
 }

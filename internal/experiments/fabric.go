@@ -5,12 +5,12 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/fabric"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
+	"cxlfork/internal/xray"
 )
 
 // The fabric experiment (DESIGN.md §14, EXPERIMENTS.md "-exp fabric")
@@ -105,6 +105,10 @@ type FabricRun struct {
 	MinLinkLat des.Time
 	// Fingerprint is the replay's determinism hash.
 	Fingerprint uint64
+	// XRay is the replay's attribution report, nil unless the sweep ran
+	// with params.XRayEnabled (DESIGN.md §16). Attribution is
+	// observational: it leaves Results and Fingerprint unchanged.
+	XRay *xray.Report
 }
 
 // FabricResult holds the sweep plus the measured footprint.
@@ -148,7 +152,7 @@ func FabricSweep(p params.Params, cfg FabricExpConfig) (*FabricResult, error) {
 	}
 	runs, err := sweep(p, len(grid), func(i int) (FabricRun, error) {
 		g := grid[i]
-		run, _, err := fabricRun(p, cfg, g.sw, g.dev, g.pol, specs, profiles)
+		run, err := fabricRun(p, cfg, g.sw, g.dev, g.pol, specs, profiles)
 		if err != nil {
 			return FabricRun{}, fmt.Errorf("fabric sw=%d dev=%d pol=%s: %w", g.sw, g.dev, g.pol, err)
 		}
@@ -161,9 +165,8 @@ func FabricSweep(p params.Params, cfg FabricExpConfig) (*FabricResult, error) {
 }
 
 // fabricRun is one replay on a GridSpec(nodes, sw, dev) topology over
-// p's pool. The cluster is returned alongside the run so the xray
-// experiment can read attribution state off the same replay.
-func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (FabricRun, *cluster.Cluster, error) {
+// p's pool.
+func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (FabricRun, error) {
 	p.Topology = fabric.GridSpec(cfg.Nodes, sw, dev)
 	p.PlacementPolicy = pol
 	p.ReplicationFactor = cfg.Factor
@@ -172,7 +175,7 @@ func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, sp
 	}
 	leg, err := NewLeg(p, cfg.Nodes, DesignCXLforkMoW, cfg.Workload, 0, specs, profiles)
 	if err != nil {
-		return FabricRun{}, nil, err
+		return FabricRun{}, err
 	}
 	results := leg.Run()
 
@@ -190,7 +193,10 @@ func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, sp
 	if rl := results.RestoreLatency; rl != nil && rl.Count() > 0 {
 		run.RestoreP99 = rl.P99()
 	}
-	return run, leg.C, nil
+	if leg.C.XRay.Enabled() {
+		run.XRay = leg.C.XRay.Report()
+	}
+	return run, nil
 }
 
 // run returns the replay for (sw, dev, pol), or nil.
@@ -207,19 +213,9 @@ func (r *FabricResult) run(sw, dev int, pol string) *FabricRun {
 // the hash the golden worker-equivalence tests and the CI double-run
 // diff compare.
 func (r *FabricResult) Fingerprint() uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	for i := range r.Runs {
-		fold(uint64(r.Runs[i].Switches))
-		fold(uint64(r.Runs[i].Devices))
-		fold(uint64(len(r.Runs[i].Policy)))
-		fold(r.Runs[i].Fingerprint)
+	h := uint64(fpOffset)
+	for _, run := range r.Runs {
+		fpFold(&h, uint64(run.Switches), uint64(run.Devices), uint64(len(run.Policy)), run.Fingerprint)
 	}
 	return h
 }

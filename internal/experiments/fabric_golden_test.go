@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cxlfork/internal/des"
@@ -10,8 +12,9 @@ import (
 
 // goldenFabric pins the fabric sweep's fold at the config below. The
 // contract matches the §13 worker goldens: every SimWorkers count must
-// reproduce it byte for byte, and a rerun in the same binary must too —
-// the sweep's analytic contention model may not perturb event order.
+// reproduce it byte for byte, a rerun in the same binary must too — the
+// sweep's analytic contention model may not perturb event order — and
+// so must a sweep with attribution on.
 const goldenFabric = 0x9e58559b4eaf7d7a
 
 // goldenFabricConfig is a trimmed two-cell-per-switch sweep that still
@@ -25,38 +28,57 @@ func goldenFabricConfig() FabricExpConfig {
 	return cfg
 }
 
+// TestGoldenFabricWorkerEquivalence replays goldenFabricConfig in one
+// process at every golden worker count, first with attribution off and
+// then with it on. Every fold must equal goldenFabric: the sweep is
+// worker-invariant, an in-process rerun reproduces it, and attribution
+// leaves each cell's replay fingerprint at its attribution-off value.
+// Each cell's blame report must render byte-identically at every worker
+// count.
 func TestGoldenFabricWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("porter replays are slow")
 	}
-	for _, workers := range goldenWorkerCounts {
-		p := ExpParams()
-		p.SimWorkers = workers
-		r, err := FabricSweep(p, goldenFabricConfig())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	var cells []uint64 // each cell's fingerprint, attribution off
+	var blame []string // each cell's blame report, first attributed sweep
+	for _, attributed := range []bool{false, true} {
+		for _, workers := range goldenWorkerCounts {
+			p := ExpParams()
+			p.SimWorkers = workers
+			p.XRayEnabled = attributed
+			r, err := FabricSweep(p, goldenFabricConfig())
+			if err != nil {
+				t.Fatalf("xray=%v workers=%d: %v", attributed, workers, err)
+			}
+			if h := r.Fingerprint(); h != uint64(goldenFabric) {
+				t.Fatalf("xray=%v workers=%d: fabric fingerprint %#x, golden %#x", attributed, workers, h, uint64(goldenFabric))
+			}
+			for i, run := range r.Runs {
+				cell := fmt.Sprintf("xray=%v workers=%d sw%d/dev%d/%s", attributed, workers, run.Switches, run.Devices, run.Policy)
+				if len(cells) < len(r.Runs) {
+					cells = append(cells, run.Fingerprint)
+				}
+				if run.Fingerprint != cells[i] {
+					t.Fatalf("%s: fingerprint %#x, attribution off %#x", cell, run.Fingerprint, cells[i])
+				}
+				if (run.XRay != nil) != attributed {
+					t.Fatalf("%s: blame report present = %v", cell, run.XRay != nil)
+				}
+				if !attributed {
+					continue
+				}
+				if run.XRay.Requests == 0 {
+					t.Fatalf("%s: empty blame report", cell)
+				}
+				var b strings.Builder
+				run.XRay.WriteText(&b)
+				if len(blame) < len(r.Runs) {
+					blame = append(blame, b.String())
+				} else if b.String() != blame[i] {
+					t.Fatalf("%s: blame report differs from workers=%d", cell, goldenWorkerCounts[0])
+				}
+			}
 		}
-		if h := r.Fingerprint(); h != uint64(goldenFabric) {
-			t.Fatalf("workers=%d: fabric fingerprint %#x, golden %#x", workers, h, uint64(goldenFabric))
-		}
-	}
-}
-
-func TestGoldenFabricRerunStability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("porter replays are slow")
-	}
-	p := ExpParams()
-	a, err := FabricSweep(p, goldenFabricConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FabricSweep(p, goldenFabricConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("rerun diverged: %#x vs %#x", a.Fingerprint(), b.Fingerprint())
 	}
 }
 

@@ -53,8 +53,13 @@ func (d Design) Scenarios() []Scenario {
 
 // NewPorter builds a porter on c that scales with design d — cfg supplies
 // everything but the mechanism and tiering policy, which d selects — and
-// checkpoints every spec on it, ready to replay a trace.
+// checkpoints every spec on it, ready to replay a trace. An eviction
+// policy porter.ParseEvictPolicy refuses is an error here, not a panic
+// in porter.New.
 func NewPorter(c *cluster.Cluster, d Design, cfg porter.Config, specs []faas.Spec) (*porter.Porter, error) {
+	if _, err := porter.ParseEvictPolicy(c.P.EvictPolicy); err != nil {
+		return nil, err
+	}
 	switch d {
 	case DesignCRIU:
 		cfg.Mechanism = criu.New(c.CXLFS)
@@ -210,6 +215,22 @@ func sweep[T any](p params.Params, n int, cell func(i int) (T, error)) ([]T, err
 		}
 	}
 	return out, nil
+}
+
+// fpOffset seeds an fpFold hash.
+const fpOffset = 14695981039346656037
+
+// fpFold FNV-1a-folds 64-bit words into *h byte by byte, with porter's
+// fingerprint constants, so every experiment fold and golden reads as
+// one hash family.
+func fpFold(h *uint64, vs ...uint64) {
+	const prime = 1099511628211
+	for _, v := range vs {
+		for b := 0; b < 8; b++ {
+			*h ^= (v >> (8 * b)) & 0xff
+			*h *= prime
+		}
+	}
 }
 
 // scaledBytes is frac of footprint, rounded up to a whole page so

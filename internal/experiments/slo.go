@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"cxlfork/internal/des"
+	"cxlfork/internal/faas"
 	"cxlfork/internal/fabric"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
@@ -78,23 +79,40 @@ type TelemetryTraceResult struct {
 // TelemetryTrace calibrates profiles, sizes the device, and replays
 // the trace with telemetry sampling on.
 func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceResult, error) {
-	specs, profiles, err := calibrated(p, cfg.Workload, DesignCXLforkMoW.Scenarios())
+	trs, err := telemetryTraces(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return trs[0], nil
+}
+
+// telemetryTraces calibrates once and sizes the device once, both from
+// cfgs[0], then replays each config as one sweep cell. The configs share
+// cfgs[0]'s Workload and DeviceFrac and differ only in what their
+// replays observe or drive.
+func telemetryTraces(p params.Params, cfgs ...TelemetryTraceConfig) ([]*TelemetryTraceResult, error) {
+	base := cfgs[0]
+	specs, profiles, err := calibrated(p, base.Workload, DesignCXLforkMoW.Scenarios())
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-
-	out := &TelemetryTraceResult{}
-	if cfg.DeviceFrac > 0 {
+	var footprint int64
+	if base.DeviceFrac > 0 {
 		// Footprint measurement runs with telemetry off: it is a sizing
 		// probe, not part of the observed replay.
-		footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
-		if err != nil {
+		if footprint, err = capacityFootprint(p, specs, profiles, base.Seed); err != nil {
 			return nil, err
 		}
-		out.FootprintBytes = footprint
-		p.CXLBytes = scaledBytes(p, footprint, cfg.DeviceFrac)
+		p.CXLBytes = scaledBytes(p, footprint, base.DeviceFrac)
 	}
+	return sweep(p, len(cfgs), func(i int) (*TelemetryTraceResult, error) {
+		return telemetryReplay(p, cfgs[i], specs, profiles, footprint)
+	})
+}
 
+// telemetryReplay is one telemetry-enabled replay of cfg over p's
+// device; footprint is the measured suite footprint (0 if unmeasured).
+func telemetryReplay(p params.Params, cfg TelemetryTraceConfig, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile, footprint int64) (*TelemetryTraceResult, error) {
 	p.TelemetryEnabled = true
 	if cfg.SampleEvery > 0 {
 		p.SampleEvery = cfg.SampleEvery
@@ -128,15 +146,18 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 	if cfg.XRay {
 		p.XRayEnabled = true
 	}
-	out.DeviceBytes = p.CXLBytes
 
 	leg, err := NewLeg(p, 2, DesignCXLforkMoW, cfg.Workload, 0, specs, profiles)
 	if err != nil {
 		return nil, err
 	}
-	out.Results = leg.Run()
-	out.Registry = leg.Porter.Telemetry()
-	out.Alerts = leg.Porter.SLOAlerts()
+	out := &TelemetryTraceResult{
+		Results:        leg.Run(),
+		Registry:       leg.Porter.Telemetry(),
+		Alerts:         leg.Porter.SLOAlerts(),
+		FootprintBytes: footprint,
+		DeviceBytes:    p.CXLBytes,
+	}
 	if leg.C.XRay.Enabled() {
 		out.XRay = leg.C.XRay.Report()
 	}
@@ -157,8 +178,6 @@ type SLOConfig struct {
 	// the params default). The objective only has room to act when it
 	// sits above this floor and below steady-state occupancy.
 	LowWatermark float64
-	// SampleEvery overrides the telemetry tick when non-zero.
-	SampleEvery des.Time
 }
 
 // DefaultSLOConfig mirrors the capacity experiment's skewed Fig. 10
@@ -194,29 +213,25 @@ type SLOResult struct {
 }
 
 // SLO runs the comparison: identical replays with the occupancy
-// alert observing vs driving the capacity manager.
+// alert observing vs driving the capacity manager, calibrated and sized
+// once and replayed as two sweep cells.
 func SLO(p params.Params, cfg SLOConfig) (*SLOResult, error) {
-	res := &SLOResult{Cfg: cfg}
-	for _, drive := range []bool{false, true} {
-		tr, err := TelemetryTrace(p, TelemetryTraceConfig{
-			Workload:     cfg.Workload,
-			DeviceFrac:   cfg.DeviceFrac,
-			SampleEvery:  cfg.SampleEvery,
-			SLOOccupancy: cfg.Occupancy,
-			SLODrive:     drive,
-			LowWatermark: cfg.LowWatermark,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("slo drive=%v: %w", drive, err)
-		}
-		run := SLORun{Drive: drive, Results: tr.Results, Alerts: tr.Alerts}
-		run.OccMax, run.OccMean = seriesStats(tr.Registry, "cxl_utilization")
-		if drive {
-			res.Drive = run
-		} else {
-			res.Observe = run
-		}
-		res.FootprintBytes, res.DeviceBytes = tr.FootprintBytes, tr.DeviceBytes
+	observe := TelemetryTraceConfig{
+		Workload:     cfg.Workload,
+		DeviceFrac:   cfg.DeviceFrac,
+		SLOOccupancy: cfg.Occupancy,
+		LowWatermark: cfg.LowWatermark,
+	}
+	drive := observe
+	drive.SLODrive = true
+	trs, err := telemetryTraces(p, observe, drive)
+	if err != nil {
+		return nil, fmt.Errorf("slo: %w", err)
+	}
+	res := &SLOResult{Cfg: cfg, FootprintBytes: trs[0].FootprintBytes, DeviceBytes: trs[0].DeviceBytes}
+	for i, run := range []*SLORun{&res.Observe, &res.Drive} {
+		*run = SLORun{Drive: i == 1, Results: trs[i].Results, Alerts: trs[i].Alerts}
+		run.OccMax, run.OccMean = seriesStats(trs[i].Registry, "cxl_utilization")
 	}
 	return res, nil
 }

@@ -21,20 +21,6 @@ const (
 // goldenWorkerCounts are the SimWorkers values every golden runs at.
 var goldenWorkerCounts = []int{1, 2, 8}
 
-// fpFold FNV-1a-folds 64-bit words, matching porter's fingerprint
-// constants so goldens read as one familiar hash family.
-func fpFold(h *uint64, vs ...uint64) {
-	const prime = 1099511628211
-	for _, v := range vs {
-		for b := 0; b < 8; b++ {
-			*h ^= (v >> (8 * b)) & 0xff
-			*h *= prime
-		}
-	}
-}
-
-const fpOffset = 14695981039346656037
-
 func TestGoldenFig10WorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("porter replays are slow")

@@ -7,6 +7,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"cxlfork"
 )
 
 // smallConfig keeps sessions fast: capacity-sized structures dominate
@@ -265,6 +267,16 @@ func TestValidate(t *testing.T) {
 		{"excess restore lanes", func(s *Spec) { s.Config.RestoreLanes = MaxLanes + 1 }},
 		{"excess devices", func(s *Spec) { s.Config.Replication.Devices = MaxDevices + 1 }},
 		{"excess series cap", func(s *Spec) { s.Config.Telemetry.SeriesCap = MaxSeriesCap + 1 }},
+		{"unknown evict policy", func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" }},
+		{"unknown placement", func(s *Spec) { s.Config.Fabric.Placement = "random" }},
+		{"all-zero weights", func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} }},
+		{"all-zero weights over the suite", func(s *Spec) {
+			s.Workload.Functions = nil
+			s.Workload.Weights = map[string]float64{}
+			for _, fn := range cxlfork.FunctionNames() {
+				s.Workload.Weights[fn] = 0
+			}
+		}},
 	}
 	m := NewManager(Config{})
 	for _, tc := range cases {
@@ -302,6 +314,13 @@ func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 			Replication: ReplicationSpec{Devices: MaxDevices},
 			Telemetry:   TelemetrySpec{SeriesCap: MaxSeriesCap},
 		}},
+		"named policies, partly zero mix": {
+			Config: ConfigSpec{
+				Capacity: CapacitySpec{EvictPolicy: "lru"},
+				Fabric:   FabricSpec{Placement: "locality"},
+			},
+			Workload: WorkloadSpec{Weights: map[string]float64{"Float": 0}},
+		},
 	}
 	for name, spec := range specs {
 		if err := spec.Validate(0); err != nil {

@@ -8,6 +8,7 @@ import (
 	"cxlfork"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
+	"cxlfork/internal/porter"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -266,6 +267,12 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 			return fmt.Errorf("%s %d exceeds cap %d", b.field, b.val, b.max)
 		}
 	}
+	if _, err := porter.ParseEvictPolicy(c.Capacity.EvictPolicy); err != nil {
+		return fmt.Errorf("unknown capacity.evict_policy %q (want costbenefit, lru or largest)", c.Capacity.EvictPolicy)
+	}
+	if pl := c.Fabric.Placement; pl != "" && pl != "hash" && pl != "locality" {
+		return fmt.Errorf("unknown fabric.placement %q (want hash or locality)", pl)
+	}
 	if s.Workload.RPS < 0 || s.Workload.RPS > MaxRPS {
 		return fmt.Errorf("rps %g out of range [0,%d]", s.Workload.RPS, MaxRPS)
 	}
@@ -285,6 +292,9 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 			return fmt.Errorf("negative weight %g for function %q", w, fn)
 		}
 	}
+	if s.Workload.zeroesMix() {
+		return fmt.Errorf("weights zero every function in the mix")
+	}
 	if s.Session.Pace < 0 {
 		return fmt.Errorf("negative pace %g", s.Session.Pace)
 	}
@@ -292,6 +302,25 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 		return fmt.Errorf("negative timeout %v", time.Duration(s.Session.Timeout))
 	}
 	return nil
+}
+
+// zeroesMix reports whether Weights sets every function of the mix
+// (Functions, or the full suite) to zero, leaving no arrivals to
+// generate. An unlisted function keeps its default share.
+func (w WorkloadSpec) zeroesMix() bool {
+	if len(w.Weights) == 0 {
+		return false
+	}
+	mix := w.Functions
+	if len(mix) == 0 {
+		mix = cxlfork.FunctionNames()
+	}
+	for _, fn := range mix {
+		if wt, ok := w.Weights[fn]; !ok || wt > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // build maps the wire spec onto the facade types.

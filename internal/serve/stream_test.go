@@ -275,6 +275,50 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestRejectedSpecsKeepServing posts the specs that used to take the
+// server down: an unknown eviction policy panicked the session
+// goroutine, and an all-zero weight mix generated an arrival every
+// virtual nanosecond until the process ran out of memory. Each must get
+// a 400 whose reason names the field, and the server must still run the
+// next session to completion.
+func TestRejectedSpecsKeepServing(t *testing.T) {
+	m := NewManager(Config{})
+	defer drainNow(t, m)
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	for field, mut := range map[string]func(*Spec){
+		"capacity.evict_policy": func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" },
+		"fabric.placement":      func(s *Spec) { s.Config.Fabric.Placement = "random" },
+		"weights":               func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} },
+	} {
+		spec := fastSpec()
+		mut(&spec)
+		resp := postSpec(t, srv.Client(), srv.URL+"/v1/sessions", spec)
+		var er errorReply
+		err := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(er.Error, field) {
+			t.Fatalf("%s: status %d, reply %+v (%v); want 400 naming the field", field, resp.StatusCode, er, err)
+		}
+	}
+
+	resp := postSpec(t, srv.Client(), srv.URL+"/v1/sessions", fastSpec())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	var sum struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
+		t.Fatalf("decode submit reply: %v", err)
+	}
+	resp.Body.Close()
+	if rep := pollReport(t, srv, sum.ID); rep.Completed == 0 {
+		t.Fatal("session after the rejections completed no requests")
+	}
+}
+
 func TestDesignsAndHealth(t *testing.T) {
 	m := NewManager(Config{})
 	defer drainNow(t, m)
