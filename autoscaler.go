@@ -131,8 +131,9 @@ func (s *System) RunAutoscaler(cfg AutoscalerConfig) (ScalingResults, error) {
 	}
 	var trace []azure.Request
 	if len(cfg.Trace) > 0 {
-		for _, a := range cfg.Trace {
-			trace = append(trace, azure.Request{At: des.Time(a.At), Function: a.Function})
+		trace = make([]azure.Request, len(cfg.Trace))
+		for i, a := range cfg.Trace {
+			trace[i] = azure.Request{At: des.Time(a.At), Function: a.Function}
 		}
 	} else {
 		trace = experiments.GenerateTrace(experiments.SpecNames(specs), nil, cfg.RPS, des.Time(cfg.Duration), cfg.Seed)

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,5 +46,31 @@ func TestCheckExposition(t *testing.T) {
 		if !strings.Contains(report.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, report.String())
 		}
+	}
+}
+
+// TestUnknownPlacementExits runs cxlstat with -placement bogus in a
+// child process (this test binary re-run on main, its arguments after
+// "--"): it must exit 1 and name the value, not replay it as hash.
+func TestUnknownPlacementExits(t *testing.T) {
+	if i := slices.Index(os.Args, "--"); i >= 0 {
+		os.Args = append([]string{"cxlstat"}, os.Args[i+1:]...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownPlacementExits$", "--",
+		"-rps", "10", "-duration", "1", "-fn", "Float", "-switches", "2", "-devices", "2", "-rf", "2", "-placement", "bogus", "-format", "prom")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("cxlstat -placement bogus: %v, want exit status 1\nstderr: %s", err, stderr.String())
+	}
+	if want := `unknown placement policy "bogus"`; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q does not mention %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("cxlstat printed %d bytes of output for a rejected run", stdout.Len())
 	}
 }

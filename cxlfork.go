@@ -200,7 +200,9 @@ type FabricConfig struct {
 	Topology string
 	// Placement selects the replica placement policy: "hash" (default,
 	// pure consistent-hash ring) or "locality" (switch-spread,
-	// path-cost-reweighted ring).
+	// path-cost-reweighted ring). Any other value is an error from
+	// RunWorkload and a panic from NewSystem, as an unparseable
+	// Topology is.
 	Placement string
 }
 

@@ -137,3 +137,24 @@ func TestRunWorkloadRejectsUnknownEvictPolicy(t *testing.T) {
 		t.Fatalf("RunWorkload = %v, want an unknown eviction policy error", err)
 	}
 }
+
+// TestRunWorkloadRejectsBadFabric: a placement policy other than hash
+// or locality, or a topology that does not parse, ends the run with an
+// error naming it, not a replay that silently places replicas by hash
+// or a panic out of calibration.
+func TestRunWorkloadRejectsBadFabric(t *testing.T) {
+	for _, tc := range []struct {
+		fabric FabricConfig
+		want   string
+	}{
+		{FabricConfig{Placement: "bogus"}, `unknown placement policy "bogus"`},
+		{FabricConfig{Topology: "nonsense line"}, `unknown directive "nonsense"`},
+	} {
+		cfg := smallConfig()
+		cfg.Fabric = tc.fabric
+		_, err := RunWorkload(cfg, Workload{RPS: 20, Duration: time.Second, Functions: []string{"Float"}}, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("fabric %+v: RunWorkload = %v, want an error mentioning %s", tc.fabric, err, tc.want)
+		}
+	}
+}

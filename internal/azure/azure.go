@@ -1,10 +1,8 @@
 package azure
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
-	"slices"
 
 	"cxlfork/internal/des"
 )
@@ -60,30 +58,79 @@ func DefaultLoads(functions []string) []FunctionLoad {
 	return loads
 }
 
-// Generate produces the arrival sequence, sorted by time.
+// Generate produces the arrival sequence, ordered by time and, on equal
+// times, by load order. Each load's run is generated into one presized
+// allocation, and merge fills an output sized to the exact total.
 func Generate(cfg TraceConfig) []Request {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var total float64
 	for _, l := range cfg.Loads {
 		total += l.Weight
 	}
-	var out []Request
-	for _, l := range cfg.Loads {
+	runs := make([][]arrival, len(cfg.Loads))
+	for i, l := range cfg.Loads {
 		// Mean rate r must satisfy: share = weight/total * TotalRPS.
 		// With duty cycle d = MeanBurst/(MeanBurst+MeanCalm), mean rate
 		// = base*(1-d) + base*BurstFactor*d, so solve for base.
 		share := l.Weight / total * cfg.TotalRPS
 		d := float64(l.MeanBurst) / float64(l.MeanBurst+l.MeanCalm)
 		base := share / ((1 - d) + l.BurstFactor*d)
-		out = append(out, generateOne(rng, l, base, cfg.Duration)...)
+		runs[i] = generateOne(rng, l, base, cfg.Duration, presize(share, cfg.Duration))
 	}
-	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
+	return merge(cfg.Loads, runs)
+}
+
+// arrival is one arrival of a load's run; the load names its function.
+type arrival struct {
+	at    des.Time
+	burst bool
+}
+
+// maxPresize caps a run's up-front capacity at 16M arrivals (256 MB);
+// a longer run grows by append.
+const maxPresize = 1 << 24
+
+// presize is the capacity for a run with mean rate share over dur: the
+// expected count plus a quarter as headroom for the run's bursts. A run
+// that outgrows it grows by append. A zero, negative, NaN or infinite
+// share presizes nothing.
+func presize(share float64, dur des.Time) int {
+	want := share * dur.Seconds()
+	if !(want > 0) || math.IsInf(want, 0) {
+		return 0
+	}
+	return int(min(want*1.25, maxPresize))
+}
+
+// merge interleaves the loads' runs, each strictly increasing in time,
+// into one trace ordered by time and, on equal times, by load index:
+// the order a stable sort of the runs' concatenation gives. Each pick
+// scans the run heads; a trace has a handful of loads.
+func merge(loads []FunctionLoad, runs [][]arrival) []Request {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]Request, 0, n)
+	for len(out) < n {
+		// k is the lowest-indexed run holding the earliest head.
+		k := -1
+		for i, r := range runs {
+			if len(r) > 0 && (k < 0 || r[0].at < runs[k][0].at) {
+				k = i
+			}
+		}
+		a := runs[k][0]
+		runs[k] = runs[k][1:]
+		out = append(out, Request{At: a.at, Function: loads[k].Function, Burst: a.burst})
+	}
 	return out
 }
 
-// generateOne runs one function's two-state MMPP.
-func generateOne(rng *rand.Rand, l FunctionLoad, baseRPS float64, dur des.Time) []Request {
-	var out []Request
+// generateOne runs one function's two-state MMPP into a run of capacity
+// size; its arrivals are strictly increasing in time.
+func generateOne(rng *rand.Rand, l FunctionLoad, baseRPS float64, dur des.Time, size int) []arrival {
+	out := make([]arrival, 0, size)
 	now := des.Time(0)
 	burst := false
 	stateEnd := now + expTime(rng, l.MeanCalm)
@@ -111,7 +158,7 @@ func generateOne(rng *rand.Rand, l FunctionLoad, baseRPS float64, dur des.Time) 
 		}
 		now = next
 		if now < dur {
-			out = append(out, Request{At: now, Function: l.Function, Burst: burst})
+			out = append(out, arrival{at: now, burst: burst})
 		}
 	}
 	return out

@@ -1,11 +1,12 @@
 package azure
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"cxlfork/internal/des"
@@ -41,8 +42,9 @@ func WriteCSV(w io.Writer, reqs []Request) error {
 }
 
 // ReadCSV parses a trace, tolerating an optional header row and
-// unsorted input (arrivals are sorted on return). Times must be finite,
-// non-negative, and at most maxAt.
+// unsorted input: arrivals come back sorted by time, rows with equal
+// times in file order. Times must be finite, non-negative, and at most
+// maxAt.
 func ReadCSV(r io.Reader) ([]Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -81,6 +83,6 @@ func ReadCSV(r io.Reader) ([]Request, error) {
 			Function: rec[1],
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
 	return out, nil
 }

@@ -2,6 +2,9 @@ package azure
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +53,45 @@ func TestReadCSVHeaderAndSorting(t *testing.T) {
 	}
 	if got[0].At != des.Time(0.5*float64(des.Second)) {
 		t.Fatalf("time = %v", got[0].At)
+	}
+}
+
+// TestReadCSVKeepsFileOrderOnEqualTimes: sorting an unsorted file
+// moves each row to its time and keeps rows with equal times in the
+// order the file lists them; a file already in time order comes back
+// row for row.
+func TestReadCSVKeepsFileOrderOnEqualTimes(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"seconds,function\n2.5,B\n0.5,D\n1.0,E\n0.5,A\n2.5,A\n0.5,C\n", "D A C E B A"},
+		{"0.5,D\n0.5,A\n1.0,E\n1.0,B\n2.5,C\n", "D A E B C"},
+	} {
+		got, err := ReadCSV(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fns []string
+		for _, r := range got {
+			fns = append(fns, r.Function)
+		}
+		if s := strings.Join(fns, " "); s != tc.want {
+			t.Errorf("ReadCSV(%q) functions %s, want %s", tc.in, s, tc.want)
+		}
+	}
+
+	// Past a dozen rows an unstable sort reorders ties; row i names
+	// itself and arrives at one of three times.
+	var in strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&in, "%d,f%02d\n", i*7%3, i)
+	}
+	got, err := ReadCSV(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSortedFunc(got, func(a, b Request) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), strings.Compare(a.Function, b.Function))
+	}) {
+		t.Fatalf("rows with equal times left file order: %v", got)
 	}
 }
 

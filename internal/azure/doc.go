@@ -15,5 +15,14 @@
 // The entry point is Generate, which expands a TraceConfig —
 // DefaultLoads supplies the suite's per-function loads — into a
 // time-sorted arrival trace; Summarize reports the realized rate and
-// burstiness.
+// burstiness. ReadCSV and WriteCSV load and store a trace as CSV.
+//
+// Order: a trace is sorted by arrival time, and arrivals at the same
+// virtual nanosecond keep load order (the order of TraceConfig.Loads;
+// for ReadCSV, file order). Cost: Generate is linear in the arrivals;
+// placing each one scans the loads' run heads, and a trace has a
+// handful of loads. It allocates each load's run once, presized from
+// the load's expected count, and the output once, sized to the exact
+// total. The seeded draw sequence is fixed, so a config's trace is the
+// same on every machine.
 package azure

@@ -10,6 +10,7 @@ import (
 	"cxlfork/internal/fsim"
 	"cxlfork/internal/kernel"
 	"cxlfork/internal/params"
+	"cxlfork/internal/replica"
 	"cxlfork/internal/telemetry"
 	"cxlfork/internal/trace"
 	"cxlfork/internal/xray"
@@ -74,10 +75,14 @@ type Cluster struct {
 
 // New builds a cluster of n nodes with the given parameters. All nodes
 // share one virtual clock: the simulation is sequential, and concurrent
-// scenarios are expressed through the engine's event queue.
+// scenarios are expressed through the engine's event queue. An
+// unparseable topology or an unknown placement policy is an error.
 func New(p params.Params, n int) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
+	}
+	if err := replica.CheckPlacement(p.PlacementPolicy); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	eng := des.NewEngine()
 	var topo *fabric.Topology

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"cxlfork/internal/params"
@@ -61,6 +62,26 @@ func TestZeroNodesErrors(t *testing.T) {
 		if c, err := New(small(), n); err == nil || c != nil {
 			t.Fatalf("New(%d) = %v, %v; want nil, error", n, c, err)
 		}
+	}
+}
+
+// TestUnknownPlacementErrors: a placement policy other than hash or
+// locality is an error naming the value, not a silent hash ring.
+func TestUnknownPlacementErrors(t *testing.T) {
+	p := small()
+	for _, pol := range []string{"", "hash", "locality"} {
+		p.PlacementPolicy = pol
+		if _, err := New(p, 1); err != nil {
+			t.Fatalf("placement %q: %v", pol, err)
+		}
+	}
+	p.PlacementPolicy = "bogus"
+	c, err := New(p, 1)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("placement bogus: New error %v, want one naming the value", err)
+	}
+	if c != nil {
+		t.Fatal("placement bogus: New returned a cluster with its error")
 	}
 }
 

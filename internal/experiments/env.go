@@ -23,7 +23,10 @@ func ExpParams() params.Params {
 // files registered and pre-pulled on all nodes (steady-state serverless
 // nodes have warm page caches for function images).
 func NewEnv(p params.Params, specs ...faas.Spec) (*cluster.Cluster, error) {
-	c := cluster.MustNew(p, 2)
+	c, err := cluster.New(p, 2)
+	if err != nil {
+		return nil, err
+	}
 	for _, s := range specs {
 		faas.RegisterFiles(c.FS, p, s)
 		for _, n := range c.Nodes {

@@ -259,7 +259,7 @@ type Params struct {
 	// pool: "hash" (default; pure consistent-hash ring walk) or
 	// "locality" (ring walk reweighted to spread replicas across
 	// switches and prefer low mean path cost, DESIGN.md §14). Ignored
-	// without a Topology.
+	// without a Topology; any other value fails cluster construction.
 	PlacementPolicy string
 
 	// ---- Telemetry and SLOs (DESIGN.md §11) ----

@@ -100,6 +100,16 @@ type Manager struct {
 	convergedAt des.Time
 }
 
+// CheckPlacement returns an error unless policy names a placement
+// policy: "hash" (or "", the default) or "locality".
+func CheckPlacement(policy string) error {
+	switch policy {
+	case "", "hash", "locality":
+		return nil
+	}
+	return fmt.Errorf("unknown placement policy %q (want hash or locality)", policy)
+}
+
 // New builds a manager over pool with replication factor
 // p.ReplicationFactor, clamped to [1, pool.N()].
 func New(pool *cxl.DevicePool, eng *des.Engine, p params.Params) *Manager {

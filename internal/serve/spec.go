@@ -9,6 +9,7 @@ import (
 	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
+	"cxlfork/internal/replica"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -270,8 +271,8 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 	if _, err := porter.ParseEvictPolicy(c.Capacity.EvictPolicy); err != nil {
 		return fmt.Errorf("unknown capacity.evict_policy %q (want costbenefit, lru or largest)", c.Capacity.EvictPolicy)
 	}
-	if pl := c.Fabric.Placement; pl != "" && pl != "hash" && pl != "locality" {
-		return fmt.Errorf("unknown fabric.placement %q (want hash or locality)", pl)
+	if replica.CheckPlacement(c.Fabric.Placement) != nil {
+		return fmt.Errorf("unknown fabric.placement %q (want hash or locality)", c.Fabric.Placement)
 	}
 	if s.Workload.RPS < 0 || s.Workload.RPS > MaxRPS {
 		return fmt.Errorf("rps %g out of range [0,%d]", s.Workload.RPS, MaxRPS)
