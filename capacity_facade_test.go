@@ -32,7 +32,7 @@ func TestCapacityConfigMapsToParams(t *testing.T) {
 		t.Fatalf("ReclaimPeriod = %v", time.Duration(p.CXLReclaimPeriod))
 	}
 	// The overridden config still boots.
-	NewSystem(cfg)
+	newSystem(t, cfg)
 }
 
 // TestCapacityStats checks the exclusive/shared occupancy breakdown:
@@ -40,7 +40,7 @@ func TestCapacityConfigMapsToParams(t *testing.T) {
 // twin of the same function converts most data frames to shared; and
 // the components always sum to the device's used bytes.
 func TestCapacityStats(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 
 	if st := sys.CapacityStats(); st.Checkpoints != 0 || st.UsedBytes != 0 {
 		t.Fatalf("non-empty stats on fresh system: %+v", st)

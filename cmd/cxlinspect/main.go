@@ -23,7 +23,11 @@ func main() {
 	verbose := flag.Bool("v", false, "dump the address-space layout and global state records")
 	flag.Parse()
 
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cxlinspect: %v\n", err)
+		os.Exit(1)
+	}
 	fn, err := sys.DeployFunction(0, *function)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cxlinspect: %v\n", err)

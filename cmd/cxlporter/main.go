@@ -10,6 +10,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -20,43 +21,41 @@ import (
 	"cxlfork"
 )
 
+// designs maps each -mech value onto its cxlfork.WorkloadDesigns entry.
+var designs = map[string]string{
+	"cxlfork":     "CXLfork",
+	"cxlfork-mow": "CXLfork-MoW",
+	"criu":        "CRIU-CXL",
+	"mitosis":     "Mitosis-CXL",
+}
+
 func main() {
 	mech := flag.String("mech", "cxlfork", "rfork design: cxlfork, cxlfork-mow, criu, mitosis")
 	rps := flag.Float64("rps", 150, "aggregate request rate")
 	duration := flag.Float64("duration", 30, "trace duration in virtual seconds")
 	memFrac := flag.Float64("mem", 1.0, "node memory budget as a fraction of 12 GB")
 	functions := flag.String("functions", "", "comma-separated workload mix (default: full suite)")
-	seed := flag.Int64("seed", 7, "trace seed")
+	seed := flag.Int64("seed", 7, "trace and jitter seed (0: the platform seed)")
 	traceIn := flag.String("trace", "", "replay an explicit trace from a seconds,function CSV file")
 	traceOut := flag.String("save-trace", "", "write the generated trace to a CSV file and exit")
 	flag.Parse()
 
-	cfg := cxlfork.AutoscalerConfig{
-		RPS:        *rps,
-		Duration:   time.Duration(*duration * float64(time.Second)),
-		NodeBudget: int64(*memFrac * float64(12<<30)),
-		Seed:       *seed,
+	cfg := cxlfork.DefaultConfig()
+	wl := cxlfork.Workload{
+		Design:          designs[*mech],
+		RPS:             *rps,
+		Duration:        time.Duration(*duration * float64(time.Second)),
+		NodeBudgetBytes: int64(*memFrac * float64(12<<30)),
+		Seed:            *seed,
+	}
+	if wl.Design == "" {
+		fmt.Fprintf(os.Stderr, "cxlporter: unknown mechanism %q\n", *mech)
+		os.Exit(2)
 	}
 	fns := cxlfork.FunctionNames()
 	if *functions != "" {
-		cfg.Functions = strings.Split(*functions, ",")
-		fns = cfg.Functions
-	}
-	switch *mech {
-	case "cxlfork":
-		cfg.Mechanism = cxlfork.CXLfork
-		cfg.DynamicTiering = true
-	case "cxlfork-mow":
-		cfg.Mechanism = cxlfork.CXLfork
-		pol := cxlfork.MigrateOnWrite
-		cfg.StaticPolicy = &pol
-	case "criu":
-		cfg.Mechanism = cxlfork.CRIUCXL
-	case "mitosis":
-		cfg.Mechanism = cxlfork.MitosisCXL
-	default:
-		fmt.Fprintf(os.Stderr, "cxlporter: unknown mechanism %q\n", *mech)
-		os.Exit(2)
+		wl.Functions = strings.Split(*functions, ",")
+		fns = wl.Functions
 	}
 
 	if *traceOut != "" {
@@ -66,7 +65,8 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := cxlfork.SaveTraceCSV(f, fns, *rps, cfg.Duration, *seed); err != nil {
+		// Seed 0 falls back to cfg.Seed, as it does in RunWorkload.
+		if err := cxlfork.SaveTraceCSV(f, fns, *rps, wl.Duration, cmp.Or(*seed, cfg.Seed)); err != nil {
 			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
 			os.Exit(1)
 		}
@@ -85,13 +85,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
 			os.Exit(1)
 		}
-		cfg.Trace = trace
+		wl.Trace = trace
 	}
 
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
 	fmt.Printf("calibrating profiles and replaying %.0f RPS for %.0fs with %s (mem budget %.0f%%)...\n",
-		*rps, *duration, cfg.Mechanism, 100**memFrac)
-	res, err := sys.RunAutoscaler(cfg)
+		*rps, *duration, wl.Design, 100**memFrac)
+	res, err := cxlfork.RunWorkload(cfg, wl, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
 		os.Exit(1)
@@ -103,17 +102,17 @@ func main() {
 	fmt.Printf("warm starts %d, checkpoint restores %d, scratch cold starts %d\n",
 		res.WarmStarts, res.ColdForks, res.ScratchCold)
 	fmt.Printf("evictions %d, tiering promotions %d, throughput %.1f req/s\n",
-		res.Evictions, res.Promotions, res.Throughput)
-	writeP99s(os.Stdout, fns, res.PerFunctionP99)
+		res.IdleEvictions, res.Promotions, res.Throughput)
+	writeP99s(os.Stdout, fns, res.PerFunction)
 }
 
 // writeP99s prints the per-function P99 block in workload-mix order,
-// skipping functions with no completions (absent from p99).
-func writeP99s(w io.Writer, fns []string, p99 map[string]time.Duration) {
+// skipping functions with no completions (absent from per).
+func writeP99s(w io.Writer, fns []string, per map[string]cxlfork.FunctionLatency) {
 	fmt.Fprintln(w, "\nper-function P99:")
 	for _, fn := range fns {
-		if d, ok := p99[fn]; ok {
-			fmt.Fprintf(w, "  %-10s %v\n", fn, d.Round(time.Millisecond))
+		if l, ok := per[fn]; ok {
+			fmt.Fprintf(w, "  %-10s %v\n", fn, l.P99.Round(time.Millisecond))
 		}
 	}
 }

@@ -70,7 +70,10 @@ func run(fn, mechName, out string, lanes int, seed int64, scenario string, check
 	cfg.Seed = seed
 	cfg.CheckpointLanes = lanes
 	cfg.RestoreLanes = lanes
-	sys := cxlfork.NewSystem(cfg)
+	sys, err := cxlfork.NewSystem(cfg)
+	if err != nil {
+		return err
+	}
 
 	var ckDelta time.Duration
 	switch scenario {

@@ -201,8 +201,7 @@ type FabricConfig struct {
 	// Placement selects the replica placement policy: "hash" (default,
 	// pure consistent-hash ring) or "locality" (switch-spread,
 	// path-cost-reweighted ring). Any other value is an error from
-	// RunWorkload and a panic from NewSystem, as an unparseable
-	// Topology is.
+	// RunWorkload and NewSystem, as an unparseable Topology is.
 	Placement string
 }
 
@@ -401,12 +400,16 @@ type System struct {
 	reg  map[string]bool // functions with registered+warmed images
 }
 
-// NewSystem boots a cluster.
-func NewSystem(cfg Config) *System {
+// NewSystem boots a cluster. An unparseable Fabric.Topology or an
+// unknown Fabric.Placement is an error, as it is from RunWorkload.
+func NewSystem(cfg Config) (*System, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
-	c := cluster.MustNew(cfg.params(), cfg.Nodes)
+	c, err := cluster.New(cfg.params(), cfg.Nodes)
+	if err != nil {
+		return nil, fmt.Errorf("cxlfork: %w", err)
+	}
 	c.Faults.Reseed(cfg.Seed)
 	// DeviceLoss rules are clock-driven: arm them now so rules injected
 	// at any point fire at their At offset and kill the pool device.
@@ -426,7 +429,7 @@ func NewSystem(cfg Config) *System {
 			MitosisCXL: mitMech,
 		},
 		reg: make(map[string]bool),
-	}
+	}, nil
 }
 
 // checkNode validates a node index against the cluster size.

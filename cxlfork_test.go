@@ -2,6 +2,7 @@ package cxlfork
 
 import (
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,17 @@ func smallConfig() Config {
 	cfg.NodeDRAM = 2 << 30
 	cfg.CXLCapacity = 2 << 30
 	return cfg
+}
+
+// newSystem boots a System from cfg, failing the test on a config
+// NewSystem refuses.
+func newSystem(t testing.TB, cfg Config) *System {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func deployWarm(t *testing.T, sys *System, name string) *Function {
@@ -35,7 +47,7 @@ func TestFunctionNames(t *testing.T) {
 }
 
 func TestDeployInvoke(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn, err := sys.DeployFunction(0, "Float")
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +72,7 @@ func TestDeployInvoke(t *testing.T) {
 }
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 
 	ck, err := sys.Checkpoint(fn, CXLfork, "float-v1")
@@ -108,7 +120,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 }
 
 func TestAllMechanisms(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Json")
 	for _, mech := range []MechanismKind{CXLfork, CRIUCXL, MitosisCXL} {
 		ck, err := sys.Checkpoint(fn, mech, "json-"+mech.String())
@@ -131,7 +143,7 @@ func TestAllMechanisms(t *testing.T) {
 }
 
 func TestMitosisPinsParentMemory(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 	ck, err := sys.Checkpoint(fn, MitosisCXL, "m1")
 	if err != nil {
@@ -147,7 +159,7 @@ func TestMitosisPinsParentMemory(t *testing.T) {
 }
 
 func TestTieringPolicies(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 	ck, _ := sys.Checkpoint(fn, CXLfork, "f1")
 
@@ -179,7 +191,7 @@ func TestTieringPolicies(t *testing.T) {
 }
 
 func TestABitInterface(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 	ck, _ := sys.Checkpoint(fn, CXLfork, "f1")
 	n, err := ck.ClearAccessBits()
@@ -196,7 +208,7 @@ func TestABitInterface(t *testing.T) {
 }
 
 func TestLocalFork(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 	before := sys.NodeMemoryUsed(0)
 	child, err := fn.Fork()
@@ -215,7 +227,7 @@ func TestLocalFork(t *testing.T) {
 func TestRestoreLatencyOrdering(t *testing.T) {
 	// The paper's core claim end-to-end through the public API: CXLfork
 	// restores faster than Mitosis, which restores faster than CRIU.
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "HTML")
 	lat := make(map[MechanismKind]time.Duration)
 	for _, mech := range []MechanismKind{CXLfork, CRIUCXL, MitosisCXL} {
@@ -237,59 +249,46 @@ func TestRestoreLatencyOrdering(t *testing.T) {
 	}
 }
 
-func TestAutoscalerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("autoscaler calibration is slow")
-	}
-	sys := NewSystem(smallConfig())
-	res, err := sys.RunAutoscaler(AutoscalerConfig{
-		Mechanism:      CXLfork,
-		DynamicTiering: true,
-		Functions:      []string{"Float", "Json"},
-		RPS:            40,
-		Duration:       5 * time.Second,
-		Seed:           3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed == 0 || res.P99 == 0 {
-		t.Fatalf("results = %+v", res)
-	}
-	if res.P50 > res.P99 {
-		t.Fatal("P50 > P99")
-	}
-	if len(res.PerFunctionP99) == 0 {
-		t.Fatal("no per-function percentiles")
-	}
-}
-
-// TestAutoscalerRejectsTraceOutsideMix hands RunAutoscaler an explicit
-// trace that names functions the mix does not provision: it must return
-// an error naming the first of them, not replay the trace.
-func TestAutoscalerRejectsTraceOutsideMix(t *testing.T) {
-	sys := NewSystem(smallConfig())
-	_, err := sys.RunAutoscaler(AutoscalerConfig{
-		Functions: []string{"Float"},
-		Duration:  time.Second,
-		Trace: []Arrival{
+// TestRunWorkloadRejectsBadTrace hands RunWorkload explicit traces it
+// cannot replay: one naming functions the mix does not provision, and
+// arrival times the engine cannot schedule. Each must end in an error
+// naming the first bad arrival, not in a panic out of the engine.
+func TestRunWorkloadRejectsBadTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		trace         []Arrival
+		want, notWant string
+	}{
+		{"outside mix", []Arrival{
 			{At: 100 * time.Millisecond, Function: "Json"},
 			{At: 200 * time.Millisecond, Function: "Float"},
 			{At: 300 * time.Millisecond, Function: "Bert"},
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), `"Json"`) || strings.Contains(err.Error(), "Bert") {
-		t.Fatalf("err = %v, want one naming the first unknown function, Json", err)
+		}, `function "Json", which is not in the workload mix`, "Bert"},
+		{"negative", []Arrival{
+			{At: 100 * time.Millisecond, Function: "Float"},
+			{At: -time.Second, Function: "Float"},
+		}, "trace arrival 1 (Float at -1s): negative", ""},
+		{"past the clock", []Arrival{
+			{At: math.MaxInt64 - 1, Function: "Float"},
+		}, "trace arrival 0 (Float at 2562047h47m16.854775806s): beyond", ""},
+	} {
+		_, err := RunWorkload(smallConfig(), Workload{
+			Functions: []string{"Float"},
+			Trace:     tc.trace,
+		}, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || (tc.notWant != "" && strings.Contains(err.Error(), tc.notWant)) {
+			t.Errorf("%s: err = %v, want one mentioning %s", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestWorkflowChain(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	bv, err := sys.RunWorkflowChain(3, 4<<20, PassByValue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2 := NewSystem(smallConfig())
+	sys2 := newSystem(t, smallConfig())
 	br, err := sys2.RunWorkflowChain(3, 4<<20, PassByReference)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +314,7 @@ func TestWorkersAreResultNeutral(t *testing.T) {
 	run := func(workers int) (time.Duration, int64, int64) {
 		cfg := smallConfig()
 		cfg.Workers = workers
-		sys := NewSystem(cfg)
+		sys := newSystem(t, cfg)
 		fn := deployWarm(t, sys, "Float")
 		ck, err := sys.Checkpoint(fn, CXLfork, "float-w")
 		if err != nil {
@@ -348,7 +347,7 @@ func TestWorkersAreResultNeutral(t *testing.T) {
 func TestFacadeTelemetryDedupAndAccessors(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Telemetry.Enabled = true
-	sys := NewSystem(cfg)
+	sys := newSystem(t, cfg)
 	if !sys.TelemetryEnabled() {
 		t.Fatal("telemetry enabled in Config but not reported")
 	}
@@ -400,7 +399,7 @@ func TestFacadeTelemetryDedupAndAccessors(t *testing.T) {
 		t.Fatal("unknown metrics format accepted")
 	}
 
-	off := NewSystem(smallConfig())
+	off := newSystem(t, smallConfig())
 	if off.TelemetryEnabled() {
 		t.Fatal("telemetry reported on by default")
 	}

@@ -9,7 +9,10 @@
 // time.Duration (the simulation runs in virtual nanoseconds; nothing
 // here touches the wall clock). A typical session:
 //
-//	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+//	sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+//	if err != nil {
+//		return err                           // a bad Config.Fabric
+//	}
 //	fn, _ := sys.DeployFunction(0, "Bert")   // cold start on node 0
 //	fn.Warmup(16)                            // JIT steady state
 //	ck, _ := sys.Checkpoint(fn, cxlfork.CXLfork, "bert-v1")

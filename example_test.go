@@ -10,7 +10,10 @@ import (
 // checkpoint a warmed function into CXL memory, restore a clone on
 // another node, and observe the checkpoint's layout.
 func ExampleSystem_Checkpoint() {
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
 
 	fn, err := sys.DeployFunction(0, "Float")
 	if err != nil {
@@ -46,7 +49,10 @@ func ExampleSystem_Checkpoint() {
 // ExampleSystem_Restore_tiering shows how tiering policies trade local
 // memory for access locality on a restored clone.
 func ExampleSystem_Restore_tiering() {
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
 	fn, _ := sys.DeployFunction(0, "Float")
 	_ = fn.Warmup(16)
 	ck, _ := sys.Checkpoint(fn, cxlfork.CXLfork, "f")

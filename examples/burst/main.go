@@ -19,24 +19,20 @@ func main() {
 	fmt.Printf("%-12s %10s %10s %8s %8s %8s %8s\n",
 		"design", "P50", "P99", "warm", "forks", "evicted", "promoted")
 
-	for _, mech := range []cxlfork.MechanismKind{
-		cxlfork.CRIUCXL, cxlfork.MitosisCXL, cxlfork.CXLfork,
-	} {
-		// Fresh system per design: same seed, same trace.
-		sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
-		res, err := sys.RunAutoscaler(cxlfork.AutoscalerConfig{
-			Mechanism:      mech,
-			DynamicTiering: mech == cxlfork.CXLfork,
-			Functions:      mix,
-			RPS:            150,
-			Duration:       20 * time.Second,
-			Seed:           42,
-		})
+	for _, design := range []string{"CRIU-CXL", "Mitosis-CXL", "CXLfork"} {
+		// Each replay builds its own cluster: same seed, same trace.
+		res, err := cxlfork.RunWorkload(cxlfork.DefaultConfig(), cxlfork.Workload{
+			Design:    design,
+			Functions: mix,
+			RPS:       150,
+			Duration:  20 * time.Second,
+			Seed:      42,
+		}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s %10v %10v %8d %8d %8d %8d\n",
-			mech, res.P50.Round(time.Millisecond), res.P99.Round(time.Millisecond),
-			res.WarmStarts, res.ColdForks, res.Evictions, res.Promotions)
+			design, res.P50.Round(time.Millisecond), res.P99.Round(time.Millisecond),
+			res.WarmStarts, res.ColdForks, res.IdleEvictions, res.Promotions)
 	}
 }

@@ -16,7 +16,10 @@ import (
 func main() {
 	cfg := cxlfork.DefaultConfig()
 	cfg.Seed = 42
-	sys := cxlfork.NewSystem(cfg)
+	sys, err := cxlfork.NewSystem(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	bert, err := sys.DeployFunction(0, "Bert")
 	if err != nil {

@@ -16,7 +16,10 @@ import (
 )
 
 func main() {
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Cold-start BERT on node 0 and warm it to JIT steady state.
 	t0 := sys.Now()

@@ -16,7 +16,10 @@ import (
 func run(name string, latency time.Duration) (warm time.Duration, localBytes int64) {
 	cfg := cxlfork.DefaultConfig()
 	cfg.CXLLatency = latency
-	sys := cxlfork.NewSystem(cfg)
+	sys, err := cxlfork.NewSystem(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fn, err := sys.DeployFunction(0, name)
 	if err != nil {

@@ -15,7 +15,10 @@ import (
 )
 
 func main() {
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	bert, err := sys.DeployFunction(0, "Bert")
 	if err != nil {

@@ -21,7 +21,10 @@ func main() {
 
 	for _, mb := range []int64{1, 4, 16, 64} {
 		for _, tr := range []cxlfork.WorkflowTransport{cxlfork.PassByValue, cxlfork.PassByReference} {
-			sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
+			sys, err := cxlfork.NewSystem(cxlfork.DefaultConfig())
+			if err != nil {
+				log.Fatal(err)
+			}
 			res, err := sys.RunWorkflowChain(stages, mb<<20, tr)
 			if err != nil {
 				log.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // TestDeployFunctionRejectsBadNode covers the facade hardening: node
 // indexes out of range return errors instead of panicking.
 func TestDeployFunctionRejectsBadNode(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	for _, node := range []int{-1, sys.Nodes(), sys.Nodes() + 5} {
 		if _, err := sys.DeployFunction(node, "Float"); err == nil {
 			t.Fatalf("DeployFunction(%d) succeeded on a %d-node system", node, sys.Nodes())
@@ -22,7 +22,7 @@ func TestDeployFunctionRejectsBadNode(t *testing.T) {
 }
 
 func TestRestoreRejectsBadNode(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 	ck, err := sys.Checkpoint(fn, CXLfork, "ck")
 	if err != nil {
@@ -41,7 +41,7 @@ func TestRestoreRejectsBadNode(t *testing.T) {
 // TestFacadeFaultAPI drives the public fault-injection surface
 // end-to-end: crash during checkpoint, device recovery, revive, retry.
 func TestFacadeFaultAPI(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	fn := deployWarm(t, sys, "Float")
 
 	sys.InjectFault(FaultRule{Kind: CrashNode, Step: StepCheckpointGlobal, Node: 0})
@@ -84,7 +84,7 @@ func TestFaultReplayIsDeterministic(t *testing.T) {
 	run := func() (time.Duration, error) {
 		cfg := smallConfig()
 		cfg.Seed = 99
-		sys := NewSystem(cfg)
+		sys := newSystem(t, cfg)
 		fn := deployWarm(t, sys, "Float")
 		sys.InjectFault(FaultRule{Kind: CorruptBlob, Step: StepCheckpointGlobal, Node: AnyNode})
 		ck, err := sys.Checkpoint(fn, CXLfork, "poisoned")
@@ -109,7 +109,7 @@ func TestFaultReplayIsDeterministic(t *testing.T) {
 
 func TestDegradeFabricSlowsCheckpoint(t *testing.T) {
 	elapsed := func(degrade bool) time.Duration {
-		sys := NewSystem(smallConfig())
+		sys := newSystem(t, smallConfig())
 		fn := deployWarm(t, sys, "Float")
 		if degrade {
 			sys.DegradeFabric(6, time.Hour)
@@ -141,7 +141,8 @@ func TestRunWorkloadRejectsUnknownEvictPolicy(t *testing.T) {
 // TestRunWorkloadRejectsBadFabric: a placement policy other than hash
 // or locality, or a topology that does not parse, ends the run with an
 // error naming it, not a replay that silently places replicas by hash
-// or a panic out of calibration.
+// or a panic out of calibration. NewSystem refuses both the same way,
+// not with a panic in the caller's process.
 func TestRunWorkloadRejectsBadFabric(t *testing.T) {
 	for _, tc := range []struct {
 		fabric FabricConfig
@@ -155,6 +156,9 @@ func TestRunWorkloadRejectsBadFabric(t *testing.T) {
 		_, err := RunWorkload(cfg, Workload{RPS: 20, Duration: time.Second, Functions: []string{"Float"}}, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("fabric %+v: RunWorkload = %v, want an error mentioning %s", tc.fabric, err, tc.want)
+		}
+		if sys, err := NewSystem(cfg); sys != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("fabric %+v: NewSystem = %v, %v, want an error mentioning %s", tc.fabric, sys, err, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package azure
 import (
 	"cmp"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,6 +22,22 @@ import (
 // (about 146 years), so a replay that offsets every arrival by its
 // start time cannot overflow the virtual clock.
 const maxAt = des.Time(math.MaxInt64 / 2)
+
+// CheckSeconds checks one arrival time, in seconds, against what a
+// replay can schedule: it must be finite, non-negative, and at most
+// maxAt. Every explicit trace passes through it, from a file (ReadCSV)
+// or from a library caller.
+func CheckSeconds(sec float64) error {
+	switch {
+	case math.IsNaN(sec) || math.IsInf(sec, 0):
+		return errors.New("not finite")
+	case sec < 0:
+		return errors.New("negative")
+	case sec > maxAt.Seconds():
+		return fmt.Errorf("beyond %.0f s", maxAt.Seconds())
+	}
+	return nil
+}
 
 // WriteCSV serializes a trace.
 func WriteCSV(w io.Writer, reqs []Request) error {
@@ -43,8 +60,7 @@ func WriteCSV(w io.Writer, reqs []Request) error {
 
 // ReadCSV parses a trace, tolerating an optional header row and
 // unsorted input: arrivals come back sorted by time, rows with equal
-// times in file order. Times must be finite, non-negative, and at most
-// maxAt.
+// times in file order. Every time must pass CheckSeconds.
 func ReadCSV(r io.Reader) ([]Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -66,14 +82,8 @@ func ReadCSV(r io.Reader) ([]Request, error) {
 			}
 			return nil, fmt.Errorf("azure: line %d: bad time %q", line, rec[0])
 		}
-		if math.IsNaN(sec) || math.IsInf(sec, 0) {
-			return nil, fmt.Errorf("azure: line %d: non-finite time %q", line, rec[0])
-		}
-		if sec < 0 {
-			return nil, fmt.Errorf("azure: line %d: negative time", line)
-		}
-		if sec > maxAt.Seconds() {
-			return nil, fmt.Errorf("azure: line %d: time %q beyond %.0f s", line, rec[0], maxAt.Seconds())
+		if err := CheckSeconds(sec); err != nil {
+			return nil, fmt.Errorf("azure: line %d: time %q: %w", line, rec[0], err)
 		}
 		if rec[1] == "" {
 			return nil, fmt.Errorf("azure: line %d: empty function name", line)

@@ -98,17 +98,17 @@ func TestReadCSVKeepsFileOrderOnEqualTimes(t *testing.T) {
 func TestReadCSVErrors(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"0.5,A\nbad,B\n", "line 2: bad time"}, // bad time past header position
-		{"0.5,A\n-1,B\n", "line 2: negative time"},
+		{"0.5,A\n-1,B\n", "line 2: time \"-1\": negative"},
 		{"0.5,A\n1.0,\n", "line 2: empty function"},
 		{"0.5\n", "wrong number of fields"},
 		{"0.5,A,extra\n", "wrong number of fields"},
 		// Each of these used to wrap to an arrival at math.MinInt64 ns.
-		{"NaN,Float\n", "line 1: non-finite time"},
-		{"0.5,A\nInf,Float\n", "line 2: non-finite time"},
-		{"0.5,A\n-Inf,Float\n", "line 2: non-finite time"},
-		{"0.5,A\n1e300,Float\n", "line 2: time \"1e300\" beyond"},
-		{"0.5,A\n9.3e9,Float\n", "line 2: time \"9.3e9\" beyond"},
-		{"0.5,A\n4.7e9,Float\n", "line 2: time \"4.7e9\" beyond"},
+		{"NaN,Float\n", "line 1: time \"NaN\": not finite"},
+		{"0.5,A\nInf,Float\n", "line 2: time \"Inf\": not finite"},
+		{"0.5,A\n-Inf,Float\n", "line 2: time \"-Inf\": not finite"},
+		{"0.5,A\n1e300,Float\n", "line 2: time \"1e300\": beyond"},
+		{"0.5,A\n9.3e9,Float\n", "line 2: time \"9.3e9\": beyond"},
+		{"0.5,A\n4.7e9,Float\n", "line 2: time \"4.7e9\": beyond"},
 	}
 	for _, tc := range cases {
 		_, err := ReadCSV(strings.NewReader(tc.in))

@@ -15,9 +15,9 @@ import (
 	"cxlfork/internal/rfork"
 )
 
-// Every porter replay in the repository — the facade's RunWorkload and
-// RunAutoscaler, each experiment driver, the AzureBench trajectory leg —
-// is the same calibrate→cluster→porter→trace sequence (DESIGN.md §13).
+// Every porter replay in the repository — the facade's RunWorkload,
+// each experiment driver, the AzureBench trajectory leg — is the same
+// calibrate→cluster→porter→trace sequence (DESIGN.md §13).
 // NewLeg assembles it once; each experiment keeps only what is its own:
 // the platform parameters, the fault schedule, and the grid it sweeps
 // through sweep.
@@ -133,9 +133,9 @@ func GenerateTrace(names []string, weights map[string]float64, rps float64, dur 
 	return azure.Generate(azure.TraceConfig{TotalRPS: rps, Duration: dur, Loads: loads, Seed: seed})
 }
 
-// Workload is the replayed trace's shape: the seeded bursty arrivals
-// and the keep-alive window they replay under. Every porter experiment
-// embeds one and sweeps its own knob over it.
+// Workload is the replayed trace's shape: the seeded bursty arrivals,
+// or an explicit trace, and the keep-alive window they replay under.
+// Every porter experiment embeds one and sweeps its own knob over it.
 type Workload struct {
 	// RPS is the aggregate request rate.
 	RPS float64
@@ -150,6 +150,10 @@ type Workload struct {
 	Weights map[string]float64
 	// Seed drives trace generation and jitter.
 	Seed int64
+	// Trace, when non-empty, is replayed in place of the generated
+	// trace; RPS, Duration and Weights then go unused. Every function
+	// it names must be among the leg's specs.
+	Trace []azure.Request
 }
 
 // calibrated resolves wl's functions and calibrates them under scens.
@@ -179,7 +183,7 @@ type Leg struct {
 // NewLeg assembles one replay of wl: it applies wl.KeepAlive to p,
 // builds a nodes-node cluster, provisions a design-d porter with a
 // per-node budget of budget bytes (0 keeps node DRAM), and generates
-// the trace. A caller that injects faults or installs observers does so
+// the trace unless wl carries one. A caller that injects faults or installs observers does so
 // between NewLeg and Run.
 func NewLeg(p params.Params, nodes int, d Design, wl Workload, budget int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (*Leg, error) {
 	if wl.KeepAlive > 0 {
@@ -193,7 +197,10 @@ func NewLeg(p params.Params, nodes int, d Design, wl Workload, budget int64, spe
 	if err != nil {
 		return nil, err
 	}
-	trace := GenerateTrace(SpecNames(specs), wl.Weights, wl.RPS, wl.Duration, wl.Seed)
+	trace := wl.Trace
+	if len(trace) == 0 {
+		trace = GenerateTrace(SpecNames(specs), wl.Weights, wl.RPS, wl.Duration, wl.Seed)
+	}
 	return &Leg{C: c, Porter: po, Trace: trace}, nil
 }
 

@@ -2,19 +2,18 @@ package cxlfork
 
 import (
 	"bytes"
-	"math"
-	"sort"
 	"testing"
 	"time"
 )
 
-// Constant pins for the facade's replay entry points. RunWorkload runs
-// every WorkloadDesigns entry over a small weighted two-function trace;
-// RunAutoscaler runs once on its generated trace and once on the same
-// trace round-tripped through CSV as an explicit arrival list. Any change
-// to calibration scenarios, design wiring, or trace generation moves
-// them. CXLfork and CXLfork-MoW coincide at this load: dynamic tiering
-// makes no promotion, so the two replays are event-for-event equal.
+// Constant pins for the facade's replay entry point. RunWorkload runs
+// every WorkloadDesigns entry over a small weighted two-function trace,
+// then CXLfork over a plain two-function mix on its generated trace, and
+// CXLfork-MoW on the same trace round-tripped through CSV as an
+// explicit arrival list. Any change to calibration scenarios, design
+// wiring, or trace generation moves them. CXLfork and CXLfork-MoW
+// coincide on the weighted trace: dynamic tiering makes no promotion,
+// so the two replays are event-for-event equal.
 var goldenRunWorkload = map[string]string{
 	"CXLfork":     "75385b74ba31cb0d",
 	"CXLfork-MoW": "75385b74ba31cb0d",
@@ -23,8 +22,8 @@ var goldenRunWorkload = map[string]string{
 }
 
 const (
-	goldenAutoscaler         = 0x199e96e3a16d7088
-	goldenAutoscalerExplicit = 0x8cb4fee19637b51c
+	goldenRunWorkloadGenerated = "046b1df66728853a"
+	goldenRunWorkloadExplicit  = "d05f049221fc310e"
 )
 
 func TestGoldenRunWorkloadDesigns(t *testing.T) {
@@ -50,70 +49,36 @@ func TestGoldenRunWorkloadDesigns(t *testing.T) {
 	}
 }
 
-// scalingFingerprint FNV-1a-folds every ScalingResults field, with the
-// per-function map in name order.
-func scalingFingerprint(r ScalingResults) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	fold := func(v uint64) {
-		for b := 0; b < 8; b++ {
-			h ^= (v >> (8 * b)) & 0xff
-			h *= prime
-		}
-	}
-	fold(uint64(r.P50))
-	fold(uint64(r.P99))
-	fold(uint64(r.Mean))
-	fns := make([]string, 0, len(r.PerFunctionP99))
-	for fn := range r.PerFunctionP99 {
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
-	for _, fn := range fns {
-		fold(uint64(len(fn)))
-		fold(uint64(r.PerFunctionP99[fn]))
-	}
-	for _, v := range []int{r.Completed, r.ColdForks, r.ScratchCold, r.WarmStarts, r.Evictions, r.Promotions} {
-		fold(uint64(v))
-	}
-	fold(math.Float64bits(r.Throughput))
-	return h
-}
-
-func TestGoldenAutoscaler(t *testing.T) {
+func TestGoldenRunWorkloadTrace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("autoscaler calibration is slow")
+		t.Skip("calibration and replay are slow")
 	}
-	cfg := AutoscalerConfig{
-		Mechanism:      CXLfork,
-		DynamicTiering: true,
-		Functions:      []string{"Float", "Json"},
-		RPS:            40,
-		Duration:       5 * time.Second,
-		Seed:           3,
+	wl := Workload{
+		Functions: []string{"Float", "Json"},
+		RPS:       40,
+		Duration:  5 * time.Second,
+		Seed:      3,
 	}
-	res, err := NewSystem(smallConfig()).RunAutoscaler(cfg)
+	rep, err := RunWorkload(smallConfig(), wl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := scalingFingerprint(res); h != goldenAutoscaler {
-		t.Errorf("generated trace: fingerprint %#x, golden %#x", h, uint64(goldenAutoscaler))
+	if rep.Fingerprint != goldenRunWorkloadGenerated {
+		t.Errorf("generated trace: fingerprint %s, golden %s", rep.Fingerprint, goldenRunWorkloadGenerated)
 	}
 
 	var csv bytes.Buffer
-	if err := SaveTraceCSV(&csv, cfg.Functions, cfg.RPS, cfg.Duration, cfg.Seed); err != nil {
+	if err := SaveTraceCSV(&csv, wl.Functions, wl.RPS, wl.Duration, wl.Seed); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Trace, err = LoadTraceCSV(&csv); err != nil {
+	if wl.Trace, err = LoadTraceCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	pol := MigrateOnWrite
-	cfg.StaticPolicy, cfg.DynamicTiering = &pol, false
-	res, err = NewSystem(smallConfig()).RunAutoscaler(cfg)
-	if err != nil {
+	wl.Design = "CXLfork-MoW"
+	if rep, err = RunWorkload(smallConfig(), wl, nil); err != nil {
 		t.Fatal(err)
 	}
-	if h := scalingFingerprint(res); h != goldenAutoscalerExplicit {
-		t.Errorf("explicit trace: fingerprint %#x, golden %#x", h, uint64(goldenAutoscalerExplicit))
+	if rep.Fingerprint != goldenRunWorkloadExplicit {
+		t.Errorf("explicit trace: fingerprint %s, golden %s", rep.Fingerprint, goldenRunWorkloadExplicit)
 	}
 }

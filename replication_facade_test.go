@@ -20,18 +20,18 @@ func poolConfig() Config {
 }
 
 func TestReplicationConfigSplitsThePool(t *testing.T) {
-	sys := NewSystem(poolConfig())
+	sys := newSystem(t, poolConfig())
 	if sys.Devices() != 3 {
 		t.Fatalf("Devices() = %d, want 3", sys.Devices())
 	}
 	// Default config keeps the single device.
-	if n := NewSystem(smallConfig()).Devices(); n != 1 {
+	if n := newSystem(t, smallConfig()).Devices(); n != 1 {
 		t.Fatalf("default Devices() = %d, want 1", n)
 	}
 }
 
 func TestFailDeviceIsTerminalAndRangeChecked(t *testing.T) {
-	sys := NewSystem(poolConfig())
+	sys := newSystem(t, poolConfig())
 	for _, dev := range []int{-1, 3, 7} {
 		if err := sys.FailDevice(dev); err == nil {
 			t.Fatalf("FailDevice(%d) succeeded on a 3-device pool", dev)
@@ -74,7 +74,7 @@ func TestFailDeviceIsTerminalAndRangeChecked(t *testing.T) {
 }
 
 func TestDeviceLossFaultFiresOnTheClock(t *testing.T) {
-	sys := NewSystem(poolConfig())
+	sys := newSystem(t, poolConfig())
 	sys.InjectFault(FaultRule{Kind: DeviceLoss, Device: 2, At: 5 * 1000 * 1000}) // 5ms
 	if sys.DeviceFailed(2) {
 		t.Fatal("device 2 failed before its At offset")
@@ -100,7 +100,7 @@ func TestDeviceLossFaultFiresOnTheClock(t *testing.T) {
 }
 
 func TestPoolMemoryAccountingSkipsDeadDevices(t *testing.T) {
-	sys := NewSystem(poolConfig())
+	sys := newSystem(t, poolConfig())
 	fn := deployWarm(t, sys, "Float")
 	ck, err := sys.Checkpoint(fn, CXLfork, "ck")
 	if err != nil {

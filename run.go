@@ -3,10 +3,13 @@ package cxlfork
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
+	"cxlfork/internal/azure"
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
+	"cxlfork/internal/faas"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/telemetry"
 	"cxlfork/internal/xray"
@@ -47,6 +50,38 @@ type Workload struct {
 	// Seed drives trace generation and jitter (default Config.Seed,
 	// then 7 — the experiments' canonical seed).
 	Seed int64
+	// Trace, when non-empty, replays these arrivals in place of the
+	// generated trace (e.g. a production trace read by LoadTraceCSV);
+	// RPS, Duration and Weights then go unused. RunWorkload rejects a
+	// trace that names a function outside the mix, or an arrival time
+	// that is negative or too far out for the virtual clock.
+	Trace []Arrival
+}
+
+// Arrival is one request arrival of an explicit trace.
+type Arrival struct {
+	At       time.Duration
+	Function string
+}
+
+// LoadTraceCSV reads an explicit arrival trace ("seconds,function" CSV,
+// header optional) for Workload.Trace.
+func LoadTraceCSV(r io.Reader) ([]Arrival, error) {
+	reqs, err := azure.ReadCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Arrival, len(reqs))
+	for i, rq := range reqs {
+		out[i] = Arrival{At: time.Duration(rq.At), Function: rq.Function}
+	}
+	return out, nil
+}
+
+// SaveTraceCSV writes a synthetic bursty trace over the given functions
+// so it can be inspected or replayed elsewhere.
+func SaveTraceCSV(w io.Writer, functions []string, rps float64, duration time.Duration, seed int64) error {
+	return azure.WriteCSV(w, experiments.GenerateTrace(functions, nil, rps, des.Time(duration), seed))
 }
 
 // WorkloadDesigns lists the accepted Workload.Design values.
@@ -116,11 +151,16 @@ type FunctionLatency struct {
 }
 
 // RunReport summarizes one RunWorkload replay. All latencies are
-// virtual time. Fingerprint folds every scalar result and latency
-// distribution into one hash (rendered as 16 hex digits): two runs of
-// the same Config and Workload produce equal fingerprints regardless
-// of worker count, telemetry, or the transport that delivered the spec
-// — the serving layer's golden tests compare it across paths.
+// virtual time. Evictions counts checkpoints the capacity manager
+// evicted from the device, IdleEvictions the idle instances the porter
+// evicted from node memory, and Promotions the dynamic tiering
+// controller's policy promotions. Throughput is requests completed
+// within the arrival window per second of makespan. Fingerprint folds
+// every scalar result and latency distribution into one hash (rendered
+// as 16 hex digits): two runs of the same Config and Workload produce
+// equal fingerprints regardless of worker count, telemetry, or the
+// transport that delivered the spec — the serving layer's golden tests
+// compare it across paths.
 type RunReport struct {
 	Design          string                     `json:"design"`
 	Completed       int                        `json:"completed"`
@@ -131,6 +171,9 @@ type RunReport struct {
 	Evictions       int64                      `json:"evictions"`
 	ReclaimPasses   int64                      `json:"reclaim_passes"`
 	CkptRefused     int64                      `json:"ckpt_refused"`
+	IdleEvictions   int                        `json:"idle_evictions"`
+	Promotions      int                        `json:"promotions"`
+	Throughput      float64                    `json:"throughput"`
 	P50             time.Duration              `json:"p50_ns"`
 	P99             time.Duration              `json:"p99_ns"`
 	Mean            time.Duration              `json:"mean_ns"`
@@ -153,9 +196,9 @@ type RunReport struct {
 	XRay *xray.Report `json:"xray,omitempty"`
 }
 
-// RunWorkload replays one seeded arrival trace against a freshly built
-// cluster and returns its results — the facade's synchronous
-// capacity-planning entry point, and the exact runner behind every
+// RunWorkload replays one arrival trace, seeded or explicit, against a
+// freshly built cluster and returns its results — the facade's one
+// porter-replay entry point, and the exact runner behind every
 // cxlserved session (DESIGN.md §15). Construction is fully
 // session-scoped: the cluster, porter, calibration profiles, and
 // telemetry registry live and die with this call, so any number of
@@ -194,6 +237,14 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	if scens == nil {
 		return nil, fmt.Errorf("cxlfork: unknown design %q (want one of %v)", wl.Design, WorkloadDesigns)
 	}
+	// Only the mix is provisioned, so check the trace before paying for
+	// calibration.
+	var trace []azure.Request
+	if len(wl.Trace) > 0 {
+		if trace, err = explicitTrace(wl.Trace, specs); err != nil {
+			return nil, err
+		}
+	}
 
 	p := cfg.params()
 	if opts != nil && opts.OnSample != nil {
@@ -217,6 +268,7 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		Functions: wl.Functions,
 		Weights:   wl.Weights,
 		Seed:      wl.Seed,
+		Trace:     trace,
 	}, wl.NodeBudgetBytes, specs, profiles)
 	if err != nil {
 		return nil, err
@@ -260,6 +312,29 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	return report, nil
 }
 
+// explicitTrace converts arrivals into the porter's trace. It rejects
+// the first arrival that names a function outside specs, or whose time
+// azure.CheckSeconds refuses: a replay offsets every arrival by its
+// start time, which a negative or huge At would carry into the past or
+// past the clock's range.
+func explicitTrace(arrivals []Arrival, specs []faas.Spec) ([]azure.Request, error) {
+	mix := make(map[string]bool, len(specs))
+	for _, sp := range specs {
+		mix[sp.Name] = true
+	}
+	trace := make([]azure.Request, len(arrivals))
+	for i, a := range arrivals {
+		if !mix[a.Function] {
+			return nil, fmt.Errorf("cxlfork: trace names function %q, which is not in the workload mix", a.Function)
+		}
+		if err := azure.CheckSeconds(a.At.Seconds()); err != nil {
+			return nil, fmt.Errorf("cxlfork: trace arrival %d (%s at %v): %w", i, a.Function, a.At, err)
+		}
+		trace[i] = azure.Request{At: des.Time(a.At), Function: a.Function}
+	}
+	return trace, nil
+}
+
 func alertEvent(a telemetry.Alert) AlertEvent {
 	return AlertEvent{
 		At:        time.Duration(a.At),
@@ -281,6 +356,9 @@ func buildReport(design string, r porter.Results, alerts []telemetry.Alert, inte
 		Evictions:       r.EvictedCkpts,
 		ReclaimPasses:   r.ReclaimPasses,
 		CkptRefused:     r.CkptRefused,
+		IdleEvictions:   r.Evictions,
+		Promotions:      r.PolicyPromotions,
+		Throughput:      r.Throughput(),
 		PerFunction:     make(map[string]FunctionLatency),
 		VirtualDuration: time.Duration(r.Duration),
 		TelemetryTicks:  r.TelemetrySamples,

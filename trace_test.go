@@ -19,7 +19,7 @@ func traceRun(t *testing.T, mech MechanismKind, lanes int, seed int64, fault boo
 	cfg.Seed = seed
 	cfg.CheckpointLanes = lanes
 	cfg.RestoreLanes = lanes
-	sys := NewSystem(cfg)
+	sys := newSystem(t, cfg)
 	fn := deployWarm(t, sys, "Float")
 	if fault {
 		sys.InjectFault(FaultRule{Kind: DeviceFull, Step: StepCheckpointVMA, Node: AnyNode})
@@ -101,7 +101,7 @@ func TestTracingIsObservationallyNeutral(t *testing.T) {
 		cfg.Trace = traced
 		cfg.CheckpointLanes = 4
 		cfg.RestoreLanes = 4
-		sys := NewSystem(cfg)
+		sys := newSystem(t, cfg)
 		fn := deployWarm(t, sys, "Float")
 		ck, err := sys.Checkpoint(fn, CXLfork, "neutral")
 		if err != nil {
@@ -146,7 +146,7 @@ func sortStrings(s []string) []string {
 // TestTraceAccessorsDisabled pins the disabled-tracer facade surface:
 // WriteTrace refuses, the phase table is nil, and counters read zero.
 func TestTraceAccessorsDisabled(t *testing.T) {
-	sys := NewSystem(smallConfig())
+	sys := newSystem(t, smallConfig())
 	if sys.TraceEnabled() {
 		t.Fatal("tracing enabled by default")
 	}
@@ -164,7 +164,7 @@ func TestTraceAccessorsDisabled(t *testing.T) {
 func TestTracePhasesMatchTrace(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Trace = true
-	sys := NewSystem(cfg)
+	sys := newSystem(t, cfg)
 	fn := deployWarm(t, sys, "Float")
 	ck, err := sys.Checkpoint(fn, CXLfork, "phases")
 	if err != nil {
