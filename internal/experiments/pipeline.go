@@ -15,7 +15,7 @@ import (
 	"cxlfork/internal/rfork"
 )
 
-// Every porter replay in the repository — the facade's RunWorkload,
+// Every porter replay in this module — the facade's RunWorkload,
 // each experiment driver, the AzureBench trajectory leg — is the same
 // calibrate→cluster→porter→trace sequence (DESIGN.md §13).
 // NewLeg assembles it once; each experiment keeps only what is its own:
