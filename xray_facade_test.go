@@ -86,14 +86,9 @@ func TestRunWorkloadSinkFailureKeepsFingerprint(t *testing.T) {
 	}
 }
 
-// goldenSystemXRay pins System.XRayReport over a traced facade run: a
-// manual checkpoint and restore. Report.Fingerprint hashes the rendered
-// text, so it covers every table and exemplar the report prints.
-const goldenSystemXRay = 0xc899ba105c616e76
-
-// TestSystemXRayReport covers the ops-facade path: attribution over
-// trace spans needs both switches on, and then classifies the manual
-// checkpoint/restore operations into a pinned report.
+// TestSystemXRayReport covers the ops-facade switches: attribution
+// over trace spans needs both Config.XRay and Config.Trace on, and
+// XRayReport names the missing one.
 func TestSystemXRayReport(t *testing.T) {
 	sys := newSystem(t, smallConfig())
 	if sys.XRayEnabled() {
@@ -112,9 +107,19 @@ func TestSystemXRayReport(t *testing.T) {
 	if _, err := sys.XRayReport(); err == nil || !strings.Contains(err.Error(), "Config.Trace") {
 		t.Fatalf("untraced XRayReport error = %v", err)
 	}
+}
 
-	cfg.Trace = true
-	sys = newSystem(t, cfg)
+// goldenSystemXRay pins System.XRayReport over a traced facade run: a
+// manual checkpoint and restore. Report.Fingerprint hashes the rendered
+// text, so it covers every table and exemplar the report prints.
+const goldenSystemXRay = 0xc899ba105c616e76
+
+// TestSystemXRayReportPinned classifies the manual checkpoint/restore
+// operations of a traced, attributed system into a pinned report.
+func TestSystemXRayReportPinned(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Trace, cfg.XRay = true, true
+	sys := newSystem(t, cfg)
 	fn := deployWarm(t, sys, "Json")
 	ck, err := sys.Checkpoint(fn, CXLfork, "xr")
 	if err != nil {
