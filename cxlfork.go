@@ -562,18 +562,11 @@ func (f *Function) Invoke() (time.Duration, error) {
 }
 
 // Warmup runs n invocations (the paper checkpoints after the 16th so
-// JIT-style initialization has settled, §5), then clears the A/D bits so
-// a subsequent checkpoint captures the steady-state access pattern.
+// JIT-style initialization has settled, §5), clearing the A/D bits after
+// the first so a subsequent checkpoint captures the steady-state access
+// pattern rather than initialization.
 func (f *Function) Warmup(n int) error {
-	if n >= 1 {
-		if _, err := f.in.Invoke(f.sys.rng); err != nil {
-			return err
-		}
-		f.in.Task.MM.PT.ClearABits()
-		f.in.Task.MM.PT.ClearDirtyBits()
-		n--
-	}
-	return f.in.Warmup(n, f.sys.rng)
+	return f.in.PrepareParent(n, f.sys.rng)
 }
 
 // ResidentLocalBytes returns the instance's node-local resident memory.

@@ -72,5 +72,35 @@ func (d *Device) AllocToken(tok uint64) (*memsim.Frame, bool, error) {
 	return f, false, nil
 }
 
+// BuildArena publishes a checkpoint from a recorded token list in one
+// step: it stages arena name, allocates one frame per token through
+// AllocToken (in order), charges metaBytes of metadata, and seals the
+// arena. Any failure releases the staged arena and returns the error,
+// leaving occupancy as it was. Replica placement and the capacity
+// manager's re-publication both build their arenas this way.
+func (d *Device) BuildArena(name string, tokens []uint64, metaBytes int64) (*Arena, error) {
+	a, err := d.NewArena(name)
+	if err != nil {
+		return nil, err
+	}
+	for _, tok := range tokens {
+		f, _, err := d.AllocToken(tok)
+		if err != nil {
+			a.Release()
+			return nil, err
+		}
+		a.TrackFrame(f)
+	}
+	if _, err := a.Alloc("token-meta", metaBytes); err != nil {
+		a.Release()
+		return nil, err
+	}
+	if err := a.Seal(); err != nil {
+		a.Release()
+		return nil, err
+	}
+	return a, nil
+}
+
 // DedupIndexLen reports the number of tokens ever indexed (diagnostics).
 func (d *Device) DedupIndexLen() int { return len(d.dedup) }

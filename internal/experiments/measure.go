@@ -174,12 +174,7 @@ func buildParent(c *cluster.Cluster, spec faas.Spec, rng *rand.Rand) (*faas.Inst
 		return nil, 0, err
 	}
 	coldInit := c.Eng.Now() - t0
-	if _, err := in.Invoke(rng); err != nil {
-		return nil, 0, err
-	}
-	in.Task.MM.PT.ClearABits()
-	in.Task.MM.PT.ClearDirtyBits()
-	if err := in.Warmup(node.P.CheckpointAfter-1, rng); err != nil {
+	if err := in.PrepareParent(node.P.CheckpointAfter, rng); err != nil {
 		return nil, 0, err
 	}
 	return in, coldInit, nil

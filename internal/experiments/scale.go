@@ -91,12 +91,7 @@ func scaleRun(p params.Params, spec faas.Spec, nodes, n int, useCXLfork bool) (i
 	if err := parent.ColdInit(); err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := parent.Invoke(nil); err != nil {
-		return 0, 0, 0, err
-	}
-	parent.Task.MM.PT.ClearABits()
-	parent.Task.MM.PT.ClearDirtyBits()
-	if err := parent.Warmup(15, nil); err != nil {
+	if err := parent.PrepareParent(16, nil); err != nil {
 		return 0, 0, 0, err
 	}
 

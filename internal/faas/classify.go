@@ -40,7 +40,7 @@ func ClassifyFootprint(o *kernel.OS, s Spec, invocations int, rng *rand.Rand) (B
 
 	mm := in.Task.MM
 	mm.PT.ClearABits()
-	clearDirtyBits(mm)
+	mm.PT.ClearDirtyBits()
 
 	accessCount := make(map[pt.VirtAddr]int)
 	for i := 0; i < invocations; i++ {
@@ -78,12 +78,4 @@ func ClassifyFootprint(o *kernel.OS, s Spec, invocations int, rng *rand.Rand) (B
 	b.ROFrac = float64(ro) / total
 	b.RWFrac = float64(rw) / total
 	return b, nil
-}
-
-// clearDirtyBits clears D bits in place across the address space (the
-// same user-space interface as A-bit clearing, used before profiling).
-func clearDirtyBits(mm *kernel.MM) {
-	mm.PT.Walk(func(_ pt.VirtAddr, l *pt.Leaf, i int) {
-		l.PTEs[i].Flags &^= pt.Dirty
-	})
 }

@@ -289,6 +289,22 @@ func (in *Instance) Warmup(n int, rng *rand.Rand) error {
 	return nil
 }
 
+// PrepareParent warms a checkpoint parent to its n-th invocation the way
+// §5 prepares one: after the first invocation it clears the A and D bits,
+// so the bits a checkpoint later captures record the steady state, not
+// initialization; then Warmup runs the remaining n-1. n < 1 does nothing.
+func (in *Instance) PrepareParent(n int, rng *rand.Rand) error {
+	if n < 1 {
+		return nil
+	}
+	if _, err := in.Invoke(rng); err != nil {
+		return err
+	}
+	in.Task.MM.PT.ClearABits()
+	in.Task.MM.PT.ClearDirtyBits()
+	return in.Warmup(n-1, rng)
+}
+
 // SteadyWarm returns the memoized steady-state invocation duration
 // (zero until two invocations have run).
 func (in *Instance) SteadyWarm() des.Time { return in.steadyWarm }

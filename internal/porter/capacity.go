@@ -34,7 +34,7 @@ import (
 // Under sustained pressure the porter degrades along a ladder, never
 // failing a live clone: (1) evict per policy; (2) refuse new
 // checkpoint publications that cannot be admitted under the high
-// watermark (AdmitRefused); (3) functions without a stored checkpoint
+// watermark (AdmitRefused); (3) functions without a published checkpoint
 // fall back to scratch cold starts, reusing the fault-tolerance
 // degradation path. Evicted CXLfork checkpoints are re-published from
 // recorded frame-token snapshots once the function has paid
@@ -76,42 +76,29 @@ func ParseEvictPolicy(s string) (EvictPolicy, error) {
 	return 0, fmt.Errorf("porter: unknown eviction policy %q", s)
 }
 
-// evictScore ranks an eviction candidate: the entry with the lowest
-// score is evicted first. All inputs are deterministic simulation
-// state; ties fall to the store's sorted <user, function> order.
-func (p *Porter) evictScore(e Entry) float64 {
+// evictScore ranks st's published checkpoint as an eviction candidate:
+// the lowest score is evicted first. All inputs are deterministic
+// simulation state; ties fall to the first function name.
+func (p *Porter) evictScore(st *fnState) float64 {
 	switch p.policy {
 	case EvictLRU:
-		return float64(e.LastRestore)
+		return float64(st.lastRestore)
 	case EvictLargest:
-		return -float64(reclaimEstimate(e.Image))
+		return -float64(reclaimEstimate(st.img))
 	default: // EvictCostBenefit
-		var base float64
-		if st, ok := p.byName[e.Function]; ok {
-			base = st.scoreBase
-		}
-		return base + p.costBenefit(e.Function, e.Restores, reclaimEstimate(e.Image))
+		return st.scoreBase + p.costBenefit(st, reclaimEstimate(st.img))
 	}
 }
 
 // costBenefit is the cost-benefit valuation shared by evictScore and
 // admitScore: expected restore latency saved per resident byte, scaled
-// by observed popularity. Callers add a GDSF aging base (the entry's
-// scoreBase, or the current aging clock for a newcomer) so that scores
-// are comparable across time. fallbackRestores is used only for
-// entries of functions the porter no longer tracks.
-func (p *Porter) costBenefit(fn string, fallbackRestores int64, bytes int64) float64 {
-	pol := rfork.MigrateOnWrite
-	restores := fallbackRestores
-	if st, ok := p.byName[fn]; ok {
-		pol = st.policy
-		// Popularity is whole-run request demand, not the store entry's
-		// restore counter: that counter resets on re-publication, and
-		// restores only accrue while resident — an evicted checkpoint
-		// could never score its way back in.
-		restores = st.demand
-	}
-	prof := p.profile(fn, pol)
+// by popularity — whole-run request demand, since restores only accrue
+// while resident and an evicted checkpoint could never score its way
+// back in. Callers add a GDSF aging base (the function's scoreBase, or
+// the current aging clock for a newcomer) so that scores are comparable
+// across time.
+func (p *Porter) costBenefit(st *fnState, bytes int64) float64 {
+	prof := st.profile(st.policy)
 	saved := (prof.ColdInit + prof.ColdInitExec) - (prof.Restore + prof.ColdExec)
 	if saved < 0 {
 		saved = 0
@@ -121,15 +108,15 @@ func (p *Porter) costBenefit(fn string, fallbackRestores int64, bytes int64) flo
 		// expensive to lose so it is evicted last.
 		bytes = 1
 	}
-	return float64(saved) * float64(restores+1) / float64(bytes)
+	return float64(saved) * float64(st.demand+1) / float64(bytes)
 }
 
 // admitScore is the policy's valuation of a checkpoint about to be
-// (re-)published — evictScore's counterpart for an image not in the
-// store yet, scored on its declared need. Admission uses it as the
-// eviction floor: making room must not cost checkpoints the policy
-// values more than the newcomer.
-func (p *Porter) admitScore(fn string, need int64) float64 {
+// (re-)published — evictScore's counterpart for an image not published
+// yet, scored on its declared need. Admission uses it as the eviction
+// floor: making room must not cost checkpoints the policy values more
+// than the newcomer.
+func (p *Porter) admitScore(st *fnState, need int64) float64 {
 	switch p.policy {
 	case EvictLRU:
 		// A fresh publication is by definition the most recently used.
@@ -141,7 +128,7 @@ func (p *Porter) admitScore(fn string, need int64) float64 {
 		// asking for room now is at least as recent as anything evicted
 		// so far, so a currently-bursting function can win admission
 		// even when its long-run value is modest.
-		return p.agingL + p.costBenefit(fn, 0, need)
+		return p.agingL + p.costBenefit(st, need)
 	}
 }
 
@@ -169,8 +156,8 @@ func (p *Porter) maybeReclaim() {
 // sheds the replica of the lowest-valued image that still has more
 // than one healthy copy, until the device is back under the watermark
 // or nothing on it may legally be shed. The last healthy copy of an
-// image is never touched — that is eviction's job, and only through
-// the store. Returns the bytes freed.
+// image is never touched — that is eviction's job, which drops the
+// whole image from its record. Returns the bytes freed.
 func (p *Porter) shedForPressure() int64 {
 	if p.rep == nil {
 		return 0
@@ -184,37 +171,37 @@ func (p *Porter) shedForPressure() int64 {
 		}
 		dev := pool.Device(d)
 		for dev.Utilization() >= p.c.P.CXLHighWatermark {
-			var victimKey, victimFn string
+			var victim *fnState
+			var victimImg *replica.Image
 			var bestScore float64
-			found := false
-			for _, e := range p.store.Entries() {
-				rimg, ok := e.Image.(*replica.Image)
+			for _, st := range p.sorted {
+				rimg, ok := st.img.(*replica.Image)
 				if !ok || !p.rep.SheddableOn(rimg.Key(), d) {
 					continue
 				}
-				s := p.evictScore(e)
-				if !found || s < bestScore {
-					victimKey, victimFn, bestScore, found = rimg.Key(), e.Function, s, true
+				s := p.evictScore(st)
+				if victim == nil || s < bestScore {
+					victim, victimImg, bestScore = st, rimg, s
 				}
 			}
-			if !found {
+			if victim == nil {
 				break
 			}
 			before := dev.UsedBytes()
-			p.rep.ShedOn(victimKey, d)
+			p.rep.ShedOn(victimImg.Key(), d)
 			delta := before - dev.UsedBytes()
 			freed += delta
-			p.c.Trace.EmitFlow(0, trace.CatCapacity, "shed:"+victimFn, now, 0, delta, 0)
+			p.c.Trace.EmitFlow(0, trace.CatCapacity, "shed:"+victim.spec.Name, now, 0, delta, 0)
 		}
 	}
 	return freed
 }
 
 // reclaim evicts checkpoints in policy order until the device has freed
-// target bytes or the store is empty, returning the bytes actually
+// target bytes or no checkpoint is left, returning the bytes actually
 // freed (the device occupancy delta — dedup-shared frames and pinned
 // images contribute only what really came back). Eviction drops only
-// the store's reference: an image held by live clones or in-flight
+// the porter's reference: an image held by live clones or in-flight
 // restores stays resident (its declared bytes are counted as deferred)
 // and is freed by the last release.
 func (p *Porter) reclaim(target int64) int64 {
@@ -232,29 +219,31 @@ func (p *Porter) reclaimBelow(target int64, floor float64) int64 {
 	now := p.c.Eng.Now()
 	start := pool.UsedBytes()
 	p.capc.ReclaimPasses.Inc()
-	for start-pool.UsedBytes() < target && p.store.Len() > 0 {
-		var victim Entry
-		best := false
+	for start-pool.UsedBytes() < target {
+		var victim *fnState
 		var bestScore float64
-		for _, e := range p.store.Entries() {
-			s := p.evictScore(e)
-			if !best || s < bestScore {
-				victim, bestScore, best = e, s, true
+		for _, st := range p.sorted {
+			if st.img == nil {
+				continue
+			}
+			s := p.evictScore(st)
+			if victim == nil || s < bestScore {
+				victim, bestScore = st, s
 			}
 		}
-		if bestScore >= floor {
+		if victim == nil || bestScore >= floor {
 			break
 		}
 		// GDSF aging: the clock follows the best score ever evicted, so
-		// entries touched afterwards outrank entries idle since before.
+		// checkpoints touched afterwards outrank those idle since before.
 		if p.policy == EvictCostBenefit && bestScore > p.agingL {
 			p.agingL = bestScore
 		}
-		refsBefore := victim.Image.Refs()
-		declared := victim.Image.CXLBytes()
-		pages := victim.Image.Pages()
+		refsBefore := victim.img.Refs()
+		declared := victim.img.CXLBytes()
+		pages := victim.img.Pages()
 		before := pool.UsedBytes()
-		p.store.Reclaim(victim.User, victim.Function)
+		victim.evict()
 		delta := before - pool.UsedBytes()
 		p.capc.Evictions.Inc()
 		p.capc.EvictedBytes.Add(delta)
@@ -262,7 +251,7 @@ func (p *Porter) reclaimBelow(target int64, floor float64) int64 {
 			p.capc.DeferredBytes.Add(declared)
 		}
 		p.res.CkptReclaims += int(delta / int64(p.c.P.PageSize))
-		p.c.Trace.EmitFlow(0, trace.CatCapacity, "evict:"+victim.Function, now, 0, delta, pages)
+		p.c.Trace.EmitFlow(0, trace.CatCapacity, "evict:"+victim.spec.Name, now, 0, delta, pages)
 	}
 	freed := start - pool.UsedBytes()
 	p.c.Trace.EmitFlow(0, trace.CatCapacity, "reclaim", now, 0, freed, 0)
@@ -282,7 +271,7 @@ func (p *Porter) reclaimToLow() int64 {
 	return p.reclaim(target)
 }
 
-// admitCheckpoint decides whether fn's publication of roughly need
+// admitCheckpoint decides whether st's publication of roughly need
 // bytes may proceed: it must fit under the high watermark, after an
 // eviction pass if necessary. The pass evicts just enough to fit —
 // watermark hysteresis belongs to the background tick — and is floored
@@ -290,7 +279,7 @@ func (p *Porter) reclaimToLow() int64 {
 // the policy values more than the one asking for room. A refusal is
 // the degradation ladder's middle rung (counted in AdmitRefused); the
 // function keeps running on scratch cold starts and asks again later.
-func (p *Porter) admitCheckpoint(fn string, need int64) bool {
+func (p *Porter) admitCheckpoint(st *fnState, need int64) bool {
 	pool := p.c.Pool
 	if p.rep != nil {
 		// A replicated publication costs up to one copy per reachable
@@ -318,12 +307,34 @@ func (p *Porter) admitCheckpoint(fn string, need int64) bool {
 	if pool.UsedBytes()+need <= high {
 		return true
 	}
-	p.reclaimBelow(pool.UsedBytes()+need-high, p.admitScore(fn, need))
+	p.reclaimBelow(pool.UsedBytes()+need-high, p.admitScore(st, need))
 	if pool.UsedBytes()+need <= high {
 		return true
 	}
 	p.capc.AdmitRefused.Inc()
 	return false
+}
+
+// dedupAware is implemented by images whose device accounting
+// distinguishes exclusive from dedup-shared frames (core.Checkpoint,
+// replica.Image and the capacity manager's replay images).
+type dedupAware interface {
+	ReclaimableBytes() int64
+}
+
+// reclaimEstimate predicts the device occupancy delta releasing the
+// porter's reference on img would produce right now. An image pinned by
+// live clones or in-flight restores (extra references) frees nothing
+// yet; a dedup-aware image frees only metadata plus its exclusive
+// frames; other mechanisms free their declared footprint.
+func reclaimEstimate(img rfork.Image) int64 {
+	if img.Refs() > 1 {
+		return 0
+	}
+	if r, ok := img.(dedupAware); ok {
+		return r.ReclaimableBytes()
+	}
+	return img.CXLBytes()
 }
 
 // setupReclaimRetries bounds how many evict-and-retry rounds a Setup
@@ -372,14 +383,6 @@ type frameTokener interface {
 	MetaBytes() int64
 }
 
-// snapshot records img's frame tokens for later re-publication, when
-// the image supports it.
-func (p *Porter) snapshot(fn string, img rfork.Image) {
-	if tk, ok := img.(frameTokener); ok {
-		p.snaps[fn] = &ckptSnapshot{tokens: tk.FrameTokens(), metaBytes: tk.MetaBytes()}
-	}
-}
-
 // maybeRecheckpoint is called on every request completion: once a
 // function whose checkpoint was evicted has completed CheckpointAfter
 // further invocations (§5 checkpoints after the 16th invocation) and
@@ -388,12 +391,11 @@ func (p *Porter) snapshot(fn string, img rfork.Image) {
 // that node's cores off the request critical path.
 func (p *Porter) maybeRecheckpoint(inst *instance) {
 	st := inst.fn
-	fn := st.spec.Name
-	snap := p.snaps[fn]
+	snap := st.snap
 	if snap == nil || st.reckpting {
 		return
 	}
-	if _, ok := p.store.Get(tenant, fn); ok {
+	if st.img != nil {
 		st.coldRuns = 0
 		return
 	}
@@ -403,7 +405,7 @@ func (p *Porter) maybeRecheckpoint(inst *instance) {
 	}
 	st.coldRuns = 0
 	need := int64(len(snap.tokens))*int64(p.c.P.PageSize) + snap.metaBytes
-	if !p.admitCheckpoint(fn, need) {
+	if !p.admitCheckpoint(st, need) {
 		return
 	}
 	st.reckpting = true
@@ -414,20 +416,21 @@ func (p *Porter) maybeRecheckpoint(inst *instance) {
 		if p.c.Faults.NodeDown(node.os.Index) {
 			return
 		}
-		p.republish(fn, node, end-cost, cost)
+		p.republish(st, node, end-cost, cost)
 	})
 }
 
-// republish rebuilds fn's evicted checkpoint from its snapshot:
-// every recorded token is allocated through the dedup index (re-deduping
+// republish rebuilds st's evicted checkpoint from its snapshot: every
+// recorded token is allocated through the dedup index (re-deduping
 // against surviving twins), tracked in a fresh arena with the original
-// metadata charge, sealed, and registered in the store. A device that
+// metadata charge, sealed, and published in st's record. A device that
 // fills mid-rebuild rolls the staged arena back and counts a refusal.
-func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
-	snap := p.snaps[fn]
-	dev := p.c.Dev
+func (p *Porter) republish(st *fnState, node *nodeState, begin, dur des.Time) {
+	fn := st.spec.Name
+	snap := st.snap
 	snap.gen++
 	id := fmt.Sprintf("cid-%s-%s#r%d", tenant, fn, snap.gen)
+	var img rfork.Image
 	if p.rep != nil {
 		// Replication active: rebuild through the placement manager so
 		// the re-published checkpoint gets the same preference list and
@@ -440,53 +443,25 @@ func (p *Porter) republish(fn string, node *nodeState, begin, dur des.Time) {
 			p.capc.AdmitRefused.Inc()
 			return
 		}
-		p.store.Put(tenant, fn, rimg)
-		p.admits.Inc()
-		if st := p.byName[fn]; st != nil {
-			st.scoreBase = p.agingL
-		}
-		p.capc.Recheckpoints.Inc()
-		p.c.Trace.EmitFlow(node.os.Index, trace.CatCapacity, "recheckpoint", begin, dur, rimg.CXLBytes(), rimg.Pages())
-		return
-	}
-	arena, err := dev.NewArena(id)
-	if err != nil {
-		p.capc.AdmitRefused.Inc()
-		return
-	}
-	for _, tok := range snap.tokens {
-		f, _, err := dev.AllocToken(tok)
+		img = rimg
+	} else {
+		arena, err := p.c.Dev.BuildArena(id, snap.tokens, snap.metaBytes)
 		if err != nil {
-			arena.Release()
 			p.capc.AdmitRefused.Inc()
 			return
 		}
-		arena.TrackFrame(f)
+		img = &replayImage{
+			id:    id,
+			mech:  p.cfg.Mechanism.Name(),
+			arena: arena,
+			pages: len(snap.tokens),
+			refs:  rfork.NewRefCount(),
+		}
 	}
-	if _, err := arena.Alloc("replay-meta", snap.metaBytes); err != nil {
-		arena.Release()
-		p.capc.AdmitRefused.Inc()
-		return
-	}
-	if err := arena.Seal(); err != nil {
-		arena.Release()
-		p.capc.AdmitRefused.Inc()
-		return
-	}
-	img := &replayImage{
-		id:    id,
-		mech:  p.cfg.Mechanism.Name(),
-		arena: arena,
-		pages: len(snap.tokens),
-		refs:  rfork.NewRefCount(),
-	}
-	p.store.Put(tenant, fn, img)
-	p.admits.Inc()
-	if st := p.byName[fn]; st != nil {
-		st.scoreBase = p.agingL
-	}
+	p.publish(st, img)
+	st.scoreBase = p.agingL
 	p.capc.Recheckpoints.Inc()
-	p.c.Trace.EmitFlow(node.os.Index, trace.CatCapacity, "recheckpoint", begin, dur, img.CXLBytes(), img.pages)
+	p.c.Trace.EmitFlow(node.os.Index, trace.CatCapacity, "recheckpoint", begin, dur, img.CXLBytes(), img.Pages())
 }
 
 // replayImage is a checkpoint re-published from a ckptSnapshot. It is

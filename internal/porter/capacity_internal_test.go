@@ -1,13 +1,11 @@
 package porter
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/core"
-	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 )
@@ -24,20 +22,14 @@ func TestLargestPolicyDedupAware(t *testing.T) {
 	c := cluster.MustNew(p, 1)
 	mech := core.New(c.Dev)
 	po := New(c, Config{Mechanism: mech, Profiles: ladderProfiles(), Seed: 1})
-	spec := faas.Spec{
-		Name: "Tiny", FootprintBytes: 8 << 20, LibBytes: 3 << 20,
-		InitFrac: 0.6, ROFrac: 0.3, RWFrac: 0.1,
-		InitComputeNs: 50 * des.Millisecond, WarmComputeNs: 10 * des.Millisecond,
-		ROSweeps: 1, RepeatsPerPage: 1, InitTouchFrac: 0.05, ScratchFrac: 0.05,
-		FDCount: 4, LibVMAs: 6,
-	}
+	spec := ladderSpec("Tiny")
 	faas.RegisterFiles(c.FS, c.P, spec)
 	if err := faas.WarmLibraries(c.Nodes[0], spec); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	var declared int64
-	for i := 0; i < 2; i++ {
+	for _, fn := range []string{"A", "B"} {
 		in, err := faas.NewInstance(c.Nodes[0], spec)
 		if err != nil {
 			t.Fatal(err)
@@ -48,29 +40,34 @@ func TestLargestPolicyDedupAware(t *testing.T) {
 		if _, err := in.Invoke(rng); err != nil {
 			t.Fatal(err)
 		}
-		img, err := mech.Checkpoint(in.Task, fmt.Sprintf("cid-%d", i))
+		img, err := mech.Checkpoint(in.Task, "cid-"+fn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		in.Exit()
 		declared += img.CXLBytes()
-		po.store.Put("t", fmt.Sprintf("fn%d", i), img)
+		publishAs(po, fn, img)
 	}
 	if c.Dev.Dedup.Hits.Value() == 0 {
 		t.Fatal("twin checkpoints did not dedup — test premise broken")
 	}
 	var freed int64
-	for po.store.Len() > 0 {
+	for {
 		scores := make(map[string]float64)
-		for _, e := range po.store.Entries() {
-			scores[e.Function] = po.evictScore(e)
+		for _, st := range po.fns {
+			if st.img != nil {
+				scores[st.spec.Name] = po.evictScore(st)
+			}
+		}
+		if len(scores) == 0 {
+			break
 		}
 		before := c.Dev.UsedBytes()
 		po.reclaim(1) // one eviction: every image frees at least its metadata
 		delta := before - c.Dev.UsedBytes()
 		var victims []string
 		for fn := range scores {
-			if _, ok := po.store.Get("t", fn); !ok {
+			if _, ok := po.Checkpoint(fn); !ok {
 				victims = append(victims, fn)
 			}
 		}
@@ -93,5 +90,71 @@ func TestLargestPolicyDedupAware(t *testing.T) {
 	}
 	if c.Dev.UsedBytes() != 0 {
 		t.Fatalf("device not empty after full reclaim: %d", c.Dev.UsedBytes())
+	}
+}
+
+// ladderPorter provisions specs on a two-node cluster whose device holds
+// cxlBytes, under the given eviction policy.
+func ladderPorter(t *testing.T, policy string, cxlBytes int64, specs ...string) (*Porter, *cluster.Cluster) {
+	t.Helper()
+	p := params.Default()
+	p.NodeDRAMBytes = 1 << 30
+	p.CXLBytes = cxlBytes
+	p.EvictPolicy = policy
+	c := cluster.MustNew(p, 2)
+	po := New(c, Config{Mechanism: core.New(c.Dev), Profiles: ladderProfiles(), Seed: 1})
+	var fs []faas.Spec
+	for _, fn := range specs {
+		fs = append(fs, ladderSpec(fn))
+	}
+	if err := po.Setup(fs); err != nil {
+		t.Fatal(err)
+	}
+	return po, c
+}
+
+// TestEvictionTiesFallToFirstName provisions B before A and never
+// restores either: under LRU they tie, and the tie goes to the first
+// function name, not the first provisioned.
+func TestEvictionTiesFallToFirstName(t *testing.T) {
+	po, _ := ladderPorter(t, "lru", 1<<30, "B", "A")
+	po.reclaim(1)
+	if _, ok := po.Checkpoint("A"); ok {
+		t.Fatal("A's checkpoint survived the tie")
+	}
+	if _, ok := po.Checkpoint("B"); !ok {
+		t.Fatal("B's checkpoint was evicted on a tie with A")
+	}
+}
+
+// TestSetupPublicationStartsAtZeroBase provisions A and B on a device
+// too small for both checkpoints: B's checkpoint only fits once A's is
+// evicted, which advances the cost-benefit aging clock. B's score base
+// must still start at zero — Setup's publication order is the mix
+// order, not recency — while a re-publication samples the clock.
+func TestSetupPublicationStartsAtZeroBase(t *testing.T) {
+	probe, _ := ladderPorter(t, "costbenefit", 1<<30, "A")
+	img, _ := probe.Checkpoint("A")
+	po, c := ladderPorter(t, "costbenefit", img.CXLBytes()*3/2/4096*4096, "A", "B")
+	if _, ok := po.Checkpoint("A"); ok {
+		t.Fatal("A's checkpoint was not evicted: test premise broken")
+	}
+	if _, ok := po.Checkpoint("B"); !ok {
+		t.Fatal("B's checkpoint was not published: test premise broken")
+	}
+	if po.agingL <= 0 {
+		t.Fatalf("aging clock = %v after an eviction, want > 0", po.agingL)
+	}
+	if got := po.byName["B"].scoreBase; got != 0 {
+		t.Fatalf("B's score base = %v after Setup, want 0", got)
+	}
+	po.byName["B"].evict()
+	a := po.byName["A"]
+	po.republish(a, po.nodes[0], c.Eng.Now(), 0)
+	if _, ok := po.Checkpoint("A"); !ok {
+		t.Fatal("A's checkpoint was not re-published")
+	}
+	if a.scoreBase != po.agingL {
+		t.Fatalf("A's score base = %v after re-publication, want the aging clock %v", a.scoreBase, po.agingL)
 	}
 }

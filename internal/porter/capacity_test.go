@@ -84,8 +84,8 @@ func pressurePorter(t *testing.T, policy string) (*porter.Porter, *cluster.Clust
 	if err := po.Setup([]faas.Spec{tinySpec(), bigSpec()}); err != nil {
 		t.Fatal(err)
 	}
-	tinyImg, ok1 := po.Store().Get("tenant0", "Tiny")
-	bigImg, ok2 := po.Store().Get("tenant0", "Big")
+	tinyImg, ok1 := po.Checkpoint("Tiny")
+	bigImg, ok2 := po.Checkpoint("Big")
 	if !ok1 || !ok2 {
 		t.Fatal("setup did not register both checkpoints")
 	}
@@ -109,10 +109,10 @@ func TestEvictPolicyChoosesVictim(t *testing.T) {
 		if res.EvictedCkpts != 1 {
 			t.Fatalf("evictions = %d, want 1", res.EvictedCkpts)
 		}
-		if _, ok := po.Store().Get("tenant0", "Big"); ok {
+		if _, ok := po.Checkpoint("Big"); ok {
 			t.Fatal("largest-first kept the big image")
 		}
-		if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
+		if _, ok := po.Checkpoint("Tiny"); !ok {
 			t.Fatal("largest-first dropped the small image")
 		}
 	})
@@ -124,26 +124,26 @@ func TestEvictPolicyChoosesVictim(t *testing.T) {
 		}
 		// Big's cold start is nearly free: it is the cheap victim even
 		// though Tiny frees fewer bytes.
-		if _, ok := po.Store().Get("tenant0", "Big"); ok {
+		if _, ok := po.Checkpoint("Big"); ok {
 			t.Fatal("cost-benefit kept the cheap-to-rebuild image")
 		}
-		if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
+		if _, ok := po.Checkpoint("Tiny"); !ok {
 			t.Fatal("cost-benefit dropped the expensive-to-rebuild image")
 		}
 	})
 	t.Run("lru", func(t *testing.T) {
 		po, _ := pressurePorter(t, "lru")
 		// Tiny restored more recently than Big.
-		po.Store().Touch("tenant0", "Big", 1*des.Second)
-		po.Store().Touch("tenant0", "Tiny", 2*des.Second)
+		po.TouchCheckpoint("Big", 1*des.Second)
+		po.TouchCheckpoint("Tiny", 2*des.Second)
 		res := po.Run(steadyTrace(1, 0))
 		if res.EvictedCkpts != 1 {
 			t.Fatalf("evictions = %d, want 1", res.EvictedCkpts)
 		}
-		if _, ok := po.Store().Get("tenant0", "Big"); ok {
+		if _, ok := po.Checkpoint("Big"); ok {
 			t.Fatal("LRU kept the older image")
 		}
-		if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
+		if _, ok := po.Checkpoint("Tiny"); !ok {
 			t.Fatal("LRU dropped the recently restored image")
 		}
 	})
@@ -186,7 +186,7 @@ func TestEvictionDefersPinnedImage(t *testing.T) {
 	if err := po.Setup([]faas.Spec{tinySpec()}); err != nil {
 		t.Fatal(err)
 	}
-	img, _ := po.Store().Get("tenant0", "Tiny")
+	img, _ := po.Checkpoint("Tiny")
 	img.Retain() // simulate a live clone
 	pool := c.Dev.Pool()
 	for c.Dev.Utilization() < 0.92 {
@@ -195,7 +195,7 @@ func TestEvictionDefersPinnedImage(t *testing.T) {
 	used := c.Dev.UsedBytes()
 	res := po.Run(steadyTrace(5, 100*des.Millisecond))
 	if res.EvictedCkpts == 0 {
-		t.Fatal("pinned image never evicted from the store")
+		t.Fatal("pinned image never evicted")
 	}
 	if res.EvictedBytes != 0 {
 		t.Fatalf("EvictedBytes = %d for a pinned image", res.EvictedBytes)
@@ -207,7 +207,7 @@ func TestEvictionDefersPinnedImage(t *testing.T) {
 		t.Fatalf("device shrank (%d -> %d) while the image was pinned", used, got)
 	}
 	if img.Refs() != 1 {
-		t.Fatalf("refs = %d after store release", img.Refs())
+		t.Fatalf("refs = %d after the porter released its reference", img.Refs())
 	}
 	// The last reference frees the image's exclusive bytes.
 	predicted := used - c.Dev.UsedBytes() // growth during the run
@@ -254,8 +254,8 @@ func TestRecheckpointAfterEviction(t *testing.T) {
 	if res.Recheckpoints == 0 {
 		t.Fatal("checkpoint never re-published after pressure lifted")
 	}
-	if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
-		t.Fatal("re-published checkpoint not in store")
+	if _, ok := po.Checkpoint("Tiny"); !ok {
+		t.Fatal("no checkpoint published after re-publication")
 	}
 	if res.ScratchCold == 0 {
 		t.Fatal("expected scratch cold starts while evicted")
@@ -293,7 +293,7 @@ func TestAdmissionRefusedUnderSustainedPressure(t *testing.T) {
 	if res.Recheckpoints != 0 {
 		t.Fatalf("re-published %d checkpoints with the device full", res.Recheckpoints)
 	}
-	if _, ok := po.Store().Get("tenant0", "Tiny"); ok {
+	if _, ok := po.Checkpoint("Tiny"); ok {
 		t.Fatal("checkpoint present despite refusals")
 	}
 	if res.Completed != 20 {

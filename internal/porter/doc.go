@@ -1,8 +1,9 @@
 // Package porter implements CXLporter, the horizontal FaaS autoscaler
-// built on remote fork (paper §5). It maintains a CID object store of
-// checkpoints, a pool of ghost containers per function, dynamically
-// selects CXLfork tiering policies from observed latency and memory
-// pressure, and shortens keep-alive windows under pressure.
+// built on remote fork (paper §5). Each function's record holds its
+// published checkpoint (CID), restore recency and re-publication
+// snapshot; the porter keeps a pool of ghost containers per function,
+// dynamically selects CXLfork tiering policies from observed latency
+// and memory pressure, and shortens keep-alive windows under pressure.
 //
 // Scaling experiments (Fig. 10) replay bursty arrival traces over the
 // discrete-event engine. Per-request work uses profiles measured

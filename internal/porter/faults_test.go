@@ -51,8 +51,8 @@ func TestSetupRetriesAfterCrash(t *testing.T) {
 	if !c.Faults.NodeDown(0) {
 		t.Fatal("node 0 not down after Setup")
 	}
-	if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
-		t.Fatal("retried checkpoint not in object store")
+	if _, ok := po.Checkpoint("Tiny"); !ok {
+		t.Fatal("retried checkpoint not published")
 	}
 	res := po.Run(steadyTrace(50, 20*des.Millisecond))
 	if res.Completed != 50 {
@@ -69,7 +69,7 @@ func TestSetupRetriesAfterCrash(t *testing.T) {
 	}
 	// The torn arena was fully garbage-collected: only the retried
 	// checkpoint occupies the device.
-	img, _ := po.Store().Get("tenant0", "Tiny")
+	img, _ := po.Checkpoint("Tiny")
 	if got := c.Dev.UsedBytes(); got != img.CXLBytes() {
 		t.Fatalf("device holds %d bytes, checkpoint is %d", got, img.CXLBytes())
 	}
@@ -136,7 +136,7 @@ func TestInjectedDeviceFullFallsBackToColdStarts(t *testing.T) {
 // fallback counter records the degradation.
 func TestFullDeviceDegradesToColdStarts(t *testing.T) {
 	po, c := faultyPorter(t, 1<<20, nil) // 256 pages: no checkpoint fits
-	if _, ok := po.Store().Get("tenant0", "Tiny"); ok {
+	if _, ok := po.Checkpoint("Tiny"); ok {
 		t.Fatal("a checkpoint fit on a full device")
 	}
 	res := po.Run(steadyTrace(30, 30*des.Millisecond))

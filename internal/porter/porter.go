@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/cxl"
@@ -80,8 +82,9 @@ type Config struct {
 	NodeBudgetBytes int64
 }
 
-// tenant is the object store's user namespace: one tenant owns every
-// checkpoint, so checkpoint IDs read cid-tenant0-<function>.
+// tenant is the user half of §5's <user, function> checkpoint key: one
+// tenant owns every checkpoint, so checkpoint IDs read
+// cid-tenant0-<function> and replica keys tenant0/<function>.
 const tenant = "tenant0"
 
 // sloFactor sets each function's latency SLO as a multiple of its
@@ -175,6 +178,29 @@ func (n *nodeState) utilization() float64 {
 // numPolicies is the number of tiering policies a profile table holds.
 const numPolicies = int(rfork.HybridTiering) + 1
 
+// ckptRecord is a function's checkpoint as the capacity manager sees
+// it: the published image, its restore recency, and the snapshot it is
+// re-published from. A re-provision of the function inherits it.
+type ckptRecord struct {
+	// img is the published checkpoint, on which the porter holds one
+	// reference; nil until published and once evicted or lost.
+	img rfork.Image
+	// lastRestore is the virtual time of the most recent restore served
+	// from img (zero if never restored); LRU ranks by it.
+	lastRestore des.Time
+	// snap is the frame-token snapshot of the image provisioning
+	// published, kept across eviction for re-publication; nil when the
+	// mechanism's images cannot be snapshotted or the data was lost.
+	snap *ckptSnapshot
+}
+
+// evict drops the porter's reference on the published image. Live
+// clones and in-flight restores keep theirs; the snapshot stays.
+func (r *ckptRecord) evict() {
+	r.img.Release()
+	r.img = nil
+}
+
 // fnState is per-function control state.
 type fnState struct {
 	// id is the function's dense index: its position in Porter.fns, in
@@ -182,8 +208,9 @@ type fnState struct {
 	id     int
 	spec   faas.Spec
 	policy rfork.Policy
+	ckptRecord
 	// profs is the function's profile under each policy, resolved at
-	// Setup with profile's fallback (nil: none calibrated).
+	// Setup with lookupProfile's fallback (nil: none calibrated).
 	profs [numPolicies]*Profile
 	// rec records the latency of each of the function's completed
 	// requests in the current replay.
@@ -195,18 +222,19 @@ type fnState struct {
 	// evicted; at CheckpointAfter the capacity manager re-publishes.
 	coldRuns int
 	// demand counts request arrivals over the whole run, resident or
-	// not. Cost-benefit scoring uses it as popularity instead of the
-	// store entry's restore counter for two reasons: the entry counter
-	// resets on re-publication (a rebuilt hot checkpoint must not look
-	// cold), and restores only accrue while resident — an evicted
-	// checkpoint could never earn its way back in while every resident
-	// kept climbing (once out, never back in).
+	// not. Cost-benefit scoring uses it as popularity rather than a
+	// count of restores: restores only accrue while resident, so an
+	// evicted checkpoint could never earn its way back in while every
+	// resident kept climbing (once out, never back in).
 	demand int64
 	// scoreBase is the GDSF aging term: the capacity manager's aging
-	// clock sampled when the function's checkpoint was last published
-	// or restored. Added to the cost-benefit score, it lets stale
-	// high-value images age out and currently-bursting functions win
-	// admission (pure value scoring would refuse them forever).
+	// clock sampled when the function's checkpoint was last
+	// re-published or restored. Added to the cost-benefit score, it
+	// lets stale high-value images age out and currently-bursting
+	// functions win admission (pure value scoring would refuse them
+	// forever). Provisioning starts it at zero, whatever the clock
+	// reads: Setup publishes every function before the replay's first
+	// instant, in mix order, which is no measure of recency.
 	scoreBase float64
 	// reckpting marks a snapshot re-publish in flight on some core.
 	reckpting bool
@@ -389,16 +417,17 @@ func (r Results) Throughput() float64 {
 type Porter struct {
 	c     *cluster.Cluster
 	cfg   Config
-	store *ObjectStore
 	nodes []*nodeState
 	// ghostPages is the node memory one ghost container's sandbox
 	// overhead occupies: GhostContainerBytes in pages.
 	ghostPages int
 	// fns holds the provisioned functions in Setup order, indexed by
-	// id; byName finds them from the names arrivals, the object store
-	// and capacity scoring carry.
+	// id; byName finds them from the names arrivals carry. sorted holds
+	// the same records ordered by function name: eviction and replica
+	// shedding scan it, so score ties fall to the first name.
 	fns    []*fnState
 	byName map[string]*fnState
+	sorted []*fnState
 	rng    *rand.Rand
 	// freeReqs recycles completed request records; cands is placeOn's
 	// reusable candidate buffer.
@@ -417,15 +446,12 @@ type Porter struct {
 	// policy is the capacity manager's eviction policy (params.EvictPolicy).
 	policy EvictPolicy
 	// agingL is the cost-benefit policy's GDSF aging clock: the score
-	// of the most valuable checkpoint evicted so far. Entries touched
-	// after an eviction start from it, so scores are comparable across
-	// time and recency breaks value ties.
+	// of the most valuable checkpoint evicted so far. Checkpoints
+	// re-published or restored after an eviction start from it, so
+	// scores are comparable across time and recency breaks value ties.
 	agingL float64
 	// capc is the capacity manager's accounting, covering Setup and Run.
 	capc metrics.CapacityCounters
-	// snaps holds per-function frame-token snapshots of published
-	// checkpoints, for re-publication after eviction.
-	snaps map[string]*ckptSnapshot
 
 	// rep replicates sealed checkpoints across the device pool; nil on
 	// single-device clusters, where every replication path degenerates
@@ -464,11 +490,9 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 	p := &Porter{
 		c:          c,
 		cfg:        cfg,
-		store:      NewObjectStore(),
 		byName:     make(map[string]*fnState),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		policy:     pol,
-		snaps:      make(map[string]*ckptSnapshot),
 		ghostPages: int(c.P.GhostContainerBytes / int64(c.P.PageSize)),
 	}
 	if c.Pool != nil && c.Pool.N() > 1 {
@@ -491,8 +515,27 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 	return p
 }
 
-// Store returns the checkpoint object store.
-func (p *Porter) Store() *ObjectStore { return p.store }
+// Checkpoint returns fn's published checkpoint, if it has one: none
+// for a function never provisioned, whose checkpoint did not fit, or
+// whose checkpoint was evicted and not yet re-published.
+func (p *Porter) Checkpoint(fn string) (rfork.Image, bool) {
+	if st := p.byName[fn]; st != nil && st.img != nil {
+		return st.img, true
+	}
+	return nil, false
+}
+
+// publish makes img st's published checkpoint, taking over the caller's
+// reference and releasing the image it replaces. Restore recency
+// restarts: a (re-)published checkpoint earns its retention anew. Every
+// publication, initial or re-published, counts as an admission.
+func (p *Porter) publish(st *fnState, img rfork.Image) {
+	if st.img != nil {
+		st.img.Release()
+	}
+	st.img, st.lastRestore = img, 0
+	p.admits.Inc()
+}
 
 // ghostsCompatible reports whether the mechanism can restore into ghost
 // containers (CRIU-CXL cannot: it restores via the filesystem, §6.2).
@@ -565,8 +608,9 @@ func (p *Porter) replicate(fn string, img rfork.Image) rfork.Image {
 
 // Setup prepares the deployment: registers and warms every function's
 // image files, builds a warmed parent for each function, checkpoints it
-// after its 16th invocation (§5), registers the checkpoint in the object
-// store, tears the parent down, and provisions ghost container pools.
+// after its 16th invocation (§5), publishes the checkpoint in the
+// function's record, tears the parent down, and provisions ghost
+// container pools.
 // Setup time is charged to the engine but precedes the measured trace.
 //
 // Provisioning is fault-tolerant: a node that crashes mid-checkpoint is
@@ -602,10 +646,11 @@ func (p *Porter) firstUpNode() *nodeState {
 	return nil
 }
 
-// provision builds a warmed parent for s and publishes its checkpoint,
-// then sets up control state and ghost pools.
+// provision sets up s's control state, builds a warmed parent and
+// publishes its checkpoint, then fills the function's ghost pools.
 func (p *Porter) provision(s faas.Spec) error {
 	cp := p.c.P
+	st := p.addFn(s)
 	for attempt := 0; ; attempt++ {
 		node := p.firstUpNode()
 		if node == nil {
@@ -618,25 +663,17 @@ func (p *Porter) provision(s faas.Spec) error {
 		if err := in.ColdInit(); err != nil {
 			return err
 		}
-		// Clear A/D after the first invocation so the checkpointed bits
-		// capture the steady state, not initialization (§5).
-		if _, err := in.Invoke(p.rng); err != nil {
-			return err
-		}
-		in.Task.MM.PT.ClearABits()
-		if err := in.Warmup(cp.CheckpointAfter-1, p.rng); err != nil {
+		if err := in.PrepareParent(cp.CheckpointAfter, p.rng); err != nil {
 			return err
 		}
 		img, err := p.checkpointWithReclaim(in.Task, fmt.Sprintf("cid-%s-%s", tenant, s.Name))
 		switch {
 		case err == nil:
 			img = p.replicate(s.Name, img)
-			p.snapshot(s.Name, img)
-			p.store.Put(tenant, s.Name, img)
-			p.admits.Inc()
-			if st := p.byName[s.Name]; st != nil {
-				st.scoreBase = p.agingL
+			if tk, ok := img.(frameTokener); ok {
+				st.snap = &ckptSnapshot{tokens: tk.FrameTokens(), metaBytes: tk.MetaBytes()}
 			}
+			p.publish(st, img)
 			in.Exit()
 			// Mitosis pins its shadow copy in the parent node's memory
 			// for the lifetime of the image.
@@ -665,18 +702,6 @@ func (p *Porter) provision(s faas.Spec) error {
 		break
 	}
 
-	st := &fnState{spec: s, policy: rfork.MigrateOnWrite}
-	if p.cfg.StaticPolicy != nil {
-		st.policy = *p.cfg.StaticPolicy
-	}
-	for pol := range st.profs {
-		if pr, ok := p.lookupProfile(s.Name, rfork.Policy(pol)); ok {
-			st.profs[pol] = &pr
-		}
-	}
-	st.slo = des.Time(sloFactor * float64(st.profile(rfork.MigrateOnAccess).WarmExec))
-	p.addFn(st)
-
 	if p.ghostsCompatible() {
 		for _, n := range p.nodes {
 			if p.c.Faults.NodeDown(n.os.Index) {
@@ -694,12 +719,25 @@ func (p *Porter) provision(s faas.Spec) error {
 	return nil
 }
 
-// addFn registers st under the next dense id, or under the id of an
-// earlier provision of the same function, which it replaces; every
-// node's per-function slices grow with the ids.
-func (p *Porter) addFn(st *fnState) {
-	if old := p.byName[st.spec.Name]; old != nil {
+// addFn registers fresh control state for s under the next dense id,
+// or under the id of an earlier provision of the same function, which
+// it replaces — inheriting that provision's checkpoint record, so a
+// re-provision that fails to checkpoint keeps serving the earlier
+// image. Every node's per-function slices grow with the ids.
+func (p *Porter) addFn(s faas.Spec) *fnState {
+	st := &fnState{spec: s, policy: rfork.MigrateOnWrite}
+	if p.cfg.StaticPolicy != nil {
+		st.policy = *p.cfg.StaticPolicy
+	}
+	for pol := range st.profs {
+		if pr, ok := p.lookupProfile(s.Name, rfork.Policy(pol)); ok {
+			st.profs[pol] = &pr
+		}
+	}
+	st.slo = des.Time(sloFactor * float64(st.profile(rfork.MigrateOnAccess).WarmExec))
+	if old := p.byName[s.Name]; old != nil {
 		st.id = old.id
+		st.ckptRecord = old.ckptRecord
 		p.fns[st.id] = st
 	} else {
 		st.id = len(p.fns)
@@ -710,20 +748,21 @@ func (p *Porter) addFn(st *fnState) {
 			n.live = append(n.live, 0)
 		}
 	}
-	p.byName[st.spec.Name] = st
-}
-
-// profile fetches the profile for a function under a policy, falling
-// back to the mechanism's canonical (MoW-keyed) entry for baselines.
-func (p *Porter) profile(fn string, pol rfork.Policy) Profile {
-	pr, ok := p.lookupProfile(fn, pol)
-	if !ok {
-		panic(fmt.Sprintf("porter: no profile for %s/%s", fn, p.cfg.Mechanism.Name()))
+	p.byName[s.Name] = st
+	i, found := slices.BinarySearchFunc(p.sorted, s.Name, func(r *fnState, name string) int {
+		return strings.Compare(r.spec.Name, name)
+	})
+	if found {
+		p.sorted[i] = st
+	} else {
+		p.sorted = slices.Insert(p.sorted, i, st)
 	}
-	return pr
+	return st
 }
 
-// lookupProfile is profile without the panic.
+// lookupProfile fetches the profile for a function under a policy,
+// falling back to the mechanism's canonical (MoW-keyed) entry for
+// baselines.
 func (p *Porter) lookupProfile(fn string, pol rfork.Policy) (Profile, bool) {
 	if pr, ok := p.cfg.Profiles[ProfileKey{fn, p.cfg.Mechanism.Name(), pol}]; ok {
 		return pr, true

@@ -2,6 +2,7 @@ package porter_test
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
+	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
@@ -78,8 +80,8 @@ func steadyTrace(n int, gap des.Time) []azure.Request {
 
 func TestSetupRegistersCheckpoint(t *testing.T) {
 	po, _ := newPorter(t, 1<<30, cxlMech, "CXLfork")
-	if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
-		t.Fatal("checkpoint not in object store")
+	if _, ok := po.Checkpoint("Tiny"); !ok {
+		t.Fatal("Setup published no checkpoint")
 	}
 }
 
@@ -130,7 +132,7 @@ func TestBurstSpawnsInstances(t *testing.T) {
 
 func TestScratchColdWithoutCheckpoint(t *testing.T) {
 	po, _ := newPorter(t, 1<<30, cxlMech, "CXLfork")
-	po.Store().Reclaim("tenant0", "Tiny")
+	po.Evict("Tiny")
 	res := po.Run(steadyTrace(5, des.Second))
 	if res.ScratchCold == 0 {
 		t.Fatal("no scratch cold starts after reclaim")
@@ -247,51 +249,81 @@ func TestSetupGhostOutOfMemory(t *testing.T) {
 	}
 }
 
-func TestObjectStore(t *testing.T) {
-	p := params.Default()
-	p.NodeDRAMBytes = 256 << 20
-	p.CXLBytes = 256 << 20
-	c := cluster.MustNew(p, 1)
-	mech := core.New(c.Dev)
-	spec := tinySpec()
-	faas.RegisterFiles(c.FS, p, spec)
-	if err := faas.WarmLibraries(c.Node(0), spec); err != nil {
-		t.Fatal(err)
+// recordingMech wraps a mechanism for re-provisioning tests: it gives
+// each checkpoint a distinct ID (a re-provision's arena must not collide
+// with the image it replaces), keeps every image it returns, and fails
+// checkpoint number failAt (1-based; 0 fails none) with errInjected.
+type recordingMech struct {
+	rfork.Mechanism
+	imgs   []rfork.Image
+	calls  int
+	failAt int
+}
+
+var errInjected = errors.New("injected checkpoint failure")
+
+func (m *recordingMech) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
+	m.calls++
+	if m.calls == m.failAt {
+		return nil, errInjected
 	}
-	in, err := faas.NewInstance(c.Node(0), spec)
+	img, err := m.Mechanism.Checkpoint(parent, fmt.Sprintf("%s#%d", id, m.calls))
+	if err == nil {
+		m.imgs = append(m.imgs, img)
+	}
+	return img, err
+}
+
+// TestCheckpointRecord checks each function's checkpoint record: Setup
+// publishes one image per function, a re-provision in the same Setup
+// replaces and releases the earlier image while a failed one keeps it,
+// eviction frees the image's device bytes, and a function never
+// provisioned has no checkpoint.
+func TestCheckpointRecord(t *testing.T) {
+	setup := func(failAt int) (*porter.Porter, *cluster.Cluster, *recordingMech, error) {
+		p := params.Default()
+		p.NodeDRAMBytes = 1 << 30
+		p.CXLBytes = 256 << 20
+		c := cluster.MustNew(p, 2)
+		mech := &recordingMech{Mechanism: core.New(c.Dev), failAt: failAt}
+		po := porter.New(c, porter.Config{Mechanism: mech, Profiles: profiles("CXLfork"), Seed: 1})
+		return po, c, mech, po.Setup([]faas.Spec{tinySpec(), tinySpec()})
+	}
+
+	po, c, mech, err := setup(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.ColdInit(); err != nil {
-		t.Fatal(err)
+	if len(mech.imgs) != 2 {
+		t.Fatalf("%d checkpoints taken, want 2", len(mech.imgs))
 	}
-	img, err := mech.Checkpoint(in.Task, "s1")
-	if err != nil {
-		t.Fatal(err)
+	img, ok := po.Checkpoint("Tiny")
+	if !ok || img != mech.imgs[1] {
+		t.Fatal("the re-provision's image is not the published checkpoint")
 	}
-	st := porter.NewObjectStore()
-	st.Put("u", "fn", img)
-	if got, ok := st.Get("u", "fn"); !ok || got != img {
-		t.Fatal("get failed")
+	if got := mech.imgs[0].Refs(); got != 0 {
+		t.Fatalf("replaced image holds %d references, want 0", got)
 	}
-	if _, ok := st.Get("u", "other"); ok {
-		t.Fatal("phantom entry")
+	if got := c.Dev.UsedBytes(); got != img.CXLBytes() {
+		t.Fatalf("device holds %d bytes, the published checkpoint is %d", got, img.CXLBytes())
 	}
-	if st.Len() != 1 {
-		t.Fatal("len wrong")
+	if _, ok := po.Checkpoint("Json"); ok {
+		t.Fatal("checkpoint reported for a function never provisioned")
 	}
-	used := c.Dev.UsedBytes()
-	if used == 0 {
-		t.Fatal("checkpoint holds no device bytes")
+	po.Evict("Tiny")
+	if _, ok := po.Checkpoint("Tiny"); ok {
+		t.Fatal("checkpoint still published after eviction")
 	}
-	if !st.Reclaim("u", "fn") {
-		t.Fatal("reclaim failed")
+	if got := c.Dev.UsedBytes(); got != 0 {
+		t.Fatalf("eviction left %d bytes on the device", got)
 	}
-	if c.Dev.UsedBytes() != 0 {
-		t.Fatal("reclaim did not free the device")
+
+	po, _, mech, err = setup(2)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("Setup err = %v, want the injected failure", err)
 	}
-	if st.Reclaim("u", "fn") {
-		t.Fatal("double reclaim succeeded")
+	if img, ok := po.Checkpoint("Tiny"); !ok || img != mech.imgs[0] || img.Refs() != 1 {
+		t.Fatal("a failed re-provision dropped the earlier checkpoint")
 	}
 }
 

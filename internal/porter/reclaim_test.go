@@ -41,7 +41,7 @@ func TestCXLPressureReclaim(t *testing.T) {
 	if res.CkptReclaims == 0 {
 		t.Fatal("no checkpoints reclaimed under CXL pressure")
 	}
-	if _, ok := po.Store().Get("tenant0", "Tiny"); ok {
+	if _, ok := po.Checkpoint("Tiny"); ok {
 		t.Fatal("checkpoint survived reclaim")
 	}
 	// Requests after the reclaim fall back to scratch cold starts but
@@ -62,7 +62,7 @@ func TestNoReclaimBelowWatermark(t *testing.T) {
 	if res.CkptReclaims != 0 {
 		t.Fatal("reclaimed without pressure")
 	}
-	if _, ok := po.Store().Get("tenant0", "Tiny"); !ok {
+	if _, ok := po.Checkpoint("Tiny"); !ok {
 		t.Fatal("checkpoint vanished")
 	}
 }

@@ -3,9 +3,11 @@ package porter
 import (
 	"testing"
 
+	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/core"
 	"cxlfork/internal/des"
+	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/replica"
 	"cxlfork/internal/rfork"
@@ -31,6 +33,17 @@ func ladderProfiles() map[ProfileKey]Profile {
 	return out
 }
 
+// ladderSpec is a fast function named fn, covered by ladderProfiles.
+func ladderSpec(fn string) faas.Spec {
+	return faas.Spec{
+		Name: fn, FootprintBytes: 8 << 20, LibBytes: 3 << 20,
+		InitFrac: 0.6, ROFrac: 0.3, RWFrac: 0.1,
+		InitComputeNs: 50 * des.Millisecond, WarmComputeNs: 10 * des.Millisecond,
+		ROSweeps: 1, RepeatsPerPage: 1, InitTouchFrac: 0.05, ScratchFrac: 0.05,
+		FDCount: 4, LibVMAs: 6,
+	}
+}
+
 // poolPorter builds a porter over a devices-wide pool at factor rf with
 // a small total capacity, for white-box capacity-ladder tests.
 func poolPorter(t *testing.T, devices, rf int, cxlBytes int64) (*Porter, *cluster.Cluster) {
@@ -46,6 +59,14 @@ func poolPorter(t *testing.T, devices, rf int, cxlBytes int64) (*Porter, *cluste
 		t.Fatal("no replica manager on a multi-device pool")
 	}
 	return po, c
+}
+
+// publishAs registers control state for fn, as provisioning does
+// before it checkpoints, and publishes img in the function's record.
+func publishAs(po *Porter, fn string, img rfork.Image) *fnState {
+	st := po.addFn(faas.Spec{Name: fn})
+	po.publish(st, img)
+	return st
 }
 
 // placeImage places a synthetic checkpoint of pages distinct frames,
@@ -100,6 +121,7 @@ func TestAdmissionDefersToRepairAtHighWatermark(t *testing.T) {
 	if got := img.Refs(); got < 1 {
 		t.Fatalf("refs = %d", got)
 	}
+	st := po.addFn(faas.Spec{Name: "Tiny"})
 
 	// Kill the device holding the second copy; the image is now one
 	// copy short of its factor.
@@ -113,7 +135,7 @@ func TestAdmissionDefersToRepairAtHighWatermark(t *testing.T) {
 	// Drive the ingest device over the high watermark and ask to admit.
 	devBytes := c.Pool.Device(0).CapacityBytes()
 	fill(t, c, 0, "filler", devBytes*95/100-c.Pool.Device(0).UsedBytes())
-	if admitted := po.admitCheckpoint("Tiny", 64*int64(c.P.PageSize)); admitted {
+	if admitted := po.admitCheckpoint(st, 64*int64(c.P.PageSize)); admitted {
 		t.Fatal("admission granted while under-replicated at the high watermark")
 	}
 	if got := po.capc.AdmitRefused.Value(); got != 1 {
@@ -129,7 +151,7 @@ func TestAdmissionDefersToRepairAtHighWatermark(t *testing.T) {
 	if got := po.rep.UnderReplication(); got != 0 {
 		t.Fatalf("UnderReplication after repair = %d, want 0", got)
 	}
-	if admitted := po.admitCheckpoint("Tiny", 64*int64(c.P.PageSize)); !admitted {
+	if admitted := po.admitCheckpoint(st, 64*int64(c.P.PageSize)); !admitted {
 		t.Fatal("admission still refused after repair converged")
 	}
 	if got := po.capc.AdmitRefused.Value(); got != 1 {
@@ -147,8 +169,8 @@ func TestShedForPressureKeepsLastHealthyCopy(t *testing.T) {
 	po, c := poolPorter(t, 2, 2, 8<<20)
 	imgA := placeImage(t, po, "tenant0/A", 1, 300)
 	imgB := placeImage(t, po, "tenant0/B", 2, 300)
-	po.store.Put("tenant0", "A", imgA)
-	po.store.Put("tenant0", "B", imgB)
+	publishAs(po, "A", imgA)
+	publishAs(po, "B", imgB)
 
 	shedOnce := func(round string) int64 {
 		dev := c.Pool.Device(0)
@@ -178,10 +200,56 @@ func TestShedForPressureKeepsLastHealthyCopy(t *testing.T) {
 	if got := po.rep.C.Shed.Value(); got != 2 {
 		t.Fatalf("Shed = %d, want 2", got)
 	}
-	// The store still serves both images — shedding never unpublished.
+	// Both records still hold their images — shedding never unpublished.
 	for _, fn := range []string{"A", "B"} {
-		if _, ok := po.store.Get("tenant0", fn); !ok {
-			t.Fatalf("%s vanished from the store", fn)
+		if _, ok := po.Checkpoint(fn); !ok {
+			t.Fatalf("%s's checkpoint vanished", fn)
+		}
+	}
+}
+
+// TestReplicatedRepublish evicts a replicated checkpoint and completes
+// CheckpointAfter requests: the capacity manager re-publishes it through
+// the placement manager, at full factor and under the original replica
+// key. While a clone still pins the evicted predecessor, its replicas
+// still hold the key, so the round is refused instead.
+func TestReplicatedRepublish(t *testing.T) {
+	for _, pinned := range []bool{false, true} {
+		po, c := poolPorter(t, 3, 2, 3*64<<20)
+		if err := po.Setup([]faas.Spec{ladderSpec("Tiny")}); err != nil {
+			t.Fatal(err)
+		}
+		st := po.byName["Tiny"]
+		old, ok := st.img.(*replica.Image)
+		if !ok {
+			t.Fatalf("Setup published a %T, want a *replica.Image", st.img)
+		}
+		placed := po.rep.C.Placed.Value()
+		if pinned {
+			old.Retain() // a live clone
+		}
+		st.evict()
+		trace := make([]azure.Request, c.P.CheckpointAfter)
+		for i := range trace {
+			trace[i] = azure.Request{At: des.Time(i) * 100 * des.Millisecond, Function: "Tiny"}
+		}
+		res := po.Run(trace)
+		if pinned {
+			if res.CkptRefused != 1 || res.Recheckpoints != 0 || st.img != nil {
+				t.Fatalf("pinned predecessor: refused %d, re-published %d, image %v; want the round refused",
+					res.CkptRefused, res.Recheckpoints, st.img)
+			}
+			continue
+		}
+		rimg, ok := st.img.(*replica.Image)
+		if !ok || rimg.Key() != "tenant0/Tiny" {
+			t.Fatalf("re-published %T %v, want a *replica.Image keyed tenant0/Tiny", st.img, st.img)
+		}
+		if res.Recheckpoints != 1 {
+			t.Fatalf("Recheckpoints = %d, want 1", res.Recheckpoints)
+		}
+		if got := res.ReplicasPlaced - placed; got != 2 {
+			t.Fatalf("re-publication placed %d replicas, want 2", got)
 		}
 	}
 }

@@ -85,10 +85,8 @@ func (p *Porter) Run(trace []azure.Request) Results {
 			return
 		}
 		for _, st := range p.fns {
-			if img, ok := p.store.Get(tenant, st.spec.Name); ok {
-				if ck, ok := img.(aBitResetter); ok {
-					ck.ClearABits()
-				}
+			if ck, ok := st.img.(aBitResetter); ok {
+				ck.ClearABits()
 			}
 		}
 		eng.After(p.c.P.ABitResetPeriod, resetTick)
@@ -352,7 +350,8 @@ func (req *pending) Fire(end des.Time) {
 // to a scratch cold start.
 func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 	fn := st.spec.Name
-	img, haveCkpt := p.store.Get(tenant, fn)
+	img := st.img
+	haveCkpt := img != nil
 	var excluded map[*nodeState]bool // nodes a restore found down
 
 	// t0 is the spawn decision instant; everything before it is porter
@@ -387,8 +386,8 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 			switch {
 			case healthy == 0:
 				p.res.FailedRestores++
-				p.store.Reclaim(tenant, fn)
-				delete(p.snaps, fn)
+				st.evict()
+				st.snap = nil
 				img, haveCkpt = nil, false
 			case deadAhead > 0:
 				for i := 0; i < deadAhead && haveCkpt; i++ {
@@ -536,10 +535,10 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 	if haveCkpt {
 		p.res.ColdForks++
 		// Pin the image for the duration of the restore: eviction may
-		// drop it from the store meanwhile, but its frames must outlive
+		// drop it from the record meanwhile, but its frames must outlive
 		// every in-flight restore (the eviction-safety invariant).
 		img.Retain()
-		p.store.Touch(tenant, fn, p.c.Eng.Now())
+		st.lastRestore = p.c.Eng.Now()
 		st.scoreBase = p.agingL
 	} else {
 		p.res.ScratchCold++

@@ -126,8 +126,8 @@ func (p *Porter) registerTelemetry() {
 // occupancy is at or above the high watermark (the evict/refuse
 // regime), 1 when above the low watermark, 0 otherwise.
 func (p *Porter) ladderLevel() int {
-	for fn := range p.snaps {
-		if _, ok := p.store.Get(tenant, fn); !ok {
+	for _, st := range p.fns {
+		if st.snap != nil && st.img == nil {
 			return 3
 		}
 	}

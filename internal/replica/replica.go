@@ -345,24 +345,8 @@ func (m *Manager) Place(key, id, mech string, tokens []uint64, metaBytes int64, 
 func (m *Manager) buildReplica(st *imageState, d int) bool {
 	dev := m.pool.Device(d)
 	st.gen++
-	arena, err := dev.NewArena(fmt.Sprintf("%s@%s#g%d", st.id, dev.Name(), st.gen))
+	arena, err := dev.BuildArena(fmt.Sprintf("%s@%s#g%d", st.id, dev.Name(), st.gen), st.tokens, st.metaBytes)
 	if err != nil {
-		return false
-	}
-	for _, tok := range st.tokens {
-		f, _, err := dev.AllocToken(tok)
-		if err != nil {
-			arena.Release()
-			return false
-		}
-		arena.TrackFrame(f)
-	}
-	if _, err := arena.Alloc("replica-meta", st.metaBytes); err != nil {
-		arena.Release()
-		return false
-	}
-	if err := arena.Seal(); err != nil {
-		arena.Release()
 		return false
 	}
 	st.replicas[d] = arena
