@@ -215,7 +215,7 @@ type chromeEvent struct {
 // invariant the tracer promises.
 func verify(sys *cxlfork.System, path string, ckDelta time.Duration) error {
 	if n := sys.TraceDropped(); n != 0 {
-		return fmt.Errorf("check: %d spans dropped; raise -o scenario's TraceBufferCap", n)
+		return fmt.Errorf("check: %d spans dropped; the scenario outgrew the trace buffer", n)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -52,8 +52,6 @@ type Config struct {
 	// CXLLatency is the round-trip latency to CXL memory (391ns on the
 	// paper's FPGA prototype).
 	CXLLatency time.Duration
-	// LLC is the per-node last-level cache size in bytes.
-	LLC int64
 	// Cores is the number of cores per node.
 	Cores int
 	// CheckpointLanes is the number of worker lanes checkpoint pipelines
@@ -67,10 +65,6 @@ type Config struct {
 	// observational — it never advances the clock — so enabling it
 	// changes no simulated result, only records one.
 	Trace bool
-	// TraceBufferCap bounds the trace buffer's event count; 0 uses the
-	// tracer's default. Once full, further spans are counted as dropped
-	// and discarded.
-	TraceBufferCap int
 	// XRay enables critical-path latency attribution (DESIGN.md §16):
 	// every request's latency is decomposed into named blame
 	// components, fabric links report contention heat, and XRayReport
@@ -78,9 +72,6 @@ type Config struct {
 	// blame report. Like tracing, attribution is purely observational
 	// — enabling it changes no simulated result.
 	XRay bool
-	// XRayExemplars bounds the worst-request exemplars kept per op
-	// class (0 keeps the attribution engine's default of 5).
-	XRayExemplars int
 	// Capacity tunes the device-capacity manager (checkpoint eviction
 	// under memory pressure, DESIGN.md §10). Zero values keep defaults.
 	Capacity CapacityConfig
@@ -170,20 +161,9 @@ type ReplicationConfig struct {
 	Factor int
 	// RepairPeriod is the anti-entropy loop's tick (default 500ms).
 	RepairPeriod time.Duration
-	// RepairBandwidthPages caps pages copied per repair tick
-	// (default 4096).
-	RepairBandwidthPages int
 	// RetryBudget is the per-restore retry budget shared by replica
 	// failover probes and node-down retries (default 3).
 	RetryBudget int
-	// RetryBackoff is the base of the capped exponential restore
-	// backoff (default 10ms).
-	RetryBackoff time.Duration
-	// RetryBackoffCap bounds the exponential backoff (default 160ms).
-	RetryBackoffCap time.Duration
-	// FailoverTimeout is the virtual-time cost of probing one dead
-	// replica before moving down the list (default 2ms).
-	FailoverTimeout time.Duration
 }
 
 // FabricConfig declares the CXL fabric topology (DESIGN.md §14). A
@@ -214,7 +194,6 @@ func DefaultConfig() Config {
 		NodeDRAM:    6 << 30,
 		CXLCapacity: 8 << 30,
 		CXLLatency:  time.Duration(p.CXLLatency),
-		LLC:         p.LLCBytes,
 		Cores:       p.CoresPerNode,
 		Seed:        1,
 	}
@@ -231,9 +210,6 @@ func (c Config) params() params.Params {
 	if c.CXLLatency > 0 {
 		p.CXLLatency = des.Time(c.CXLLatency)
 	}
-	if c.LLC > 0 {
-		p.LLCBytes = c.LLC
-	}
 	if c.Cores > 0 {
 		p.CoresPerNode = c.Cores
 	}
@@ -245,9 +221,6 @@ func (c Config) params() params.Params {
 	}
 	if c.Trace {
 		p.TraceEnabled = true
-	}
-	if c.TraceBufferCap > 0 {
-		p.TraceBufferCap = c.TraceBufferCap
 	}
 	if c.Capacity.EvictPolicy != "" {
 		p.EvictPolicy = c.Capacity.EvictPolicy
@@ -270,20 +243,8 @@ func (c Config) params() params.Params {
 	if c.Replication.RepairPeriod > 0 {
 		p.RepairPeriod = des.Time(c.Replication.RepairPeriod)
 	}
-	if c.Replication.RepairBandwidthPages > 0 {
-		p.RepairBandwidthPages = c.Replication.RepairBandwidthPages
-	}
 	if c.Replication.RetryBudget > 0 {
 		p.RestoreRetryBudget = c.Replication.RetryBudget
-	}
-	if c.Replication.RetryBackoff > 0 {
-		p.RestoreRetryBackoff = des.Time(c.Replication.RetryBackoff)
-	}
-	if c.Replication.RetryBackoffCap > 0 {
-		p.RestoreRetryBackoffCap = des.Time(c.Replication.RetryBackoffCap)
-	}
-	if c.Replication.FailoverTimeout > 0 {
-		p.ReplicaFailoverTimeout = des.Time(c.Replication.FailoverTimeout)
 	}
 	if c.Fabric.Topology != "" {
 		p.Topology = c.Fabric.Topology
@@ -312,9 +273,6 @@ func (c Config) params() params.Params {
 	}
 	if c.XRay {
 		p.XRayEnabled = true
-	}
-	if c.XRayExemplars > 0 {
-		p.XRayExemplars = c.XRayExemplars
 	}
 	return p
 }
@@ -911,7 +869,7 @@ func (s *System) TraceEnabled() bool { return s.c.Trace.Enabled() }
 func (s *System) TraceEventCount() int { return s.c.Trace.Len() }
 
 // TraceDropped returns how many spans the bounded trace buffer
-// rejected (0 unless the scenario outgrew Config.TraceBufferCap).
+// rejected (0 unless the scenario outgrew its 2^18 spans).
 func (s *System) TraceDropped() int64 { return s.c.Trace.Dropped() }
 
 // WriteTrace writes the recorded trace as Chrome trace_event JSON,
@@ -983,7 +941,7 @@ func (s *System) XRayReport() (*xray.Report, error) {
 	if !s.c.Trace.Enabled() {
 		return nil, fmt.Errorf("cxlfork: attribution over ops needs a trace (set Config.Trace)")
 	}
-	return xray.FromSpans(s.c.Trace.Events(), s.c.P.XRayExemplars), nil
+	return xray.FromSpans(s.c.Trace.Events(), 0), nil
 }
 
 // MetricsFormat selects a telemetry export encoding for WriteMetrics.

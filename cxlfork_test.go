@@ -3,6 +3,7 @@ package cxlfork
 import (
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +280,29 @@ func TestRunWorkloadRejectsBadTrace(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) || (tc.notWant != "" && strings.Contains(err.Error(), tc.notWant)) {
 			t.Errorf("%s: err = %v, want one mentioning %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestRunWorkloadAlertsMatchTicks drives a replay whose occupancy
+// objective the resident checkpoint alone violates: RunReport.Alerts
+// must carry exactly the transitions the OnSample ticks delivered, in
+// the order they arrived.
+func TestRunWorkloadAlertsMatchTicks(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Telemetry.SLOOccupancy = 0.001
+	cfg.Telemetry.SLODrive = true
+	var streamed []AlertEvent
+	rep, err := RunWorkload(cfg, Workload{RPS: 20, Duration: 6 * time.Second, Functions: []string{"Float"}}, &RunOptions{
+		OnSample: func(tick Tick) { streamed = append(streamed, tick.Alerts...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SLOAlertsFired == 0 || len(streamed) == 0 || !streamed[0].Firing || streamed[0].Objective != "cxl-occupancy" {
+		t.Fatalf("%d alerts fired, ticks carried %+v: want the occupancy alert to fire", rep.SLOAlertsFired, streamed)
+	}
+	if !slices.Equal(rep.Alerts, streamed) {
+		t.Fatalf("report alerts %+v, ticks carried %+v", rep.Alerts, streamed)
 	}
 }
 

@@ -138,6 +138,22 @@ func TestRunWorkloadRejectsUnknownEvictPolicy(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadRejectsDuplicateFunction: a mix that lists a function
+// twice ends the run with an error naming it under every design, not
+// a provisioning failure after calibration or a replay that silently
+// doubles the function's arrival share.
+func TestRunWorkloadRejectsDuplicateFunction(t *testing.T) {
+	for _, d := range WorkloadDesigns {
+		_, err := RunWorkload(smallConfig(), Workload{
+			Design: d, RPS: 20, Duration: 2 * time.Second,
+			Functions: []string{"Float", "Float", "Json"},
+		}, nil)
+		if err == nil || !strings.Contains(err.Error(), `function "Float" listed twice`) {
+			t.Errorf("%s: RunWorkload = %v, want an error naming the repeated Float", d, err)
+		}
+	}
+}
+
 // TestRunWorkloadRejectsBadFabric: a placement policy other than hash
 // or locality, or a topology that does not parse, ends the run with an
 // error naming it, not a replay that silently places replicas by hash

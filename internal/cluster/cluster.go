@@ -121,7 +121,7 @@ func New(p params.Params, n int) (*Cluster, error) {
 		c.Net = fabric.NewNet(topo)
 	}
 	if p.XRayEnabled {
-		c.XRay = xray.New(topo, p.XRayExemplars)
+		c.XRay = xray.New(topo, 0)
 		if c.Net != nil {
 			c.Net.SetObserver(c.XRay.ObserveLink)
 		}

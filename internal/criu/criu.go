@@ -295,47 +295,26 @@ func decodeImage(id string, envelope []byte, p params.Params) (rfork.GlobalState
 
 	d := wire.NewDecoder(blob)
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return gs, nil, nil, 0, corrupt(err)
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case fieldVMA:
-			b, err := d.Bytes()
-			if err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
-			v, err := rfork.DecodeVMA(b)
-			if err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
+			v, err := rfork.DecodeVMA(d.Bytes())
+			d.Fail(err)
 			vmas = append(vmas, v) // decode+reconstruct cost folded into the lane pipeline
 		case fieldGlobal:
-			b, err := d.Bytes()
-			if err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
-			gs, err = rfork.DecodeGlobalState(b)
-			if err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
+			gs, err = rfork.DecodeGlobalState(d.Bytes())
+			d.Fail(err)
 			haveGS = true
 			cost += des.Time(len(gs.FDs)) * p.CRIURecordDecode
 		case fieldPage:
-			b, err := d.Bytes()
-			if err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
-			rec, err := decodePage(b)
-			if err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
+			rec, err := decodePage(d.Bytes())
+			d.Fail(err)
 			pageRecs = append(pageRecs, rec)
 		default:
-			if err := d.Skip(wt); err != nil {
-				return gs, nil, nil, 0, corrupt(err)
-			}
+			d.Skip(wt)
 		}
+	}
+	if err := d.Err(); err != nil {
+		return gs, nil, nil, 0, corrupt(err)
 	}
 	if !haveGS {
 		return gs, nil, nil, 0, fmt.Errorf("criu: image %s has no global state: %w", id, rfork.ErrImageCorrupt)
@@ -352,28 +331,14 @@ func decodePage(b []byte) (pageRecord, error) {
 	var rec pageRecord
 	d := wire.NewDecoder(b)
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return rec, err
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case pageFieldVPN:
-			v, err := d.Uint()
-			if err != nil {
-				return rec, err
-			}
-			rec.vpn = v
+			rec.vpn = d.Uint()
 		case pageFieldToken:
-			v, err := d.Uint()
-			if err != nil {
-				return rec, err
-			}
-			rec.token = v
+			rec.token = d.Uint()
 		default:
-			if err := d.Skip(wt); err != nil {
-				return rec, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return rec, nil
+	return rec, d.Err()
 }

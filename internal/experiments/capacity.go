@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
@@ -137,13 +136,14 @@ func Capacity(p params.Params, cfg CapacityConfig) (*CapacityResult, error) {
 
 // capacityFootprint checkpoints the whole suite on an ample device and
 // returns the resulting occupancy: metadata plus every distinct data
-// frame, dedup-shared frames counted once.
+// frame, dedup-shared frames counted once. The leg's trace is empty
+// and never replayed.
 func capacityFootprint(p params.Params, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile, seed int64) (int64, error) {
-	c := cluster.MustNew(p, 2)
-	if _, err := NewPorter(c, DesignCXLforkMoW, porter.Config{Profiles: profiles, Seed: seed}, specs); err != nil {
+	leg, err := NewLeg(p, 2, DesignCXLforkMoW, Workload{Seed: seed}, 0, specs, profiles)
+	if err != nil {
 		return 0, err
 	}
-	fp := c.Dev.UsedBytes()
+	fp := leg.C.Dev.UsedBytes()
 	if fp == 0 {
 		return 0, fmt.Errorf("capacity: suite left no checkpoint footprint")
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
@@ -51,48 +52,21 @@ func (d Design) Scenarios() []Scenario {
 	return nil
 }
 
-// NewPorter builds a porter on c that scales with design d — cfg supplies
-// everything but the mechanism and tiering policy, which d selects — and
-// checkpoints every spec on it, ready to replay a trace. An eviction
-// policy porter.ParseEvictPolicy refuses is an error here, not a panic
-// in porter.New.
-func NewPorter(c *cluster.Cluster, d Design, cfg porter.Config, specs []faas.Spec) (*porter.Porter, error) {
-	if _, err := porter.ParseEvictPolicy(c.P.EvictPolicy); err != nil {
-		return nil, err
-	}
-	switch d {
-	case DesignCRIU:
-		cfg.Mechanism = criu.New(c.CXLFS)
-	case DesignMitosis:
-		cfg.Mechanism = mitosis.New()
-	case DesignCXLforkMoW:
-		cfg.Mechanism = core.New(c.Dev)
-		pol := rfork.MigrateOnWrite
-		cfg.StaticPolicy = &pol
-	case DesignCXLfork:
-		cfg.Mechanism = core.New(c.Dev)
-		cfg.DynamicTiering = true
-	default:
-		return nil, fmt.Errorf("unknown design %q", d)
-	}
-	po := porter.New(c, cfg)
-	if err := po.Setup(specs); err != nil {
-		return nil, err
-	}
-	return po, nil
-}
-
 // ResolveFunctions returns the workload specs for names, in order; no
-// names means the full Table-1 suite.
+// names means the full Table-1 suite. An unknown name is an error, and
+// so is a repeated one: a porter provisions each function once.
 func ResolveFunctions(names []string) ([]faas.Spec, error) {
 	if len(names) == 0 {
 		return faas.Suite(), nil
 	}
 	specs := make([]faas.Spec, 0, len(names))
-	for _, name := range names {
+	for i, name := range names {
 		s, ok := faas.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown function %q", name)
+		}
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("function %q listed twice", name)
 		}
 		specs = append(specs, s)
 	}
@@ -181,10 +155,12 @@ type Leg struct {
 }
 
 // NewLeg assembles one replay of wl: it applies wl.KeepAlive to p,
-// builds a nodes-node cluster, provisions a design-d porter with a
-// per-node budget of budget bytes (0 keeps node DRAM), and generates
-// the trace unless wl carries one. A caller that injects faults or installs observers does so
-// between NewLeg and Run.
+// builds a nodes-node cluster, provisions a porter on it with a
+// per-node budget of budget bytes (0 keeps node DRAM) — design d
+// selects its mechanism and tiering policy — and generates the trace
+// unless wl carries one. An eviction policy porter.ParseEvictPolicy
+// refuses is an error here, not a panic in porter.New. A caller that
+// injects faults or installs observers does so between NewLeg and Run.
 func NewLeg(p params.Params, nodes int, d Design, wl Workload, budget int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (*Leg, error) {
 	if wl.KeepAlive > 0 {
 		p.KeepAlive = wl.KeepAlive
@@ -193,8 +169,27 @@ func NewLeg(p params.Params, nodes int, d Design, wl Workload, budget int64, spe
 	if err != nil {
 		return nil, err
 	}
-	po, err := NewPorter(c, d, porter.Config{Profiles: profiles, Seed: wl.Seed, NodeBudgetBytes: budget}, specs)
-	if err != nil {
+	if _, err := porter.ParseEvictPolicy(p.EvictPolicy); err != nil {
+		return nil, err
+	}
+	cfg := porter.Config{Profiles: profiles, Seed: wl.Seed, NodeBudgetBytes: budget}
+	switch d {
+	case DesignCRIU:
+		cfg.Mechanism = criu.New(c.CXLFS)
+	case DesignMitosis:
+		cfg.Mechanism = mitosis.New()
+	case DesignCXLforkMoW:
+		cfg.Mechanism = core.New(c.Dev)
+		pol := rfork.MigrateOnWrite
+		cfg.StaticPolicy = &pol
+	case DesignCXLfork:
+		cfg.Mechanism = core.New(c.Dev)
+		cfg.DynamicTiering = true
+	default:
+		return nil, fmt.Errorf("unknown design %q", d)
+	}
+	po := porter.New(c, cfg)
+	if err := po.Setup(specs); err != nil {
 		return nil, err
 	}
 	trace := wl.Trace

@@ -253,9 +253,8 @@ func seriesStats(reg *telemetry.Registry, key string) (max, mean float64) {
 }
 
 // renderObservability appends the run's observation accounting to a
-// summary — sample counts, ring/trace drops (the satellite fix: silent
-// data loss used to be reachable only via the facade), and SLO alert
-// activity. Quiet when the run observed nothing and lost nothing.
+// summary — sample counts, ring/trace drops, and SLO alert activity.
+// Quiet when the run observed nothing and lost nothing.
 func renderObservability(w io.Writer, label string, res porter.Results) {
 	if res.TelemetrySamples == 0 && res.TraceDropped == 0 && res.TelemetryDropped == 0 {
 		return

@@ -219,42 +219,23 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	var pteN int
 	d := wire.NewDecoder(blob)
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case fieldVMA:
-			b, err := d.Bytes()
-			if err != nil {
-				return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-			}
-			v, err := rfork.DecodeVMA(b)
-			if err != nil {
-				return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-			}
+			v, err := rfork.DecodeVMA(d.Bytes())
+			d.Fail(err)
 			vmas = append(vmas, v) // reconstruct cost folded into the lane pipeline below
 		case fieldGlobal:
-			b, err := d.Bytes()
-			if err != nil {
-				return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-			}
-			gs, err = rfork.DecodeGlobalState(b)
-			if err != nil {
-				return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-			}
+			gs, err = rfork.DecodeGlobalState(d.Bytes())
+			d.Fail(err)
 			haveGS = true
 		case fieldPTEs:
-			n, err := d.Uint()
-			if err != nil {
-				return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-			}
-			pteN = int(n)
+			pteN = int(d.Uint())
 		default:
-			if err := d.Skip(wt); err != nil {
-				return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
-			}
+			d.Skip(wt)
 		}
+	}
+	if err := d.Err(); err != nil {
+		return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
 	}
 	if !haveGS {
 		return fail("decode", fmt.Errorf("mitosis: image %s has no global state: %w", im.id, rfork.ErrImageCorrupt))

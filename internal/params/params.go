@@ -311,9 +311,6 @@ type Params struct {
 	// disabled (the default) it is zero-overhead (nil-receiver pattern,
 	// same as tracing and telemetry).
 	XRayEnabled bool
-	// XRayExemplars bounds the top-K worst-request exemplars kept per
-	// op class (0 = the attribution engine's default of 5).
-	XRayExemplars int
 
 	// ---- Simulation engine (DESIGN.md §13) ----
 

@@ -180,7 +180,7 @@ const numPolicies = int(rfork.HybridTiering) + 1
 
 // ckptRecord is a function's checkpoint as the capacity manager sees
 // it: the published image, its restore recency, and the snapshot it is
-// re-published from. A re-provision of the function inherits it.
+// re-published from.
 type ckptRecord struct {
 	// img is the published checkpoint, on which the porter holds one
 	// reference; nil until published and once evicted or lost.
@@ -526,13 +526,11 @@ func (p *Porter) Checkpoint(fn string) (rfork.Image, bool) {
 }
 
 // publish makes img st's published checkpoint, taking over the caller's
-// reference and releasing the image it replaces. Restore recency
-// restarts: a (re-)published checkpoint earns its retention anew. Every
+// reference; st has none published (provisioning publishes once, and
+// re-publication follows an eviction). Restore recency restarts: a
+// (re-)published checkpoint earns its retention anew. Every
 // publication, initial or re-published, counts as an admission.
 func (p *Porter) publish(st *fnState, img rfork.Image) {
-	if st.img != nil {
-		st.img.Release()
-	}
 	st.img, st.lastRestore = img, 0
 	p.admits.Inc()
 }
@@ -617,7 +615,13 @@ func (p *Porter) replicate(fn string, img rfork.Image) rfork.Image {
 // abandoned (the torn arena is recovered off the device) and the
 // checkpoint retried on a surviving node after a backoff; a full device
 // degrades the function to scratch cold starts instead of failing Setup.
+// A spec name listed twice is an error, before anything is provisioned.
 func (p *Porter) Setup(specs []faas.Spec) error {
+	for i, s := range specs {
+		if slices.ContainsFunc(specs[:i], func(o faas.Spec) bool { return o.Name == s.Name }) {
+			return fmt.Errorf("porter: function %q provisioned twice", s.Name)
+		}
+	}
 	cp := p.c.P
 	for _, s := range specs {
 		faas.RegisterFiles(p.c.FS, cp, s)
@@ -719,13 +723,10 @@ func (p *Porter) provision(s faas.Spec) error {
 	return nil
 }
 
-// addFn registers fresh control state for s under the next dense id,
-// or under the id of an earlier provision of the same function, which
-// it replaces — inheriting that provision's checkpoint record, so a
-// re-provision that fails to checkpoint keeps serving the earlier
-// image. Every node's per-function slices grow with the ids.
+// addFn registers fresh control state for s under the next dense id.
+// Every node's per-function slices grow with the ids.
 func (p *Porter) addFn(s faas.Spec) *fnState {
-	st := &fnState{spec: s, policy: rfork.MigrateOnWrite}
+	st := &fnState{id: len(p.fns), spec: s, policy: rfork.MigrateOnWrite}
 	if p.cfg.StaticPolicy != nil {
 		st.policy = *p.cfg.StaticPolicy
 	}
@@ -735,28 +736,17 @@ func (p *Porter) addFn(s faas.Spec) *fnState {
 		}
 	}
 	st.slo = des.Time(sloFactor * float64(st.profile(rfork.MigrateOnAccess).WarmExec))
-	if old := p.byName[s.Name]; old != nil {
-		st.id = old.id
-		st.ckptRecord = old.ckptRecord
-		p.fns[st.id] = st
-	} else {
-		st.id = len(p.fns)
-		p.fns = append(p.fns, st)
-		for _, n := range p.nodes {
-			n.ghosts = append(n.ghosts, 0)
-			n.idle = append(n.idle, nil)
-			n.live = append(n.live, 0)
-		}
+	p.fns = append(p.fns, st)
+	for _, n := range p.nodes {
+		n.ghosts = append(n.ghosts, 0)
+		n.idle = append(n.idle, nil)
+		n.live = append(n.live, 0)
 	}
 	p.byName[s.Name] = st
-	i, found := slices.BinarySearchFunc(p.sorted, s.Name, func(r *fnState, name string) int {
+	i, _ := slices.BinarySearchFunc(p.sorted, s.Name, func(r *fnState, name string) int {
 		return strings.Compare(r.spec.Name, name)
 	})
-	if found {
-		p.sorted[i] = st
-	} else {
-		p.sorted = slices.Insert(p.sorted, i, st)
-	}
+	p.sorted = slices.Insert(p.sorted, i, st)
 	return st
 }
 

@@ -2,7 +2,6 @@ package porter_test
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
-	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
@@ -249,60 +247,15 @@ func TestSetupGhostOutOfMemory(t *testing.T) {
 	}
 }
 
-// recordingMech wraps a mechanism for re-provisioning tests: it gives
-// each checkpoint a distinct ID (a re-provision's arena must not collide
-// with the image it replaces), keeps every image it returns, and fails
-// checkpoint number failAt (1-based; 0 fails none) with errInjected.
-type recordingMech struct {
-	rfork.Mechanism
-	imgs   []rfork.Image
-	calls  int
-	failAt int
-}
-
-var errInjected = errors.New("injected checkpoint failure")
-
-func (m *recordingMech) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
-	m.calls++
-	if m.calls == m.failAt {
-		return nil, errInjected
-	}
-	img, err := m.Mechanism.Checkpoint(parent, fmt.Sprintf("%s#%d", id, m.calls))
-	if err == nil {
-		m.imgs = append(m.imgs, img)
-	}
-	return img, err
-}
-
 // TestCheckpointRecord checks each function's checkpoint record: Setup
-// publishes one image per function, a re-provision in the same Setup
-// replaces and releases the earlier image while a failed one keeps it,
-// eviction frees the image's device bytes, and a function never
-// provisioned has no checkpoint.
+// publishes one image per function and refuses a function listed twice
+// before it checkpoints anything, eviction frees the image's device
+// bytes, and a function never provisioned has no checkpoint.
 func TestCheckpointRecord(t *testing.T) {
-	setup := func(failAt int) (*porter.Porter, *cluster.Cluster, *recordingMech, error) {
-		p := params.Default()
-		p.NodeDRAMBytes = 1 << 30
-		p.CXLBytes = 256 << 20
-		c := cluster.MustNew(p, 2)
-		mech := &recordingMech{Mechanism: core.New(c.Dev), failAt: failAt}
-		po := porter.New(c, porter.Config{Mechanism: mech, Profiles: profiles("CXLfork"), Seed: 1})
-		return po, c, mech, po.Setup([]faas.Spec{tinySpec(), tinySpec()})
-	}
-
-	po, c, mech, err := setup(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mech.imgs) != 2 {
-		t.Fatalf("%d checkpoints taken, want 2", len(mech.imgs))
-	}
+	po, c := newPorter(t, 1<<30, cxlMech, "CXLfork")
 	img, ok := po.Checkpoint("Tiny")
-	if !ok || img != mech.imgs[1] {
-		t.Fatal("the re-provision's image is not the published checkpoint")
-	}
-	if got := mech.imgs[0].Refs(); got != 0 {
-		t.Fatalf("replaced image holds %d references, want 0", got)
+	if !ok {
+		t.Fatal("Setup published no checkpoint")
 	}
 	if got := c.Dev.UsedBytes(); got != img.CXLBytes() {
 		t.Fatalf("device holds %d bytes, the published checkpoint is %d", got, img.CXLBytes())
@@ -318,12 +271,17 @@ func TestCheckpointRecord(t *testing.T) {
 		t.Fatalf("eviction left %d bytes on the device", got)
 	}
 
-	po, _, mech, err = setup(2)
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("Setup err = %v, want the injected failure", err)
+	p := params.Default()
+	p.NodeDRAMBytes = 1 << 30
+	p.CXLBytes = 256 << 20
+	c = cluster.MustNew(p, 2)
+	po = porter.New(c, porter.Config{Mechanism: core.New(c.Dev), Profiles: profiles("CXLfork"), Seed: 1})
+	err := po.Setup([]faas.Spec{tinySpec(), tinySpec()})
+	if err == nil || !strings.Contains(err.Error(), `"Tiny"`) {
+		t.Fatalf("Setup err = %v, want one naming the repeated Tiny", err)
 	}
-	if img, ok := po.Checkpoint("Tiny"); !ok || img != mech.imgs[0] || img.Refs() != 1 {
-		t.Fatal("a failed re-provision dropped the earlier checkpoint")
+	if _, ok := po.Checkpoint("Tiny"); ok || c.Dev.UsedBytes() != 0 || c.Eng.Now() != 0 {
+		t.Fatalf("refused Setup provisioned: published %v, device %d bytes, clock %v", ok, c.Dev.UsedBytes(), c.Eng.Now())
 	}
 }
 

@@ -362,7 +362,7 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 	// Per-request retry budget, shared by replica failovers and
 	// node-down retries. Exhausting it degrades the request to a
 	// scratch cold start and counts retry_exhausted — not a generic
-	// fallback (satellite accounting fix).
+	// fallback.
 	attempts := 0
 	budget := p.c.P.RestoreRetryBudget
 	exhausted := func() bool {

@@ -11,6 +11,7 @@ import (
 	"cxlfork/internal/core"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
+	"cxlfork/internal/fabric"
 	"cxlfork/internal/faultinject"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
@@ -129,9 +130,40 @@ func TestTelemetryGoldenExports(t *testing.T) {
 	}
 }
 
+// pooledRun replays the golden bursty trace on a 3-device pool behind
+// a 2-switch grid, each checkpoint placed on 2 devices, with sampling
+// on or off.
+func pooledRun(t *testing.T, sampled bool) (*porter.Porter, porter.Results) {
+	t.Helper()
+	p := params.Default()
+	p.NodeDRAMBytes = 1 << 30
+	p.CXLBytes = 1 << 30
+	p.Topology = fabric.GridSpec(2, 2, 3)
+	p.ReplicationFactor = 2
+	p.TelemetryEnabled = sampled
+	c := cluster.MustNew(p, 2)
+	po := porter.New(c, porter.Config{
+		Mechanism:       core.New(c.Dev),
+		Profiles:        profiles("CXLfork"),
+		NodeBudgetBytes: 1 << 30,
+		Seed:            1,
+	})
+	if err := po.Setup([]faas.Spec{tinySpec()}); err != nil {
+		t.Fatal(err)
+	}
+	return po, po.Run(azure.Generate(azure.TraceConfig{
+		TotalRPS: 40,
+		Duration: 10 * des.Second,
+		Loads:    azure.DefaultLoads([]string{"Tiny"}),
+		Seed:     7,
+	}))
+}
+
 // TestTelemetryNeutralFingerprint is the acceptance gate for sampling
 // neutrality: the replay's Results fingerprint must be identical with
-// telemetry on and off, and the sampled run must actually record.
+// telemetry on and off, and the sampled run must actually record — on
+// one device, and on a replicated pool behind a switched fabric, whose
+// replica manager and fabric net must register and sample their series.
 func TestTelemetryNeutralFingerprint(t *testing.T) {
 	plain := goldenRun(t, 2, 7)
 	po, res := telemetryRun(t, 2, nil)
@@ -140,6 +172,26 @@ func TestTelemetryNeutralFingerprint(t *testing.T) {
 	}
 	if res.TelemetrySamples == 0 || po.Telemetry().Ticks() == 0 {
 		t.Fatal("sampled run recorded nothing")
+	}
+
+	_, plainPool := pooledRun(t, false)
+	po, res = pooledRun(t, true)
+	if got, want := res.Fingerprint(), plainPool.Fingerprint(); got != want {
+		t.Fatalf("telemetry changed the pooled porter fingerprint: %#x vs %#x", got, want)
+	}
+	if res.ReplicasPlaced < 2 {
+		t.Fatalf("ReplicasPlaced = %d: the pool did not replicate", res.ReplicasPlaced)
+	}
+	sampledSeries := map[string]int{}
+	for _, s := range po.Telemetry().Series() {
+		for _, prefix := range []string{"replica_", "cxlfork_fabric_"} {
+			if strings.HasPrefix(s.Key(), prefix) && s.Len() > 0 {
+				sampledSeries[prefix]++
+			}
+		}
+	}
+	if sampledSeries["replica_"] != 8 || sampledSeries["cxlfork_fabric_"] != 4 {
+		t.Fatalf("sampled series by prefix = %v, want 8 replica_ and 4 cxlfork_fabric_", sampledSeries)
 	}
 }
 

@@ -27,7 +27,8 @@ func corruptedCorpus(f *testing.F, good []byte) {
 }
 
 // FuzzDecodeGlobalState checks the global-state decoder never panics on
-// arbitrary input — a corrupted checkpoint must surface as an error.
+// arbitrary input — a corrupted checkpoint must surface as an error
+// wrapping wire.ErrCorrupt.
 func FuzzDecodeGlobalState(f *testing.F) {
 	gs := GlobalState{
 		FDs:    []FDRecord{{Num: 3, Path: "/x", Perm: 0o644}},
@@ -38,7 +39,9 @@ func FuzzDecodeGlobalState(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeGlobalState(data)
+		if _, err := DecodeGlobalState(data); err != nil && !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		}
 	})
 }
 
@@ -51,15 +54,17 @@ func FuzzDecodeVMA(f *testing.F) {
 		Prot: vma.Read | vma.Write, Kind: vma.Anon, Name: "[heap]",
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeVMA(data)
+		if _, err := DecodeVMA(data); err != nil && !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		}
 	})
 }
 
 // FuzzRestoreGlobalStateEnvelope drives the full restore-side pipeline
 // — open the checksummed envelope, then decode the global state — the
 // way every mechanism's Restore does. Whatever the damage, the pipeline
-// must return an error, never panic, and never accept a payload whose
-// checksum does not verify.
+// must return an error wrapping wire.ErrCorrupt, never panic, and never
+// accept a payload whose checksum does not verify.
 func FuzzRestoreGlobalStateEnvelope(f *testing.F) {
 	gs := GlobalState{
 		FDs:    []FDRecord{{Num: 3, Path: "/x", Perm: 0o644}, {Num: 4, Path: "sock:inv", Perm: 0o600}},
@@ -70,10 +75,12 @@ func FuzzRestoreGlobalStateEnvelope(f *testing.F) {
 	f.Add(divergentReplicaEnvelope())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := wire.OpenEnvelope(data)
-		if err != nil {
-			return
+		if err == nil {
+			_, err = DecodeGlobalState(payload)
 		}
-		_, _ = DecodeGlobalState(payload)
+		if err != nil && !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		}
 	})
 }
 

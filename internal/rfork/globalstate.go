@@ -89,109 +89,51 @@ func DecodeGlobalState(blob []byte) (GlobalState, error) {
 	d := wire.NewDecoder(blob)
 	gpr := 0
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return gs, err
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case gsFieldFD:
-			b, err := d.Bytes()
-			if err != nil {
-				return gs, err
-			}
-			fd, err := decodeFD(b)
-			if err != nil {
-				return gs, err
-			}
+			fd, err := decodeFD(d.Bytes())
+			d.Fail(err)
 			gs.FDs = append(gs.FDs, fd)
 		case gsFieldMount:
-			s, err := d.String()
-			if err != nil {
-				return gs, err
-			}
-			gs.Mounts = append(gs.Mounts, s)
+			gs.Mounts = append(gs.Mounts, d.String())
 		case gsFieldPIDNS:
-			s, err := d.String()
-			if err != nil {
-				return gs, err
-			}
-			gs.PIDNS = s
+			gs.PIDNS = d.String()
 		case gsFieldRegIP:
-			v, err := d.Uint()
-			if err != nil {
-				return gs, err
-			}
-			gs.Regs.IP = v
+			gs.Regs.IP = d.Uint()
 		case gsFieldRegSP:
-			v, err := d.Uint()
-			if err != nil {
-				return gs, err
-			}
-			gs.Regs.SP = v
+			gs.Regs.SP = d.Uint()
 		case gsFieldGPR:
-			v, err := d.Uint()
-			if err != nil {
-				return gs, err
-			}
-			if gpr < len(gs.Regs.GPR) {
+			if v := d.Uint(); gpr < len(gs.Regs.GPR) {
 				gs.Regs.GPR[gpr] = v
 				gpr++
 			}
 		default:
-			if err := d.Skip(wt); err != nil {
-				return gs, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return gs, nil
+	return gs, d.Err()
 }
 
 func decodeFD(b []byte) (FDRecord, error) {
 	var fd FDRecord
 	d := wire.NewDecoder(b)
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return fd, err
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case fdFieldNum:
-			v, err := d.Int()
-			if err != nil {
-				return fd, err
-			}
-			fd.Num = int(v)
+			fd.Num = int(d.Int())
 		case fdFieldKind:
-			v, err := d.Uint()
-			if err != nil {
-				return fd, err
-			}
-			fd.Kind = kernel.FDKind(v)
+			fd.Kind = kernel.FDKind(d.Uint())
 		case fdFieldPath:
-			s, err := d.String()
-			if err != nil {
-				return fd, err
-			}
-			fd.Path = s
+			fd.Path = d.String()
 		case fdFieldPerm:
-			v, err := d.Uint()
-			if err != nil {
-				return fd, err
-			}
-			fd.Perm = uint32(v)
+			fd.Perm = uint32(d.Uint())
 		case fdFieldPos:
-			v, err := d.Int()
-			if err != nil {
-				return fd, err
-			}
-			fd.Pos = v
+			fd.Pos = d.Int()
 		default:
-			if err := d.Skip(wt); err != nil {
-				return fd, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return fd, nil
+	return fd, d.Err()
 }
 
 // RestoreGlobalState redoes global state on the restoring node: re-opens

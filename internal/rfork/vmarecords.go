@@ -42,64 +42,26 @@ func DecodeVMA(b []byte) (vma.VMA, error) {
 	var v vma.VMA
 	d := wire.NewDecoder(b)
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return v, err
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case vmaFieldID:
-			x, err := d.Int()
-			if err != nil {
-				return v, err
-			}
-			v.ID = int(x)
+			v.ID = int(d.Int())
 		case vmaFieldStart:
-			x, err := d.Uint()
-			if err != nil {
-				return v, err
-			}
-			v.Start = pt.VirtAddr(x)
+			v.Start = pt.VirtAddr(d.Uint())
 		case vmaFieldEnd:
-			x, err := d.Uint()
-			if err != nil {
-				return v, err
-			}
-			v.End = pt.VirtAddr(x)
+			v.End = pt.VirtAddr(d.Uint())
 		case vmaFieldProt:
-			x, err := d.Uint()
-			if err != nil {
-				return v, err
-			}
-			v.Prot = vma.Prot(x)
+			v.Prot = vma.Prot(d.Uint())
 		case vmaFieldKind:
-			x, err := d.Uint()
-			if err != nil {
-				return v, err
-			}
-			v.Kind = vma.Kind(x)
+			v.Kind = vma.Kind(d.Uint())
 		case vmaFieldPath:
-			s, err := d.String()
-			if err != nil {
-				return v, err
-			}
-			v.Path = s
+			v.Path = d.String()
 		case vmaFieldOff:
-			x, err := d.Int()
-			if err != nil {
-				return v, err
-			}
-			v.FileOff = x
+			v.FileOff = d.Int()
 		case vmaFieldName:
-			s, err := d.String()
-			if err != nil {
-				return v, err
-			}
-			v.Name = s
+			v.Name = d.String()
 		default:
-			if err := d.Skip(wt); err != nil {
-				return v, err
-			}
+			d.Skip(wt)
 		}
 	}
-	return v, nil
+	return v, d.Err()
 }

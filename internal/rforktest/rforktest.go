@@ -96,7 +96,7 @@ func BuildParentOn(t testing.TB, c *cluster.Cluster, node int) *kernel.Task {
 
 	// Shape A/D to steady state: clear, then replay one invocation.
 	parent.MM.PT.ClearABits()
-	clearDirty(parent)
+	parent.MM.PT.ClearDirtyBits()
 	for i := 0; i < HeapROPages; i++ {
 		mustAccess(t, parent, HeapBase+pt.VirtAddr(i<<pt.PageShift), false)
 	}
@@ -105,14 +105,6 @@ func BuildParentOn(t testing.TB, c *cluster.Cluster, node int) *kernel.Task {
 	}
 	parent.Invocations = 1
 	return parent
-}
-
-// clearDirty clears D bits in place (checkpoint-shaping helper; real
-// systems do this via the same user-space interface as A-bit clearing).
-func clearDirty(task *kernel.Task) {
-	task.MM.PT.Walk(func(_ pt.VirtAddr, l *pt.Leaf, i int) {
-		l.PTEs[i].Flags &^= pt.Dirty
-	})
 }
 
 func mustMmap(t testing.TB, task *kernel.Task, v vma.VMA) {

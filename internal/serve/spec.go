@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"cxlfork"
-	"cxlfork/internal/faas"
+	"cxlfork/internal/experiments"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/replica"
@@ -158,7 +158,8 @@ type WorkloadSpec struct {
 	// Duration is the replayed trace length in virtual time
 	// (default 10s).
 	Duration Duration `json:"duration,omitempty"`
-	// Functions restricts the workload mix (default: full suite).
+	// Functions restricts the workload mix (default: full suite); each
+	// function may appear once.
 	Functions []string `json:"functions,omitempty"`
 	// Weights skews per-function request shares.
 	Weights map[string]float64 `json:"weights,omitempty"`
@@ -283,10 +284,8 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 	if maxVirtual > 0 && time.Duration(s.Workload.Duration) > maxVirtual {
 		return fmt.Errorf("duration %v exceeds server cap %v", time.Duration(s.Workload.Duration), maxVirtual)
 	}
-	for _, fn := range s.Workload.Functions {
-		if _, ok := faas.ByName(fn); !ok {
-			return fmt.Errorf("unknown function %q", fn)
-		}
+	if _, err := experiments.ResolveFunctions(s.Workload.Functions); err != nil {
+		return err
 	}
 	for fn, w := range s.Workload.Weights {
 		if w < 0 {

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cxlfork"
 )
 
 func postSpec(t *testing.T, client *http.Client, url string, spec Spec) *http.Response {
@@ -316,6 +318,29 @@ func TestRejectedSpecsKeepServing(t *testing.T) {
 	resp.Body.Close()
 	if rep := pollReport(t, srv, sum.ID); rep.Completed == 0 {
 		t.Fatal("session after the rejections completed no requests")
+	}
+}
+
+// TestDuplicateFunctionRejected posts a mix that lists Float twice
+// under every design: each gets a 400 naming the function, before a
+// session is queued.
+func TestDuplicateFunctionRejected(t *testing.T) {
+	m := NewManager(Config{})
+	defer drainNow(t, m)
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	for _, d := range cxlfork.WorkloadDesigns {
+		spec := fastSpec()
+		spec.Workload.Design = d
+		spec.Workload.Functions = []string{"Float", "Float", "Json"}
+		resp := postSpec(t, srv.Client(), srv.URL+"/v1/sessions", spec)
+		var er errorReply
+		err := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(er.Error, `function "Float" listed twice`) {
+			t.Errorf("%s: status %d, reply %+v (%v); want 400 naming Float", d, resp.StatusCode, er, err)
+		}
 	}
 }
 

@@ -24,13 +24,11 @@ func BenchmarkDecodeRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(buf)
 		for d.More() {
-			_, wt, err := d.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := d.Skip(wt); err != nil {
-				b.Fatal(err)
-			}
+			_, wt := d.Next()
+			d.Skip(wt)
+		}
+		if err := d.Err(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

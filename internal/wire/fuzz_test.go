@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzDecoder exercises the decoder against arbitrary byte streams: it
-// must never panic or loop, only return data or ErrCorrupt.
+// must never panic or loop, only return data or an error wrapping
+// ErrCorrupt, and the first error must stick: More reports false and
+// every later read returns the zero value.
 func FuzzDecoder(f *testing.F) {
 	seed := NewEncoder()
 	seed.PutUint(1, 42)
@@ -17,17 +19,26 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x80, 0x80})
 	f.Add([]byte{0x0a, 0xff, 0xff})
+	f.Add([]byte{0x0b, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
 		for i := 0; i < 10_000 && d.More(); i++ {
-			_, wt, err := d.Next()
-			if err != nil {
-				return
-			}
-			if err := d.Skip(wt); err != nil {
-				return
-			}
+			_, wt := d.Next()
+			d.Skip(wt)
+		}
+		err := d.Err()
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		}
+		if d.More() {
+			t.Fatal("More reports true after an error")
+		}
+		if field, wt := d.Next(); field != 0 || wt != 0 || d.Uint() != 0 || d.Bytes() != nil || d.Err() != err {
+			t.Fatal("a read after an error returned data or replaced the error")
 		}
 	})
 }

@@ -30,23 +30,21 @@ func (r record) get(t *testing.T, d *Decoder) bool {
 	t.Helper()
 	for _, want := range []struct {
 		field int
-		read  func() (any, error)
+		read  func() any
 		want  any
 	}{
-		{1, func() (any, error) { return d.Uint() }, r.U},
-		{2, func() (any, error) { return d.Int() }, r.I},
-		{3, func() (any, error) { return d.Bool() }, r.B},
-		{4, func() (any, error) { b, err := d.Bytes(); return string(b), err }, string(r.Blob)},
-		{5, func() (any, error) { return d.String() }, r.S},
+		{1, func() any { return d.Uint() }, r.U},
+		{2, func() any { return d.Int() }, r.I},
+		{3, func() any { return d.Bool() }, r.B},
+		{4, func() any { return string(d.Bytes()) }, string(r.Blob)},
+		{5, func() any { return d.String() }, r.S},
 	} {
-		field, _, err := d.Next()
-		if err != nil || field != want.field {
-			t.Logf("field %d: got %d, err %v", want.field, field, err)
+		if field, _ := d.Next(); field != want.field {
+			t.Logf("field %d: got %d, err %v", want.field, field, d.Err())
 			return false
 		}
-		got, err := want.read()
-		if err != nil || got != want.want {
-			t.Logf("field %d: got %v (err %v), want %v", field, got, err, want.want)
+		if got := want.read(); got != want.want || d.Err() != nil {
+			t.Logf("field %d: got %v (err %v), want %v", want.field, got, d.Err(), want.want)
 			return false
 		}
 	}
@@ -80,25 +78,15 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 			enc.PutMessage(2, m)
 		}
 		d := NewDecoder(enc.Bytes())
-		if f, _, err := d.Next(); err != nil || f != 1 {
-			return false
-		}
-		if n, err := d.Uint(); err != nil || n != uint64(len(records)) {
+		if f, _ := d.Next(); f != 1 || d.Uint() != uint64(len(records)) {
 			return false
 		}
 		for _, r := range records {
-			if f, _, err := d.Next(); err != nil || f != 2 {
-				return false
-			}
-			b, err := d.Bytes()
-			if err != nil {
-				return false
-			}
-			if !r.get(t, NewDecoder(b)) {
+			if f, _ := d.Next(); f != 2 || !r.get(t, NewDecoder(d.Bytes())) {
 				return false
 			}
 		}
-		return !d.More()
+		return !d.More() && d.Err() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -116,17 +104,11 @@ func TestQuickSkipUnknownFields(t *testing.T) {
 		enc.PutUint(99, sentinel)
 		d := NewDecoder(enc.Bytes())
 		for d.More() {
-			field, wt, err := d.Next()
-			if err != nil {
-				return false
-			}
+			field, wt := d.Next()
 			if field == 99 {
-				got, err := d.Uint()
-				return err == nil && got == sentinel
+				return d.Uint() == sentinel && d.Err() == nil
 			}
-			if err := d.Skip(wt); err != nil {
-				return false
-			}
+			d.Skip(wt)
 		}
 		return false // sentinel never reached
 	}

@@ -84,85 +84,100 @@ func (e *Encoder) PutMessage(field int, m *Encoder) {
 	e.PutBytes(field, m.Bytes())
 }
 
-// Decoder reads tagged fields from a buffer.
+// Decoder reads tagged fields from a buffer. Its error is sticky: the
+// first malformed read records an error wrapping ErrCorrupt, every
+// later read returns the zero value, and More reports false, so a
+// decode loop assigns what it reads and checks Err once, after the
+// loop.
 type Decoder struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewDecoder wraps a buffer.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// More reports whether any bytes remain.
-func (d *Decoder) More() bool { return d.off < len(d.buf) }
+// More reports whether bytes remain and no read has failed.
+func (d *Decoder) More() bool { return d.err == nil && d.off < len(d.buf) }
 
-func (d *Decoder) uvarint() (uint64, error) {
+// Err returns the first error a read recorded, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err, the error of a nested record decoded from this
+// decoder's bytes, unless an earlier error is recorded. A nil err is
+// ignored.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *Decoder) uvarint() uint64 {
 	var v uint64
-	var shift uint
-	for {
-		if d.off >= len(d.buf) {
-			return 0, ErrCorrupt
+	for shift := uint(0); d.err == nil; shift += 7 {
+		if d.off >= len(d.buf) || shift >= 64 {
+			d.err = ErrCorrupt
+			break
 		}
 		b := d.buf[d.off]
 		d.off++
-		if shift >= 64 {
-			return 0, ErrCorrupt
-		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
-			return v, nil
+			return v
 		}
-		shift += 7
 	}
+	return 0
 }
 
 // Next reads the next field key. It returns the field number and wire
 // type.
-func (d *Decoder) Next() (field int, wt int, err error) {
-	k, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(k >> 3), int(k & 7), nil
+func (d *Decoder) Next() (field, wt int) {
+	k := d.uvarint()
+	return int(k >> 3), int(k & 7)
 }
 
 // Uint reads a varint payload.
-func (d *Decoder) Uint() (uint64, error) { return d.uvarint() }
+func (d *Decoder) Uint() uint64 { return d.uvarint() }
 
 // Int reads a zigzag varint payload.
-func (d *Decoder) Int() (int64, error) {
-	u, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
+func (d *Decoder) Int() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Bool reads a boolean payload.
-func (d *Decoder) Bool() (bool, error) {
-	u, err := d.uvarint()
-	return u != 0, err
-}
+func (d *Decoder) Bool() bool { return d.uvarint() != 0 }
 
 // Bytes reads a length-delimited payload. The returned slice aliases the
 // input buffer.
-func (d *Decoder) Bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
+func (d *Decoder) Bytes() []byte {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
 	}
 	if uint64(len(d.buf)-d.off) < n {
-		return nil, ErrCorrupt
+		d.err = ErrCorrupt
+		return nil
 	}
 	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return b, nil
+	return b
 }
 
 // String reads a string payload.
-func (d *Decoder) String() (string, error) {
-	b, err := d.Bytes()
-	return string(b), err
+func (d *Decoder) String() string { return string(d.Bytes()) }
+
+// Skip discards a payload of the given wire type.
+func (d *Decoder) Skip(wt int) {
+	switch wt {
+	case typeVarint:
+		d.uvarint()
+	case typeBytes:
+		d.Bytes()
+	default:
+		d.Fail(fmt.Errorf("%w: unknown wire type %d", ErrCorrupt, wt))
+	}
 }
 
 // Checksum returns the FNV-1a 64-bit hash of b, the per-record checksum
@@ -206,23 +221,17 @@ func OpenEnvelope(b []byte) ([]byte, error) {
 	var sum uint64
 	var havePayload, haveSum bool
 	for d.More() {
-		field, wt, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch field {
+		switch field, wt := d.Next(); field {
 		case envFieldPayload:
-			payload, err = d.Bytes()
-			havePayload = true
+			payload, havePayload = d.Bytes(), true
 		case envFieldSum:
-			sum, err = d.Uint()
-			haveSum = true
+			sum, haveSum = d.Uint(), true
 		default:
-			err = d.Skip(wt)
+			d.Skip(wt)
 		}
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if !havePayload || !haveSum {
 		return nil, fmt.Errorf("%w: incomplete envelope", ErrChecksum)
@@ -231,18 +240,4 @@ func OpenEnvelope(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload hash %#x, recorded %#x", ErrChecksum, got, sum)
 	}
 	return payload, nil
-}
-
-// Skip discards a payload of the given wire type.
-func (d *Decoder) Skip(wt int) error {
-	switch wt {
-	case typeVarint:
-		_, err := d.uvarint()
-		return err
-	case typeBytes:
-		_, err := d.Bytes()
-		return err
-	default:
-		return fmt.Errorf("%w: unknown wire type %d", ErrCorrupt, wt)
-	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,32 +18,30 @@ func TestScalarRoundTrip(t *testing.T) {
 
 	d := NewDecoder(e.Bytes())
 	checkUint := func(wantField int, want uint64) {
-		f, wt, err := d.Next()
-		if err != nil || f != wantField || wt != 0 {
-			t.Fatalf("Next = %d,%d,%v want field %d", f, wt, err, wantField)
+		f, wt := d.Next()
+		if f != wantField || wt != 0 {
+			t.Fatalf("Next = %d,%d want field %d", f, wt, wantField)
 		}
-		v, err := d.Uint()
-		if err != nil || v != want {
+		if v := d.Uint(); v != want {
 			t.Fatalf("field %d = %d, want %d", f, v, want)
 		}
 	}
 	checkUint(1, 0)
 	checkUint(2, 1<<63)
-	f, _, _ := d.Next()
-	v, err := d.Int()
-	if err != nil || f != 3 || v != -12345 {
-		t.Fatalf("int field = %d,%v", v, err)
+	f, _ := d.Next()
+	if v := d.Int(); f != 3 || v != -12345 {
+		t.Fatalf("int field %d = %d", f, v)
 	}
 	d.Next()
-	if b, _ := d.Bool(); !b {
+	if !d.Bool() {
 		t.Fatal("bool true lost")
 	}
 	d.Next()
-	if b, _ := d.Bool(); b {
+	if d.Bool() {
 		t.Fatal("bool false lost")
 	}
-	if d.More() {
-		t.Fatal("trailing data")
+	if d.More() || d.Err() != nil {
+		t.Fatalf("trailing data or error %v", d.Err())
 	}
 }
 
@@ -54,15 +53,15 @@ func TestBytesStringRoundTrip(t *testing.T) {
 
 	d := NewDecoder(e.Bytes())
 	d.Next()
-	if s, _ := d.String(); s != "hello, 世界" {
+	if s := d.String(); s != "hello, 世界" {
 		t.Fatalf("string = %q", s)
 	}
 	d.Next()
-	if b, _ := d.Bytes(); !bytes.Equal(b, []byte{0, 1, 2, 255}) {
+	if b := d.Bytes(); !bytes.Equal(b, []byte{0, 1, 2, 255}) {
 		t.Fatalf("bytes = %v", b)
 	}
 	d.Next()
-	if s, _ := d.String(); s != "" {
+	if s := d.String(); s != "" {
 		t.Fatalf("empty string = %q", s)
 	}
 }
@@ -74,14 +73,12 @@ func TestNestedMessage(t *testing.T) {
 	outer.PutMessage(5, inner)
 
 	d := NewDecoder(outer.Bytes())
-	f, _, _ := d.Next()
-	if f != 5 {
+	if f, _ := d.Next(); f != 5 {
 		t.Fatalf("field = %d", f)
 	}
-	b, _ := d.Bytes()
-	di := NewDecoder(b)
+	di := NewDecoder(d.Bytes())
 	di.Next()
-	if v, _ := di.Uint(); v != 7 {
+	if v := di.Uint(); v != 7 {
 		t.Fatalf("nested = %d", v)
 	}
 }
@@ -95,18 +92,14 @@ func TestSkipUnknownFields(t *testing.T) {
 	d := NewDecoder(e.Bytes())
 	var got []uint64
 	for d.More() {
-		f, wt, err := d.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f == 2 {
-			if err := d.Skip(wt); err != nil {
-				t.Fatal(err)
-			}
+		if f, wt := d.Next(); f == 2 {
+			d.Skip(wt)
 			continue
 		}
-		v, _ := d.Uint()
-		got = append(got, v)
+		got = append(got, d.Uint())
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("got = %v", got)
@@ -119,8 +112,8 @@ func TestCorruptTruncated(t *testing.T) {
 	b := e.Bytes()
 	d := NewDecoder(b[:len(b)-3])
 	d.Next()
-	if _, err := d.String(); err == nil {
-		t.Fatal("truncated payload decoded")
+	if s := d.String(); s != "" || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("truncated payload decoded: %q, err %v", s, d.Err())
 	}
 }
 
@@ -128,8 +121,55 @@ func TestCorruptVarint(t *testing.T) {
 	// 11 continuation bytes overflow the 64-bit accumulator.
 	bad := bytes.Repeat([]byte{0x80}, 11)
 	d := NewDecoder(bad)
-	if _, _, err := d.Next(); err == nil {
-		t.Fatal("overlong varint accepted")
+	if d.Next(); !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("overlong varint accepted: err %v", d.Err())
+	}
+}
+
+// TestStickyError checks the decoder's error model: the first
+// malformed read's error sticks, later reads return zero values and
+// leave it in place, More reports false, and Fail records a nested
+// record's error only when it is the first and not nil.
+func TestStickyError(t *testing.T) {
+	e := NewEncoder()
+	e.PutUint(1, 7)
+	e.PutString(2, "tail")
+	good := e.Bytes()
+
+	d := NewDecoder(good[:len(good)-1])
+	d.Next()
+	d.Fail(nil)
+	if v := d.Uint(); v != 7 || d.Err() != nil {
+		t.Fatalf("first field = %d, err %v", v, d.Err())
+	}
+	d.Next()
+	if s := d.String(); s != "" {
+		t.Fatalf("truncated string decoded as %q", s)
+	}
+	err := d.Err()
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if d.More() {
+		t.Fatal("More reports true after an error")
+	}
+	d.Skip(7)
+	d.Fail(errors.New("later"))
+	if f, wt := d.Next(); f != 0 || wt != 0 || d.Int() != 0 || d.Bool() || d.Err() != err {
+		t.Fatalf("reads after the error returned data or replaced it: field %d, wt %d, err %v", f, wt, d.Err())
+	}
+
+	nested := errors.New("nested record")
+	d = NewDecoder(good)
+	d.Fail(nested)
+	if d.More() || d.Err() != nested {
+		t.Fatalf("Fail did not stick: More %v, err %v", d.More(), d.Err())
+	}
+
+	d = NewDecoder([]byte{0x0b, 0x01}) // field 1, wire type 3
+	_, wt := d.Next()
+	if d.Skip(wt); !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("unknown wire type skipped: err %v", d.Err())
 	}
 }
 
@@ -139,8 +179,7 @@ func TestIntZigzagProperty(t *testing.T) {
 		e.PutInt(1, v)
 		d := NewDecoder(e.Bytes())
 		d.Next()
-		got, err := d.Int()
-		return err == nil && got == v
+		return d.Int() == v && d.Err() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -153,8 +192,7 @@ func TestUintProperty(t *testing.T) {
 		e.PutUint(1, v)
 		d := NewDecoder(e.Bytes())
 		d.Next()
-		got, err := d.Uint()
-		return err == nil && got == v
+		return d.Uint() == v && d.Err() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -188,23 +226,18 @@ func TestMixedStreamProperty(t *testing.T) {
 		}
 		d := NewDecoder(e.Bytes())
 		for _, r := range recs {
-			field, _, err := d.Next()
-			if err != nil || field != r.field {
+			if field, _ := d.Next(); field != r.field {
 				return false
 			}
 			if r.str {
-				s, err := d.String()
-				if err != nil || s != r.s {
+				if d.String() != r.s {
 					return false
 				}
-			} else {
-				u, err := d.Uint()
-				if err != nil || u != r.u {
-					return false
-				}
+			} else if d.Uint() != r.u {
+				return false
 			}
 		}
-		return !d.More()
+		return !d.More() && d.Err() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
