@@ -68,6 +68,8 @@ func main() {
 		// Seed 0 falls back to cfg.Seed, as it does in RunWorkload.
 		if err := cxlfork.SaveTraceCSV(f, fns, *rps, wl.Duration, cmp.Or(*seed, cfg.Seed)); err != nil {
 			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
+			f.Close()
+			os.Remove(*traceOut) // a refused list leaves no empty trace behind
 			os.Exit(1)
 		}
 		fmt.Printf("wrote trace to %s\n", *traceOut)

@@ -1,6 +1,7 @@
 package cxlfork
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -150,6 +151,28 @@ func TestRunWorkloadRejectsDuplicateFunction(t *testing.T) {
 		}, nil)
 		if err == nil || !strings.Contains(err.Error(), `function "Float" listed twice`) {
 			t.Errorf("%s: RunWorkload = %v, want an error naming the repeated Float", d, err)
+		}
+	}
+}
+
+// TestSaveTraceCSVRejectsBadFunctions: SaveTraceCSV refuses the
+// function lists RunWorkload refuses, with the same error and before
+// writing a byte, rather than saving a trace no replay accepts.
+func TestSaveTraceCSVRejectsBadFunctions(t *testing.T) {
+	for _, tc := range []struct {
+		functions []string
+		want      string
+	}{
+		{[]string{"Float", "Float", "Json"}, `function "Float" listed twice`},
+		{[]string{"Float", "Nope"}, `unknown function "Nope"`},
+	} {
+		var csv bytes.Buffer
+		err := SaveTraceCSV(&csv, tc.functions, 20, 2*time.Second, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: SaveTraceCSV = %v, want an error mentioning %s", tc.functions, err, tc.want)
+		}
+		if csv.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes before failing", tc.functions, csv.Len())
 		}
 	}
 }

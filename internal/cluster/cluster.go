@@ -127,7 +127,7 @@ func New(p params.Params, n int) (*Cluster, error) {
 		}
 	}
 	if p.TraceEnabled {
-		c.Trace = trace.New(p.TraceBufferCap)
+		c.Trace = trace.New(0)
 	}
 	if p.TelemetryEnabled {
 		c.Telem = telemetry.New(p.SampleEvery, p.TelemetrySeriesCap)

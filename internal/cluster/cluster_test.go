@@ -103,7 +103,6 @@ func TestTraceDisabledByDefault(t *testing.T) {
 func TestTraceSharedAcrossNodes(t *testing.T) {
 	p := small()
 	p.TraceEnabled = true
-	p.TraceBufferCap = 128
 	c := MustNew(p, 3)
 	if !c.Trace.Enabled() {
 		t.Fatal("tracer not allocated with TraceEnabled true")
@@ -112,13 +111,6 @@ func TestTraceSharedAcrossNodes(t *testing.T) {
 		if n.Trace != c.Trace {
 			t.Fatalf("%s does not share the cluster tracer", n.Name)
 		}
-	}
-	// The cap flows through: the buffer drops past 128 events.
-	for i := 0; i < 200; i++ {
-		c.Node(0).NewTask("t")
-	}
-	if c.Trace.Len() != 128 || c.Trace.Dropped() != 200-128 {
-		t.Fatalf("buffer cap not honored: len=%d dropped=%d", c.Trace.Len(), c.Trace.Dropped())
 	}
 }
 

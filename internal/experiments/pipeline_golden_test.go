@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cxlfork/internal/des"
+	"cxlfork/internal/trace"
 )
 
 // Constant pins for the two replay pipelines the worker goldens do not
@@ -69,10 +70,11 @@ func TestGoldenAzureBenchPipeline(t *testing.T) {
 
 // Constant pins for the observers of a scaled-down AzureBench replay
 // with the tracer, telemetry and x-ray all on: the Prometheus and CSV
-// exports, the x-ray report's fingerprint (a hash of its rendered text)
-// and the tracer's span and drop counts. The observers sample the replay on
-// every tick and request, so a probe or attribution rewrite that moves
-// any observed value, deterministically or not, fails here.
+// exports, the x-ray report's fingerprint (a hash of its rendered text),
+// the tracer's span and drop counts, and a fold of every recorded span's
+// fields. The observers sample the replay on every tick and request, so
+// a probe, attribution or span-store rewrite that moves any observed
+// value, deterministically or not, fails here.
 const (
 	goldenObservedResults   = 0xe0986dd75b65bfe4
 	goldenObservedProm      = 0x7a821401f731c2fd
@@ -80,6 +82,7 @@ const (
 	goldenObservedXRay      = 0x751735b096601d21
 	goldenObservedTraceLen  = 35435
 	goldenObservedTraceDrop = 0
+	goldenObservedEvents    = 0x107bc9a443f0429b
 )
 
 // textHash is the FNV-1a hash of a rendered export or report.
@@ -87,6 +90,16 @@ func textHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
+}
+
+// eventsHash fpFolds every field of every recorded span, in order.
+func eventsHash(events []trace.Event) uint64 {
+	h := uint64(fpOffset)
+	for _, e := range events {
+		fpFold(&h, textHash(e.Name), textHash(e.Cat), uint64(e.Node), uint64(e.Track),
+			uint64(e.Begin), uint64(e.Dur), uint64(e.Parent), uint64(e.Bytes), uint64(e.Pages))
+	}
+	return h
 }
 
 func TestGoldenAzureBenchObservers(t *testing.T) {
@@ -133,6 +146,7 @@ func TestGoldenAzureBenchObservers(t *testing.T) {
 		{"xray fingerprint", rep.Fingerprint(), goldenObservedXRay},
 		{"trace len", uint64(c.Trace.Len()), goldenObservedTraceLen},
 		{"trace dropped", uint64(c.Trace.Dropped()), goldenObservedTraceDrop},
+		{"trace events", eventsHash(c.Trace.Events()), goldenObservedEvents},
 	} {
 		if pin.got != pin.want {
 			t.Errorf("%s %#x, golden %#x", pin.name, pin.got, pin.want)

@@ -11,6 +11,7 @@ import (
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/telemetry"
+	"cxlfork/internal/trace"
 	"cxlfork/internal/xray"
 )
 
@@ -262,10 +263,12 @@ func renderObservability(w io.Writer, label string, res porter.Results) {
 	fmt.Fprintf(w, "%stelemetry: %d samples, %d ring drops; trace drops: %d; SLO alerts fired: %d\n",
 		label, res.TelemetrySamples, res.TelemetryDropped, res.TraceDropped, res.SLOAlertsFired)
 	if res.TelemetryDropped > 0 {
-		fmt.Fprintf(w, "%s  warning: telemetry ring overflow — oldest samples overwritten; raise TelemetrySeriesCap\n", label)
+		fmt.Fprintf(w, "%s  warning: telemetry ring overflow — %d oldest samples overwritten; each series keeps its newest %d\n",
+			label, res.TelemetryDropped, telemetry.DefaultSeriesCap)
 	}
 	if res.TraceDropped > 0 {
-		fmt.Fprintf(w, "%s  warning: trace buffer overflow — %d spans lost; raise TraceBufferCap\n", label, res.TraceDropped)
+		fmt.Fprintf(w, "%s  warning: trace buffer overflow — %d spans lost past the %d-span buffer\n",
+			label, res.TraceDropped, trace.DefaultBufferCap)
 	}
 }
 

@@ -5,7 +5,9 @@
 // Entry points: NewLatencyRecorder, and Union, a read-only recorder
 // over several recorders that stores no samples of its own (the
 // porter's overall latency is the union of its per-function ones);
-// Counter, Gauge and the *Counters bundles (faults, dedup, capacity)
+// NewRunningPercentile, one exact nearest-rank percentile kept current
+// per sample (the porter's cold-start P99 telemetry probe); Counter,
+// Gauge and the *Counters bundles (faults, dedup, capacity)
 // are plain accumulators threaded through the subsystems. The
 // percentile reporting backs the paper's P50/P99 evaluation metrics
 // (§6-§7).

@@ -8,9 +8,9 @@ import (
 )
 
 // TestIncrementalMatchesFullSort drives one recorder through random
-// Record, Percentile, Quantile, Presort and Reset sequences and checks
-// every answer against a recorder rebuilt from the same samples, which
-// sorts them all at its first query.
+// Record, Percentile, Quantile, Presort and Reset sequences, so reads
+// interleave with samples, and checks every answer against a recorder
+// rebuilt from the same samples, whose first query is its first sort.
 func TestIncrementalMatchesFullSort(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))

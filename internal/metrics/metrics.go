@@ -13,7 +13,7 @@ import (
 // parts' instead.
 type LatencyRecorder struct {
 	samples []des.Time
-	sorted  int // samples[:sorted] is in ascending order
+	sorted  int // samples is in ascending order when sorted == len(samples)
 	sum     des.Time
 	parts   []*LatencyRecorder // a union's parts; nil for a plain recorder
 }
@@ -92,17 +92,16 @@ func (r *LatencyRecorder) Percentile(p float64) des.Time {
 	if n == 0 {
 		return 0
 	}
+	return r.at(nearestRank(p, n) - 1)
+}
+
+// nearestRank returns the 1-based rank of the p-th percentile among
+// n > 0 sorted samples: ceil(p/100·n), clamped to [1, n].
+func nearestRank(p float64, n int) int {
 	if p <= 0 {
-		return r.at(0)
+		return 1
 	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return r.at(rank - 1)
+	return min(max(int(math.Ceil(p/100*float64(n))), 1), n)
 }
 
 // Quantile returns the p-th percentile (0 <= p <= 100) with linear
@@ -198,30 +197,16 @@ func (r *LatencyRecorder) Presort() {
 	r.sort()
 }
 
-// sort brings the buffer into ascending order. Only the samples
-// recorded since the last sort are sorted; they are then merged into
-// the sorted prefix from the back. A running percentile read on every
-// telemetry tick thus costs O(k log k + n) for k new samples, not a
-// full sort of all n.
+// sort brings the buffer into ascending order, unless no sample has
+// arrived since it last did. Every reader runs after its recorder's
+// samples are in, so one full sort serves them all; a percentile read
+// between samples, as on every telemetry tick, wants
+// RunningPercentile.
 func (r *LatencyRecorder) sort() {
-	n := len(r.samples)
-	if r.sorted == n {
-		return
+	if r.sorted != len(r.samples) {
+		slices.Sort(r.samples)
+		r.sorted = len(r.samples)
 	}
-	slices.Sort(r.samples[r.sorted:])
-	if i := r.sorted - 1; i >= 0 && r.samples[r.sorted] < r.samples[i] {
-		newer := slices.Clone(r.samples[r.sorted:])
-		for j, k := len(newer)-1, n-1; j >= 0; k-- {
-			if i >= 0 && r.samples[i] > newer[j] {
-				r.samples[k] = r.samples[i]
-				i--
-			} else {
-				r.samples[k] = newer[j]
-				j--
-			}
-		}
-	}
-	r.sorted = n
 }
 
 // P50 returns the median.
@@ -239,6 +224,102 @@ func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
 	r.sorted = 0
 	r.sum = 0
+}
+
+// RunningPercentile tracks one nearest-rank percentile of a growing
+// sample stream exactly, at O(log n) per sample and O(1) per read: a
+// max-heap holds the rank smallest samples and a min-heap the rest, so
+// the percentile is the max-heap's top. Value always equals
+// LatencyRecorder.Percentile(p) over the same samples; it suits a
+// percentile read far more often than a recorder could re-sort.
+type RunningPercentile struct {
+	p      float64
+	lo, hi timeHeap
+}
+
+// NewRunningPercentile returns an empty tracker of the p-th percentile.
+func NewRunningPercentile(p float64) *RunningPercentile {
+	return &RunningPercentile{p: p, lo: timeHeap{max: true}}
+}
+
+// Record adds a sample.
+func (r *RunningPercentile) Record(d des.Time) {
+	if len(r.lo.s) > 0 && d <= r.lo.s[0] {
+		r.lo.push(d)
+	} else {
+		r.hi.push(d)
+	}
+	rank := nearestRank(r.p, r.Count())
+	for len(r.lo.s) > rank {
+		r.hi.push(r.lo.pop())
+	}
+	for len(r.lo.s) < rank {
+		r.lo.push(r.hi.pop())
+	}
+}
+
+// Count returns the number of samples.
+func (r *RunningPercentile) Count() int { return len(r.lo.s) + len(r.hi.s) }
+
+// Value returns the percentile of the samples so far (0 with none).
+func (r *RunningPercentile) Value() des.Time {
+	if len(r.lo.s) == 0 {
+		return 0
+	}
+	return r.lo.s[0]
+}
+
+// Reset discards all samples, keeping the heaps' capacity.
+func (r *RunningPercentile) Reset() {
+	r.lo.s, r.hi.s = r.lo.s[:0], r.hi.s[:0]
+}
+
+// timeHeap is a binary heap of samples: a max-heap when max is set, a
+// min-heap otherwise.
+type timeHeap struct {
+	s   []des.Time
+	max bool
+}
+
+// before reports whether a belongs above b.
+func (h *timeHeap) before(a, b des.Time) bool {
+	if h.max {
+		return a > b
+	}
+	return a < b
+}
+
+func (h *timeHeap) push(v des.Time) {
+	h.s = append(h.s, v)
+	for i := len(h.s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h.before(h.s[i], h.s[up]) {
+			break
+		}
+		h.s[i], h.s[up] = h.s[up], h.s[i]
+		i = up
+	}
+}
+
+func (h *timeHeap) pop() des.Time {
+	top, n := h.s[0], len(h.s)-1
+	h.s[0] = h.s[n]
+	h.s = h.s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.before(h.s[c+1], h.s[c]) {
+			c++
+		}
+		if !h.before(h.s[c], h.s[i]) {
+			break
+		}
+		h.s[i], h.s[c] = h.s[c], h.s[i]
+		i = c
+	}
+	return top
 }
 
 // Gauge tracks a time-weighted average of a quantity sampled over

@@ -148,10 +148,6 @@ type Params struct {
 	// with virtual time. Tracing is purely observational — it never
 	// advances a clock — so enabling it changes no simulated result.
 	TraceEnabled bool
-	// TraceBufferCap bounds the tracer's event buffer; once full, new
-	// spans are counted as dropped instead of recorded. 0 uses the
-	// tracer's default capacity.
-	TraceBufferCap int
 
 	// ---- CRIU image costs (protobuf encode/decode, file I/O on cxlfs) ----
 
@@ -371,8 +367,7 @@ func Default() Params {
 		LaneDispatch:     300 * des.Nanosecond,
 		DedupHashPage:    250 * des.Nanosecond,
 
-		TraceEnabled:   false,
-		TraceBufferCap: 1 << 18,
+		TraceEnabled: false,
 
 		CRIUPageSerialize: 4 * des.Microsecond,
 		CRIUPageRestore:   3 * des.Microsecond,

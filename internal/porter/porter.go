@@ -18,6 +18,7 @@ import (
 	"cxlfork/internal/replica"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/telemetry"
+	"cxlfork/internal/xray"
 )
 
 // Profile is the measured behaviour of one (function, mechanism,
@@ -430,9 +431,11 @@ type Porter struct {
 	sorted []*fnState
 	rng    *rand.Rand
 	// freeReqs recycles completed request records; cands is placeOn's
-	// reusable candidate buffer.
+	// reusable candidate buffer, and xcomps the x-ray component buffer
+	// each completion refills (Observe retains none of it).
 	freeReqs []*pending
 	cands    []*nodeState
+	xcomps   []xray.Component
 
 	res      Results
 	base     des.Time
@@ -470,6 +473,10 @@ type Porter struct {
 	// slo evaluates burn-rate objectives after each sample tick.
 	telem *telemetry.Registry
 	slo   *telemetry.Engine
+	// coldP99 tracks ColdLatency's P99 for its telemetry probe; nil
+	// unless this porter registered the series. Run resets it with
+	// ColdLatency.
+	coldP99 *metrics.RunningPercentile
 	// admits counts checkpoint publications (initial provisioning and
 	// re-publications) for the admissions series.
 	admits *telemetry.Counter

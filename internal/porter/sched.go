@@ -28,6 +28,9 @@ func (p *Porter) Run(trace []azure.Request) Results {
 		ColdLatency:    metrics.NewLatencyRecorder(),
 		RestoreLatency: metrics.NewLatencyRecorder(),
 	}
+	if p.coldP99 != nil {
+		p.coldP99.Reset()
+	}
 	for _, n := range p.nodes {
 		n.gauge = &metrics.Gauge{}
 		p.res.MemGauge[n.os.Name] = n.gauge
@@ -325,18 +328,19 @@ func (req *pending) Fire(end des.Time) {
 	span := p.c.Trace.EmitFlow(inst.node.os.Index, trace.CatPorter, "warm-start", end-dur, dur, 0, 0)
 	if p.c.XRay.Enabled() {
 		execStart := end - dur
-		p.c.XRay.Observe(xray.Request{
-			Class:   "warm-start",
-			Name:    inst.fn.spec.Name,
-			Span:    int(span),
-			Arrived: int64(req.arrived),
-			Latency: int64(end - req.arrived),
-			Device:  -1,
-			Components: []xray.Component{
-				{Name: xray.CompPorterQueue, NS: int64(req.submit - req.arrived)},
-				{Name: xray.CompCPUQueue, NS: int64(execStart - req.submit)},
-				{Name: xray.CompExec, NS: int64(dur)},
-			},
+		p.xcomps = append(p.xcomps[:0],
+			xray.Component{Name: xray.CompPorterQueue, NS: int64(req.submit - req.arrived)},
+			xray.Component{Name: xray.CompCPUQueue, NS: int64(execStart - req.submit)},
+			xray.Component{Name: xray.CompExec, NS: int64(dur)},
+		)
+		p.c.XRay.Observe(&xray.Request{
+			Class:      "warm-start",
+			Name:       inst.fn.spec.Name,
+			Span:       int(span),
+			Arrived:    int64(req.arrived),
+			Latency:    int64(end - req.arrived),
+			Device:     -1,
+			Components: p.xcomps,
 		})
 	}
 	inst.warmRuns++
@@ -565,24 +569,25 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 			if !restored {
 				unattr = probeNS + backoffNS
 			}
-			p.c.XRay.Observe(xray.Request{
-				Class:   spanName,
-				Name:    fn,
-				Span:    int(span),
-				Arrived: int64(req.arrived),
-				Latency: int64(end - req.arrived),
-				Device:  devIdx,
-				Components: []xray.Component{
-					{Name: xray.CompPorterQueue, NS: int64(t0 - req.arrived)},
-					{Name: xray.CompUplink, NS: int64(uplinkNS)},
-					{Name: xray.CompCPUQueue, NS: int64(execStart - cpuSubmit)},
-					{Name: xray.CompProbe, NS: int64(probeNS)},
-					{Name: xray.CompBackoff, NS: int64(backoffNS)},
-					{Name: xray.CompFabric, NS: int64(fabricExtra)},
-					{Name: restoreComp, NS: int64(restoreSvc)},
-					{Name: xray.CompContainer, NS: int64(containerNS)},
-					{Name: xray.CompExec, NS: int64(execSvc)},
-				},
+			p.xcomps = append(p.xcomps[:0],
+				xray.Component{Name: xray.CompPorterQueue, NS: int64(t0 - req.arrived)},
+				xray.Component{Name: xray.CompUplink, NS: int64(uplinkNS)},
+				xray.Component{Name: xray.CompCPUQueue, NS: int64(execStart - cpuSubmit)},
+				xray.Component{Name: xray.CompProbe, NS: int64(probeNS)},
+				xray.Component{Name: xray.CompBackoff, NS: int64(backoffNS)},
+				xray.Component{Name: xray.CompFabric, NS: int64(fabricExtra)},
+				xray.Component{Name: restoreComp, NS: int64(restoreSvc)},
+				xray.Component{Name: xray.CompContainer, NS: int64(containerNS)},
+				xray.Component{Name: xray.CompExec, NS: int64(execSvc)},
+			)
+			p.c.XRay.Observe(&xray.Request{
+				Class:          spanName,
+				Name:           fn,
+				Span:           int(span),
+				Arrived:        int64(req.arrived),
+				Latency:        int64(end - req.arrived),
+				Device:         devIdx,
+				Components:     p.xcomps,
 				UnattributedNS: int64(unattr),
 			})
 		}
@@ -767,6 +772,9 @@ func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
 	st.rec.Record(lat)
 	if req.cold && p.res.ColdLatency != nil {
 		p.res.ColdLatency.Record(lat)
+		if p.coldP99 != nil {
+			p.coldP99.Record(lat)
+		}
 	}
 	p.freeReq(req)
 	p.res.Completed++

@@ -2,6 +2,7 @@ package porter
 
 import (
 	"cxlfork/internal/des"
+	"cxlfork/internal/metrics"
 	"cxlfork/internal/telemetry"
 )
 
@@ -40,13 +41,11 @@ func (p *Porter) registerTelemetry() {
 		})
 	reg.Gauge("porter_ladder_level", "degradation ladder rung: 0 normal, 1 above low watermark, 2 above high watermark (evict/refuse), 3 serving scratch cold starts for an evicted checkpoint",
 		func(des.Time) float64 { return float64(p.ladderLevel()) })
+	// The cold P99 is read on every tick: a running order statistic
+	// keeps each read O(1) where re-sorting ColdLatency would not.
+	p.coldP99 = metrics.NewRunningPercentile(99)
 	reg.Gauge("porter_cold_p99_ns", "running 99th percentile of cold-start latency",
-		func(des.Time) float64 {
-			if p.res.ColdLatency == nil {
-				return 0
-			}
-			return float64(p.res.ColdLatency.P99())
-		})
+		func(des.Time) float64 { return float64(p.coldP99.Value()) })
 	for _, ns := range p.nodes {
 		ns := ns
 		node := telemetry.L("node", ns.os.Name)

@@ -255,3 +255,29 @@ func TestSLOAlertDrivesReclaim(t *testing.T) {
 		t.Fatalf("driven run still over objective: utilization %.2f", last.V)
 	}
 }
+
+// The cold-start P99 probe reads the run's own cold latencies: its
+// final sample is ColdLatency's P99, and a second Run on the same
+// porter starts the running percentile over with ColdLatency.
+func TestColdP99ProbeFollowsEachRun(t *testing.T) {
+	po, res := telemetryRun(t, 1, nil)
+	series := po.Telemetry().Lookup("porter_cold_p99_ns")
+	check := func(run string, res porter.Results) {
+		t.Helper()
+		last, ok := series.Last()
+		if !ok || res.ColdLatency.Count() == 0 {
+			t.Fatalf("%s: no probe sample or no cold start (%d)", run, res.ColdLatency.Count())
+		}
+		if want := float64(res.ColdLatency.P99()); last.V != want {
+			t.Fatalf("%s: probe read %v, ColdLatency P99 %v", run, last.V, want)
+		}
+	}
+	check("first run", res)
+	// A lighter trace whose cold tail sits below the first run's.
+	check("second run", po.Run(azure.Generate(azure.TraceConfig{
+		TotalRPS: 5,
+		Duration: 10 * des.Second,
+		Loads:    azure.DefaultLoads([]string{"Tiny"}),
+		Seed:     9,
+	})))
+}

@@ -15,6 +15,12 @@
 // methods are nil-safe; a nil *Tracer is the disabled tracer, and the
 // only cost on the disabled path is a nil check.
 //
+// Storage: Emit writes each span once into fixed chunks of 4,096
+// events, up to DefaultBufferCap spans; past the cap spans are counted
+// as dropped. Events appends the chunks to one flat slice on its first
+// read after new spans and keeps that slice as the store, so a
+// repeated read copies nothing.
+//
 // Determinism: events append in emission order, which is a pure function
 // of the (seeded) simulation, and the exporters iterate in that order or
 // in sorted orders — identical seeds yield byte-identical traces.

@@ -66,9 +66,13 @@ const (
 	trackFlowBase = 64
 )
 
-// DefaultBufferCap is the event capacity used when params leave
-// TraceBufferCap zero.
+// DefaultBufferCap is the event capacity New uses when given none.
 const DefaultBufferCap = 1 << 18
+
+// chunkSpans is the span store's chunk length. Emit fills fixed chunks
+// of this many events, so a span is written once and the store never
+// copies the spans before it as it grows.
+const chunkSpans = 4096
 
 // Event is one recorded span. Begin and Dur are virtual time; zero-Dur
 // events are instantaneous annotations.
@@ -93,8 +97,13 @@ func (e Event) End() des.Time { return e.Begin + e.Dur }
 // Tracer records spans into a bounded buffer. The zero value is not
 // usable; construct with New. A nil Tracer is the disabled tracer.
 type Tracer struct {
-	cap      int
-	events   []Event
+	cap int
+	// n counts the recorded spans. The first len(flat) of them are
+	// Events' last flattened copy; the rest fill chunks, each of
+	// capacity chunkSpans or, at the cap, what remains of it.
+	n        int
+	flat     []Event
+	chunks   [][]Event
 	dropped  int64
 	flowEnds map[int][]des.Time // per node: end time of the last span on each flow track
 	// spanFree recycles shard-span buffers between CollectShards and
@@ -106,8 +115,8 @@ type Tracer struct {
 
 // New returns an enabled tracer holding at most bufferCap events
 // (DefaultBufferCap when <= 0). Once full, further spans are counted in
-// Dropped and discarded — the buffer never reallocates past the cap, so
-// a runaway scenario degrades to counting instead of consuming memory.
+// Dropped and discarded — the store never grows past the cap, so a
+// runaway scenario degrades to counting instead of consuming memory.
 func New(bufferCap int) *Tracer {
 	if bufferCap <= 0 {
 		bufferCap = DefaultBufferCap
@@ -135,15 +144,21 @@ func (t *Tracer) Emit(parent SpanID, node, track int, cat, name string, begin, d
 	if dur < 0 {
 		panic("trace: negative span duration")
 	}
-	if parent < 0 || int(parent) > len(t.events) || len(t.events) >= t.cap {
+	if parent < 0 || int(parent) > t.n || t.n >= t.cap {
 		t.dropped++
 		return Dropped
 	}
-	t.events = append(t.events, Event{
+	k := len(t.chunks) - 1
+	if k < 0 || len(t.chunks[k]) == cap(t.chunks[k]) {
+		t.chunks = append(t.chunks, make([]Event, 0, min(chunkSpans, t.cap-t.n)))
+		k++
+	}
+	t.chunks[k] = append(t.chunks[k], Event{
 		Name: name, Cat: cat, Node: node, Track: track,
 		Begin: begin, Dur: dur, Parent: parent, Bytes: bytes, Pages: pages,
 	})
-	return SpanID(len(t.events))
+	t.n++
+	return SpanID(t.n)
 }
 
 // EmitFlow records a top-level span on a dynamically assigned per-node
@@ -156,7 +171,7 @@ func (t *Tracer) EmitFlow(node int, cat, name string, begin, dur des.Time, bytes
 	if t == nil {
 		return Dropped
 	}
-	if len(t.events) >= t.cap {
+	if t.n >= t.cap {
 		t.dropped++
 		return Dropped
 	}
@@ -177,14 +192,23 @@ func (t *Tracer) EmitFlow(node int, cat, name string, begin, dur des.Time, bytes
 	return t.Emit(None, node, trackFlowBase+slot, cat, name, begin, dur, bytes, pages)
 }
 
-// Events returns the recorded spans in emission order. The slice is the
-// tracer's backing store: callers must not mutate it. A nil tracer
-// returns nil.
+// Events returns the recorded spans in emission order. The first read
+// after new spans appends the chunks to one flat copy, which then
+// stores them in the chunks' place; reads with no spans in between
+// return the same slice. The slice is the tracer's store: callers must
+// not mutate it. A nil tracer returns nil.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	if len(t.chunks) > 0 {
+		t.flat = slices.Grow(t.flat, t.n-len(t.flat))
+		for _, c := range t.chunks {
+			t.flat = append(t.flat, c...)
+		}
+		t.chunks = nil
+	}
+	return t.flat
 }
 
 // Len returns the number of recorded spans.
@@ -192,7 +216,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
 }
 
 // Dropped returns how many spans the buffer rejected.

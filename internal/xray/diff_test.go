@@ -23,19 +23,23 @@ func TestExemplarInsertionMatchesStableSort(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			a := New(nil, topK)
 			var ref []Exemplar
+			// One component buffer serves every request, as in the
+			// porter: Observe must keep none of it.
+			var buf []Component
 			for seq := int64(1); seq <= 2000; seq++ {
+				buf = append(buf[:0],
+					Component{Name: CompExec, NS: int64(rng.Intn(3))},
+					Component{Name: CompCPUQueue, NS: int64(rng.Intn(2))},
+				)
 				r := Request{
-					Class:   "c",
-					Name:    fmt.Sprintf("r%d", seq),
-					Span:    int(seq),
-					Arrived: int64(rng.Intn(5)),
-					Latency: int64(rng.Intn(10)),
-					Components: []Component{
-						{Name: CompExec, NS: int64(rng.Intn(3))},
-						{Name: CompCPUQueue, NS: int64(rng.Intn(2))},
-					},
+					Class:      "c",
+					Name:       fmt.Sprintf("r%d", seq),
+					Span:       int(seq),
+					Arrived:    int64(rng.Intn(5)),
+					Latency:    int64(rng.Intn(10)),
+					Components: buf,
 				}
-				a.Observe(r)
+				a.Observe(&r)
 
 				ex := Exemplar{Seq: seq, Name: r.Name, Span: r.Span, LatencyNS: r.Latency, ArrivedNS: r.Arrived}
 				var sum int64
@@ -59,7 +63,7 @@ func TestExemplarInsertionMatchesStableSort(t *testing.T) {
 				if len(ref) > a.topK {
 					ref = ref[:a.topK]
 				}
-				if got := a.classes["c"].exemplars; !reflect.DeepEqual(got, ref) {
+				if got := a.class("c").exemplars; !reflect.DeepEqual(got, ref) {
 					t.Fatalf("topK %d seed %d seq %d: exemplars\n%+v\nreference\n%+v", topK, seed, seq, got, ref)
 				}
 			}
@@ -91,7 +95,7 @@ func fromSpansNested(events []trace.Event, topK int) *Report {
 			idx[child.Name] = len(comps)
 			comps = append(comps, Component{Name: child.Name, NS: int64(child.Dur)})
 		}
-		a.Observe(Request{
+		a.Observe(&Request{
 			Class:      e.Cat + "/" + e.Name,
 			Name:       e.Name,
 			Span:       int(id),

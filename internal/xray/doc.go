@@ -17,6 +17,13 @@
 //   - exemplars: the top-K worst requests per class with their trace
 //     span IDs, so a P99 metric links directly to the trace behind it.
 //
+// Observe retains nothing of a request, so a feed can refill one
+// component buffer for every request. Aggregates are short slices
+// scanned by name, and a new exemplar takes over the component buffer
+// of the one it pushes out of a full top-K, so once the exemplar sets
+// are full a request costs a few slice scans and no allocation. Report
+// deep-copies what it returns and never aliases the attributor.
+//
 // Attribution is purely observational: the attributor never advances a
 // clock, draws randomness, or schedules events, so enabling it cannot
 // change any simulated result. A nil *Attributor is the disabled

@@ -46,7 +46,7 @@ func FromSpans(events []trace.Event, topK int) *Report {
 			continue
 		}
 		id := trace.SpanID(i + 1)
-		a.Observe(Request{
+		a.Observe(&Request{
 			Class:      e.Cat + "/" + e.Name,
 			Name:       e.Name,
 			Span:       int(id),

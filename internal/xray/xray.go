@@ -1,7 +1,9 @@
 package xray
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"cxlfork/internal/des"
 	"cxlfork/internal/fabric"
@@ -90,8 +92,10 @@ type Attributor struct {
 	topo *fabric.Topology
 	topK int
 
-	seq     int64
-	classes map[string]*classAgg
+	seq int64
+	// classes holds one aggregate per op class in first-seen order; a
+	// feed has a handful of classes, so Observe scans it by name.
+	classes []*classAgg
 	links   map[int]*linkAgg
 	devices map[int]*devAgg
 
@@ -100,14 +104,18 @@ type Attributor struct {
 }
 
 type classAgg struct {
+	name       string
 	count      int64
 	totalNS    int64
 	residualNS int64
-	comps      map[string]*compAgg
-	exemplars  []Exemplar
+	// comps holds one aggregate per component name, in first-seen
+	// order; Report sorts them.
+	comps     []compAgg
+	exemplars []Exemplar
 }
 
 type compAgg struct {
+	name    string
 	totalNS int64
 	maxNS   int64
 	count   int64 // requests with a nonzero share
@@ -135,7 +143,6 @@ func New(topo *fabric.Topology, topK int) *Attributor {
 	return &Attributor{
 		topo:    topo,
 		topK:    topK,
-		classes: make(map[string]*classAgg),
 		links:   make(map[int]*linkAgg),
 		devices: make(map[int]*devAgg),
 	}
@@ -145,29 +152,22 @@ func New(topo *fabric.Topology, topK int) *Attributor {
 // caller-side component capture beyond the Observe call itself.
 func (a *Attributor) Enabled() bool { return a != nil }
 
-// Observe folds one completed request into the aggregates. Safe on a
-// nil attributor (no-op).
-func (a *Attributor) Observe(r Request) {
+// Observe folds one completed request into the aggregates. It retains
+// nothing of r, so a caller may reuse the request and its component
+// slice for the next one. Safe on a nil attributor (no-op).
+func (a *Attributor) Observe(r *Request) {
 	if a == nil {
 		return
 	}
 	a.seq++
-	c := a.classes[r.Class]
-	if c == nil {
-		c = &classAgg{comps: make(map[string]*compAgg)}
-		a.classes[r.Class] = c
-	}
+	c := a.class(r.Class)
 	c.count++
 	c.totalNS += r.Latency
 
 	var sum int64
-	for _, comp := range r.Components {
+	for i, comp := range r.Components {
 		sum += comp.NS
-		ca := c.comps[comp.Name]
-		if ca == nil {
-			ca = &compAgg{}
-			c.comps[comp.Name] = ca
-		}
+		ca := c.comp(i, comp.Name)
 		ca.totalNS += comp.NS
 		if comp.NS > 0 {
 			ca.count++
@@ -214,24 +214,61 @@ func (a *Attributor) Observe(r Request) {
 	if at >= a.topK {
 		return
 	}
-	ex := Exemplar{
+	// A full set pushes its last exemplar out; the new one takes over
+	// its component buffer.
+	var comps []Component
+	if n := len(c.exemplars); n < a.topK {
+		c.exemplars = append(c.exemplars, Exemplar{})
+	} else {
+		comps = c.exemplars[n-1].Components[:0]
+	}
+	copy(c.exemplars[at+1:], c.exemplars[at:])
+	for _, comp := range r.Components {
+		if comp.NS != 0 {
+			comps = append(comps, comp)
+		}
+	}
+	if len(comps) == 0 {
+		comps = nil // no nonzero share: the exemplar renders "components": null
+	}
+	c.exemplars[at] = Exemplar{
 		Seq:        a.seq,
 		Name:       r.Name,
 		Span:       r.Span,
 		LatencyNS:  r.Latency,
 		ArrivedNS:  r.Arrived,
+		Components: comps,
 		ResidualNS: residual,
 	}
-	for _, comp := range r.Components {
-		if comp.NS != 0 {
-			ex.Components = append(ex.Components, comp)
+}
+
+// class returns the named class's aggregate, adding it on first use.
+func (a *Attributor) class(name string) *classAgg {
+	for _, c := range a.classes {
+		if c.name == name {
+			return c
 		}
 	}
-	if len(c.exemplars) < a.topK {
-		c.exemplars = append(c.exemplars, Exemplar{})
+	c := &classAgg{name: name}
+	a.classes = append(a.classes, c)
+	return c
+}
+
+// comp returns the class's aggregate for the named component, adding
+// it on first use. A feed lists its components in a fixed order, so the
+// search tries the component's position in the request first. The
+// pointer is valid until the next comp call.
+func (c *classAgg) comp(at int, name string) *compAgg {
+	if at < len(c.comps) && c.comps[at].name == name {
+		return &c.comps[at]
 	}
-	copy(c.exemplars[at+1:], c.exemplars[at:])
-	c.exemplars[at] = ex
+	for i := range c.comps {
+		if c.comps[i].name == name {
+			return &c.comps[i]
+		}
+	}
+	c.comps = append(c.comps, compAgg{name: name})
+	return &c.comps[len(c.comps)-1]
 }
 
 // ObserveLink folds one per-link stream-slot claim into the heatmap:
@@ -272,27 +309,28 @@ func (a *Attributor) Report() *Report {
 		UnattributedCount: a.unattributedCount,
 	}
 
-	classNames := make([]string, 0, len(a.classes))
-	for name := range a.classes {
-		classNames = append(classNames, name)
-	}
-	sort.Strings(classNames)
-	for _, name := range classNames {
-		c := a.classes[name]
+	classes := slices.Clone(a.classes)
+	slices.SortFunc(classes, func(x, y *classAgg) int { return strings.Compare(x.name, y.name) })
+	for _, c := range classes {
 		cb := ClassBlame{
-			Class:      name,
+			Class:      c.name,
 			Count:      c.count,
 			TotalNS:    c.totalNS,
 			ResidualNS: c.residualNS,
 			Exemplars:  append([]Exemplar(nil), c.exemplars...),
 		}
+		// The attributor reuses its exemplars' component buffers: the
+		// report gets its own.
+		for i := range cb.Exemplars {
+			cb.Exemplars[i].Components = slices.Clone(cb.Exemplars[i].Components)
+		}
 		r.Requests += c.count
-		for comp, agg := range c.comps {
+		for _, agg := range c.comps {
 			if agg.totalNS == 0 && agg.count == 0 {
 				continue
 			}
 			cb.Components = append(cb.Components, ComponentBlame{
-				Component: comp,
+				Component: agg.name,
 				TotalNS:   agg.totalNS,
 				MaxNS:     agg.maxNS,
 				Count:     agg.count,

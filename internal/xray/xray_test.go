@@ -44,7 +44,7 @@ func TestNilAttributorIsSafeAndDisabled(t *testing.T) {
 	if a.Enabled() {
 		t.Fatal("nil attributor reports enabled")
 	}
-	a.Observe(Request{Class: "warm-start", Latency: 10})
+	a.Observe(&Request{Class: "warm-start", Latency: 10})
 	a.ObserveLink(0, 1, 2)
 	if a.UnattributedNS() != 0 {
 		t.Fatal("nil attributor accrued unattributed time")
@@ -67,16 +67,16 @@ func TestNilAttributorIsSafeAndDisabled(t *testing.T) {
 
 func TestObserveAggregatesAndResidual(t *testing.T) {
 	a := New(nil, 0)
-	a.Observe(Request{
+	a.Observe(&Request{
 		Class: "fork-restore", Name: "Cnn", Span: 3, Arrived: 100, Latency: 1000,
 		Components: []Component{{CompPorterQueue, 200}, {CompRestore, 500}, {CompExec, 300}},
 	})
-	a.Observe(Request{
+	a.Observe(&Request{
 		Class: "fork-restore", Name: "Cnn", Span: 9, Arrived: 200, Latency: 900,
 		Components: []Component{{CompPorterQueue, 100}, {CompRestore, 400}, {CompExec, 400}},
 	})
 	// A request whose components undershoot its latency carries residual.
-	a.Observe(Request{
+	a.Observe(&Request{
 		Class: "scratch-cold", Name: "Json", Arrived: 50, Latency: 700,
 		Components: []Component{{CompColdInit, 400}, {CompExec, 200}},
 	})
@@ -111,10 +111,10 @@ func TestObserveAggregatesAndResidual(t *testing.T) {
 func TestExemplarOrderAndCap(t *testing.T) {
 	a := New(nil, 2)
 	// Same latency: earlier arrival wins; then the worst two survive.
-	a.Observe(Request{Class: "c", Name: "mid", Arrived: 30, Latency: 500})
-	a.Observe(Request{Class: "c", Name: "worst", Arrived: 20, Latency: 900})
-	a.Observe(Request{Class: "c", Name: "tie-late", Arrived: 40, Latency: 900})
-	a.Observe(Request{Class: "c", Name: "small", Arrived: 10, Latency: 100})
+	a.Observe(&Request{Class: "c", Name: "mid", Arrived: 30, Latency: 500})
+	a.Observe(&Request{Class: "c", Name: "worst", Arrived: 20, Latency: 900})
+	a.Observe(&Request{Class: "c", Name: "tie-late", Arrived: 40, Latency: 900})
+	a.Observe(&Request{Class: "c", Name: "small", Arrived: 10, Latency: 100})
 	ex := a.Report().Class("c").Exemplars
 	if len(ex) != 2 {
 		t.Fatalf("exemplar count = %d, want 2", len(ex))
@@ -124,10 +124,56 @@ func TestExemplarOrderAndCap(t *testing.T) {
 	}
 }
 
+// Requests that keep entering a full exemplar set allocate nothing:
+// each new exemplar takes over the component buffer of the one it
+// pushes out, and the aggregates are found by scanning.
+func TestObserveAllocatesNothingOnceExemplarsFull(t *testing.T) {
+	a := New(nil, 3)
+	r := &Request{Class: "warm-start", Name: "f", Device: -1}
+	var lat int64
+	observe := func() {
+		lat++ // each request is the worst yet, so it enters the set
+		r.Latency, r.Arrived = lat, lat
+		r.Components = append(r.Components[:0],
+			Component{Name: CompPorterQueue, NS: 1},
+			Component{Name: CompCPUQueue, NS: 0},
+			Component{Name: CompExec, NS: lat - 1},
+		)
+		a.Observe(r)
+	}
+	for i := 0; i < 4; i++ {
+		observe()
+	}
+	if allocs := testing.AllocsPerRun(1000, observe); allocs != 0 {
+		t.Fatalf("Observe into a full exemplar set: %.1f allocations, want 0", allocs)
+	}
+}
+
+// A report owns its exemplars' components: exemplars that later reuse
+// the attributor's buffers leave an earlier report unchanged. An
+// exemplar without a nonzero component keeps a nil slice.
+func TestReportOwnsExemplarComponents(t *testing.T) {
+	a := New(nil, 1)
+	a.Observe(&Request{Class: "c", Name: "zero", Latency: 1, Components: []Component{{Name: CompExec}}})
+	if ex := a.Report().Class("c").Exemplars[0]; ex.Components != nil {
+		t.Fatalf("all-zero exemplar components = %#v, want nil", ex.Components)
+	}
+	a.Observe(&Request{Class: "c", Name: "first", Latency: 2, Components: []Component{{Name: CompExec, NS: 2}}})
+	before := a.Report()
+	want := before.Text()
+	a.Observe(&Request{Class: "c", Name: "second", Latency: 3, Components: []Component{{Name: CompCPUQueue, NS: 3}}})
+	if got := before.Text(); got != want {
+		t.Fatalf("an earlier report changed under later requests:\n%s\nwant\n%s", got, want)
+	}
+	if ex := a.Report().Class("c").Exemplars[0]; ex.Name != "second" || len(ex.Components) != 1 || ex.Components[0].Name != CompCPUQueue {
+		t.Fatalf("replacing exemplar = %+v", ex)
+	}
+}
+
 func TestUnattributedAccounting(t *testing.T) {
 	a := New(nil, 0)
-	a.Observe(Request{Class: "scratch-cold", Latency: 100, UnattributedNS: 40})
-	a.Observe(Request{Class: "scratch-cold", Latency: 100})
+	a.Observe(&Request{Class: "scratch-cold", Latency: 100, UnattributedNS: 40})
+	a.Observe(&Request{Class: "scratch-cold", Latency: 100})
 	if a.UnattributedNS() != 40 {
 		t.Fatalf("unattributed = %d, want 40", a.UnattributedNS())
 	}
@@ -148,7 +194,7 @@ func TestHeatmapFromTopology(t *testing.T) {
 	a.ObserveLink(4, 700*des.Nanosecond, 300*des.Nanosecond)
 	a.ObserveLink(4, 500*des.Nanosecond, 300*des.Nanosecond)
 	a.ObserveLink(0, 0, 100*des.Nanosecond)
-	a.Observe(Request{
+	a.Observe(&Request{
 		Class: "fork-restore", Name: "Cnn", Latency: 1000, Device: 1,
 		Components: []Component{{CompFabric, 600}, {CompRestore, 400}},
 	})
@@ -181,7 +227,7 @@ func TestReportDeterministicAndFingerprint(t *testing.T) {
 		topo := buildTopo(t)
 		a := New(topo, 3)
 		for i := 0; i < 10; i++ {
-			a.Observe(Request{
+			a.Observe(&Request{
 				Class: "warm-start", Name: "Float", Span: i + 1,
 				Arrived: int64(i * 10), Latency: int64(1000 - i),
 				Components: []Component{{CompPorterQueue, int64(i)}, {CompExec, int64(1000 - 2*i)}},
@@ -201,7 +247,7 @@ func TestReportDeterministicAndFingerprint(t *testing.T) {
 
 func TestWriteTextSkipsZeroComponentsAndLabelsSpans(t *testing.T) {
 	a := New(nil, 0)
-	a.Observe(Request{
+	a.Observe(&Request{
 		Class: "warm-start", Name: "Json", Span: 0, Latency: 100,
 		Components: []Component{{CompPorterQueue, 0}, {CompExec, 100}},
 	})

@@ -79,9 +79,15 @@ func LoadTraceCSV(r io.Reader) ([]Arrival, error) {
 }
 
 // SaveTraceCSV writes a synthetic bursty trace over the given functions
-// so it can be inspected or replayed elsewhere.
+// (the whole suite when none are given) so it can be inspected or
+// replayed elsewhere. It refuses an unknown or repeated function as
+// RunWorkload does, before writing anything.
 func SaveTraceCSV(w io.Writer, functions []string, rps float64, duration time.Duration, seed int64) error {
-	return azure.WriteCSV(w, experiments.GenerateTrace(functions, nil, rps, des.Time(duration), seed))
+	specs, err := experiments.ResolveFunctions(functions)
+	if err != nil {
+		return err
+	}
+	return azure.WriteCSV(w, experiments.GenerateTrace(experiments.SpecNames(specs), nil, rps, des.Time(duration), seed))
 }
 
 // WorkloadDesigns lists the accepted Workload.Design values.
