@@ -20,6 +20,7 @@ import (
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
 	"cxlfork/internal/faas"
+	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/workflow"
@@ -91,7 +92,7 @@ func BenchmarkFig6ColdStartAnatomy(b *testing.B) {
 			sum += row.StateInit
 		}
 		b.ReportMetric(sum.Millis()/float64(len(r.Rows)), "state-init-ms")
-		b.ReportMetric(p.ContainerCreate.Millis(), "container-ms")
+		b.ReportMetric(params.ContainerCreate.Millis(), "container-ms")
 	}
 }
 

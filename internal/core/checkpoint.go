@@ -9,6 +9,7 @@ import (
 	"cxlfork/internal/faultinject"
 	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/trace"
@@ -251,12 +252,12 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	defer func() { m.shardScratch = shards[:0] }()
 
 	// Task and MM descriptors (steps 1-3): native memory copies.
-	cost += p.StructCopy
+	cost += params.StructCopy
 
 	// VMA tree leaves: copied as-is, marked immutable (step 2). Each leaf
 	// is one lane shard of pure metadata work (no fabric units).
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, node); err != nil {
-		copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, nil)
+		copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, nil)
 		return nil, m.checkpointFault(ck, o, t0, cost+copyDur, "vma", err)
 	}
 	var vmaErr error
@@ -272,7 +273,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 		}
 		ck.vmaLeaves = append(ck.vmaLeaves, off)
 		ck.vmaCount += len(ckLeaf.VMAs)
-		shards = append(shards, des.Shard{Setup: des.Time(len(ckLeaf.VMAs)) * p.VMACheckpoint})
+		shards = append(shards, des.Shard{Setup: des.Time(len(ckLeaf.VMAs)) * params.VMACheckpoint})
 	}
 	if vmaErr != nil {
 		ck.Release()
@@ -291,7 +292,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// function of the current virtual time only, so hoisting it out of
 	// the walk charges exactly what the per-page form did.
 	if err := m.Faults.At(faultinject.StepCheckpointPT, node); err != nil {
-		copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, nil)
+		copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, nil)
 		return nil, m.checkpointFault(ck, o, t0, cost+copyDur, "pt", err)
 	}
 	pageCost := m.Faults.Scale(p.CXLWritePage)
@@ -323,7 +324,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 			arena.TrackFrame(dst)
 			if hit {
 				ck.dedupHits++
-				shard.Setup += p.DedupHashPage
+				shard.Setup += params.DedupHashPage
 			} else {
 				m.Dev.WriteBytes += int64(p.PageSize)
 				shard.Units++
@@ -341,7 +342,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 			if e.Flags.Has(pt.FileBacked) {
 				ck.filePages++
 			}
-			shard.Setup += p.PTERebase
+			shard.Setup += params.PTERebase
 		}
 		off, err := arena.Alloc(ckLeaf, int64(p.PageSize))
 		if err != nil {
@@ -358,7 +359,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	}
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, obs)
 	cost += copyDur
 
 	// Global state (step 8): light serialization of paths, permissions,
@@ -378,7 +379,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 		return nil, err
 	}
 	ck.globalOff = off
-	globalCost := des.Time(len(gs.FDs))*p.FDSerialize + p.StructCopy // FDs + mounts + pidns records
+	globalCost := des.Time(len(gs.FDs))*params.FDSerialize + params.StructCopy // FDs + mounts + pidns records
 	cost += globalCost
 
 	// Publication commit: the arena becomes visible to Restore only now.
@@ -393,8 +394,8 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "checkpoint",
 			t0, cost, ck.CXLBytes(), ck.dataPages)
 		pos := t0
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "struct-copy", pos, p.StructCopy, 0, 0)
-		pos += p.StructCopy
+		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "struct-copy", pos, params.StructCopy, 0, 0)
+		pos += params.StructCopy
 		copiedBytes := int64(ck.dataPages-ck.dedupHits) * int64(p.PageSize)
 		copyID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "copy", pos, copyDur,
 			copiedBytes, ck.dataPages)

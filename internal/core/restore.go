@@ -8,6 +8,7 @@ import (
 	"cxlfork/internal/faultinject"
 	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/trace"
@@ -70,7 +71,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 					return err
 				}
 			}
-			shards = append(shards, des.Shard{Setup: des.Time(len(leaf.VMAs)) * p.VMAReconstruct})
+			shards = append(shards, des.Shard{Setup: des.Time(len(leaf.VMAs)) * params.VMAReconstruct})
 		}
 	} else {
 		for _, off := range ck.vmaLeaves {
@@ -79,12 +80,12 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 				o.TraceOpError("restore", t0, "attach")
 				return err
 			}
-			shards = append(shards, des.Shard{Setup: p.VMALeafAttach})
+			shards = append(shards, des.Shard{Setup: params.VMALeafAttach})
 		}
 		child.MM.LazyVMAs = true
 	}
 	nVMA := len(shards)
-	cost += p.StructCopy // MM descriptor upper levels
+	cost += params.StructCopy // MM descriptor upper levels
 
 	switch opts.Policy {
 	case rfork.MigrateOnWrite:
@@ -105,7 +106,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 				}
 				newUppers := child.MM.PT.Stats().LocalUppers - before
 				shards = append(shards, des.Shard{
-					Setup:    pt.EntriesPerTable*p.PTECopy + des.Time(newUppers)*p.UpperTableInit,
+					Setup:    pt.EntriesPerTable*params.PTECopy + des.Time(newUppers)*params.UpperTableInit,
 					Units:    1,
 					UnitCost: p.CXLReadPage,
 				})
@@ -122,7 +123,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 				}
 				newUppers := child.MM.PT.Stats().LocalUppers - before
 				shards = append(shards, des.Shard{
-					Setup: p.LeafAttach + des.Time(newUppers)*p.UpperTableInit,
+					Setup: params.LeafAttach + des.Time(newUppers)*params.UpperTableInit,
 				})
 			}
 		}
@@ -136,7 +137,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 	}
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	copyDur := des.Pipeline(lanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, obs)
 	cost += copyDur
 
 	// Redo global state from the light serialization (decoded and
@@ -171,10 +172,10 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 		node := o.Index
 		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "restore",
 			t0, pEnd-t0, 0, ck.dataPages)
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "struct-copy", t0, p.StructCopy, 0, 0)
+		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "struct-copy", t0, params.StructCopy, 0, 0)
 		copyID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "attach",
-			t0+p.StructCopy, copyDur, 0, len(ck.ptLeaves))
-		o.Trace.EmitShards(copyID, node, t0+p.StructCopy, laneSpans,
+			t0+params.StructCopy, copyDur, 0, len(ck.ptLeaves))
+		o.Trace.EmitShards(copyID, node, t0+params.StructCopy, laneSpans,
 			func(i int) string {
 				if i < nVMA {
 					return "vma-leaf"
@@ -222,7 +223,7 @@ func (m *Mechanism) prefetch(child *kernel.Task, ck *Checkpoint, keep func(pt.PT
 			}
 			res := child.MM.MapFrame(va, local, flags)
 			o.Mem.Put(local) // MapFrame took the mapping reference
-			cost := p.CXLReadPage + p.PTECopy
+			cost := p.CXLReadPage + params.PTECopy
 			if res.BrokeLeaf {
 				cost += p.CXLReadPage
 			}
@@ -266,7 +267,7 @@ func (ov *ckptOverlay) Fault(mm *kernel.MM, va pt.VirtAddr, write bool) (pt.PTE,
 		// Cold page under hybrid tiering: map the CXL frame directly.
 		keep := e.Flags & (pt.FileBacked | pt.UserHot)
 		pte := pt.PTE{Flags: pt.Present | pt.CoW | pt.OnCXL | pt.Accessed | keep, PFN: e.PFN}
-		return pte, p.FaultEntry, kernel.FaultCXLDirect, true
+		return pte, params.FaultEntry, kernel.FaultCXLDirect, true
 	}
 
 	local, err := o.Mem.Alloc()
@@ -275,7 +276,7 @@ func (ov *ckptOverlay) Fault(mm *kernel.MM, va pt.VirtAddr, write bool) (pt.PTE,
 		// than failing the access.
 		keep := e.Flags & (pt.FileBacked | pt.UserHot)
 		pte := pt.PTE{Flags: pt.Present | pt.CoW | pt.OnCXL | pt.Accessed | keep, PFN: e.PFN}
-		return pte, p.FaultEntry, kernel.FaultCXLDirect, true
+		return pte, params.FaultEntry, kernel.FaultCXLDirect, true
 	}
 	memsim.Copy(local, ov.ck.dev.Pool().Frame(int(e.PFN)))
 	ov.ck.dev.ReadBytes += int64(p.PageSize)

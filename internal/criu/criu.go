@@ -105,12 +105,12 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	parent.MM.VMAs.Walk(func(v vma.VMA) {
 		enc.PutBytes(fieldVMA, rfork.EncodeVMA(v))
 		vmaCount++
-		cost += p.CRIURecordEncode
+		cost += params.CRIURecordEncode
 	})
 	gs := rfork.CaptureGlobalState(parent)
 	enc.PutBytes(fieldGlobal, gs.Encode())
-	cost += des.Time(len(gs.FDs)) * p.CRIURecordEncode
-	cost += p.CRIURecordEncode // task metadata record
+	cost += des.Time(len(gs.FDs)) * params.CRIURecordEncode
+	cost += params.CRIURecordEncode // task metadata record
 
 	pages := 0
 	parent.MM.PT.Walk(func(va pt.VirtAddr, leaf *pt.Leaf, i int) {
@@ -134,10 +134,10 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// the in-CXL-memory filesystem, so the copies contend on the fabric
 	// streams. One lane charges the exact serial per-page sum.
 	encCost := cost
-	shards := des.UniformShards(pages, pageShard, 0, m.Faults.Scale(p.CRIUPageSerialize))
+	shards := des.UniformShards(pages, pageShard, 0, m.Faults.Scale(params.CRIUPageSerialize))
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.CheckpointLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.CheckpointLanes, params.FabricStreams, params.LaneDispatch, shards, obs)
 	cost += pipeDur
 
 	logical := int64(pages)*int64(p.PageSize) + int64(vmaCount+len(gs.FDs)+1)*64
@@ -238,12 +238,12 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	decCost := cost
 	shards := make([]des.Shard, 0, len(vmas))
 	for range vmas {
-		shards = append(shards, des.Shard{Setup: p.CRIURecordDecode + p.VMAReconstruct})
+		shards = append(shards, des.Shard{Setup: params.CRIURecordDecode + params.VMAReconstruct})
 	}
-	shards = append(shards, des.UniformShards(len(pageRecs), pageShard, 0, m.Faults.Scale(p.CRIUPageRestore))...)
+	shards = append(shards, des.UniformShards(len(pageRecs), pageShard, 0, m.Faults.Scale(params.CRIUPageRestore))...)
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.RestoreLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.RestoreLanes, params.FabricStreams, params.LaneDispatch, shards, obs)
 	cost += pipeDur
 
 	o.Eng.Advance(cost)
@@ -304,7 +304,7 @@ func decodeImage(id string, envelope []byte, p params.Params) (rfork.GlobalState
 			gs, err = rfork.DecodeGlobalState(d.Bytes())
 			d.Fail(err)
 			haveGS = true
-			cost += des.Time(len(gs.FDs)) * p.CRIURecordDecode
+			cost += des.Time(len(gs.FDs)) * params.CRIURecordDecode
 		case fieldPage:
 			rec, err := decodePage(d.Bytes())
 			d.Fail(err)

@@ -82,12 +82,12 @@ func Faults(p params.Params) (*FaultCosts, error) {
 		return nil, err
 	}
 	fc := &FaultCosts{
-		AnonFault:   p.AnonFault.Micros(),
+		AnonFault:   params.AnonFault.Micros(),
 		CoWCXL:      p.CoWCXLFault().Micros(),
 		CoWCXLCopy:  p.CXLReadPage.Micros(),
-		CoWCXLShoot: p.TLBShootdown.Micros(),
+		CoWCXLShoot: params.TLBShootdown.Micros(),
 		MoA:         p.MoAFault().Micros(),
-		FileMinor:   p.FilePageCacheFault.Micros(),
+		FileMinor:   params.FilePageCacheFault.Micros(),
 	}
 	if m, ok := fm.ByScen[ScenCXLforkMoA]; ok && m.Faults.Total() > 0 {
 		fc.MoA = (m.Faults.Time / des.Time(m.Faults.Total())).Micros()

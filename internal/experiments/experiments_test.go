@@ -8,6 +8,7 @@ import (
 
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
+	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
 )
@@ -111,7 +112,7 @@ func TestFig6Run(t *testing.T) {
 		if row.StateInit < 250*des.Millisecond || row.StateInit > 900*des.Millisecond {
 			t.Errorf("%s state init %v outside plausible band", row.Function, row.StateInit)
 		}
-		if row.Container != p.ContainerCreate {
+		if row.Container != params.ContainerCreate {
 			t.Errorf("%s container cost wrong", row.Function)
 		}
 	}

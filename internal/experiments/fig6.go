@@ -44,7 +44,7 @@ func Fig6(p params.Params) (*Fig6Result, error) {
 		res.Rows = append(res.Rows, Fig6Row{
 			Function:  spec.Name,
 			StateInit: c.Eng.Now() - t0,
-			Container: p.ContainerCreate,
+			Container: params.ContainerCreate,
 		})
 		in.Exit()
 	}

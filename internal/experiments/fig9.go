@@ -58,8 +58,8 @@ func Fig9(p params.Params) (*Fig9Result, error) {
 			// per-page copy costs with the latency ratio (floored at the
 			// local-DRAM copy cost).
 			scale := float64(lat) / float64(p.CXLLatency)
-			pl.CXLReadPage = maxTime(des.Time(float64(p.CXLReadPage)*scale), p.LocalCopyPage)
-			pl.CXLWritePage = maxTime(des.Time(float64(p.CXLWritePage)*scale), p.LocalCopyPage)
+			pl.CXLReadPage = maxTime(des.Time(float64(p.CXLReadPage)*scale), params.LocalCopyPage)
+			pl.CXLWritePage = maxTime(des.Time(float64(p.CXLWritePage)*scale), params.LocalCopyPage)
 			fm, err := MeasureFunction(pl, spec, []Scenario{ScenCXLfork})
 			if err != nil {
 				return nil, err

@@ -180,7 +180,7 @@ func Adopt(task *kernel.Task, s Spec) *Instance {
 // footprint — libraries are read, anonymous state is written.
 func (in *Instance) ColdInit() error {
 	o := in.Task.OS
-	o.Eng.Advance(o.P.RuntimeColdInit + in.Spec.InitComputeNs)
+	o.Eng.Advance(params.RuntimeColdInit + in.Spec.InitComputeNs)
 	mm := in.Task.MM
 	for i := 0; i < in.L.LibPages; i++ {
 		if err := mm.Access(LibBase+pt.VirtAddr(i<<pt.PageShift), false); err != nil {

@@ -287,7 +287,7 @@ type route struct {
 // attributes become: latency p.CXLLatency/2 (so the canonical
 // host-switch-device path costs one CXL round trip), per-page service
 // p.CXLReadPage (the measured CXL-to-DRAM page copy), and stream
-// capacity p.FabricStreams. Explicit bandwidth converts to a per-page
+// capacity params.FabricStreams. Explicit bandwidth converts to a per-page
 // service time via the page size.
 func (s *Spec) Build(p params.Params) (*Topology, error) {
 	t := &Topology{
@@ -334,7 +334,7 @@ func (s *Spec) Build(p params.Params) (*Topology, error) {
 			l.perPage = perPage
 		}
 		if l.streams == 0 {
-			l.streams = p.FabricStreams
+			l.streams = params.FabricStreams
 		}
 		if l.streams <= 0 {
 			l.streams = 1

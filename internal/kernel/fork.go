@@ -3,6 +3,7 @@ package kernel
 import (
 	"cxlfork/internal/cachesim"
 	"cxlfork/internal/des"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/trace"
 	"cxlfork/internal/vma"
@@ -23,7 +24,6 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 	child.NS = parent.NS
 
 	var cost des.Time
-	p := &o.P
 
 	// Duplicate the VMA tree, preserving IDs so backing info carries over.
 	var vmaErr error
@@ -34,7 +34,7 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 		if _, err := child.MM.VMAs.Insert(v); err != nil {
 			vmaErr = err
 		}
-		cost += p.ForkVMACopy
+		cost += params.ForkVMACopy
 	})
 	if vmaErr != nil {
 		o.Exit(child)
@@ -58,7 +58,7 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 			// Parent is itself a clone mapping checkpoint pages: the
 			// child shares the same read-only CXL mapping.
 			child.MM.PT.Set(va, e)
-			cost += p.PTECopy
+			cost += params.PTECopy
 			return
 		}
 		if e.Flags.Has(pt.Writable) {
@@ -71,7 +71,7 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 		frame := o.Mem.Frame(int(e.PFN))
 		frame.Get()
 		child.MM.PT.Set(va, pt.PTE{Flags: childFlags, PFN: e.PFN})
-		cost += 2 * p.PTECopy
+		cost += 2 * params.PTECopy
 	})
 	if copyErr != nil {
 		o.Exit(child)
@@ -80,7 +80,7 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 	}
 
 	// One batched TLB flush for the parent's downgraded mappings.
-	cost += p.TLBShootdown
+	cost += params.TLBShootdown
 	o.Eng.Advance(cost)
 	o.Trace.Emit(trace.None, o.Index, trace.TrackOps, trace.CatOp, "fork", t0, o.Eng.Now()-t0, 0, 0)
 	return child, nil

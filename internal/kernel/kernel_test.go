@@ -33,8 +33,8 @@ func TestNewTaskChargesCreate(t *testing.T) {
 	if task.PID != 1 {
 		t.Fatalf("pid = %d", task.PID)
 	}
-	if o.Eng.Now()-before != o.P.TaskCreate {
-		t.Fatalf("charged %v, want %v", o.Eng.Now()-before, o.P.TaskCreate)
+	if o.Eng.Now()-before != params.TaskCreate {
+		t.Fatalf("charged %v, want %v", o.Eng.Now()-before, params.TaskCreate)
 	}
 	if o.Tasks() != 1 || o.Task(1) != task {
 		t.Fatal("task registry broken")
@@ -267,8 +267,8 @@ func TestCoWCostBreakdown(t *testing.T) {
 	if got := p.CoWCXLFault(); got != 2500*des.Nanosecond {
 		t.Fatalf("CoWCXLFault = %v, want 2.5µs", got)
 	}
-	if p.AnonFault >= 1000*des.Nanosecond {
-		t.Fatalf("AnonFault = %v, want < 1µs", p.AnonFault)
+	if params.AnonFault >= 1000*des.Nanosecond {
+		t.Fatalf("AnonFault = %v, want < 1µs", params.AnonFault)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestAccessRepeatChargesHits(t *testing.T) {
 	task := o.NewTask("t")
 	before := o.Eng.Now()
 	task.MM.AccessRepeat(10)
-	if o.Eng.Now()-before != 10*o.P.LLCHit {
+	if o.Eng.Now()-before != 10*params.LLCHit {
 		t.Fatal("AccessRepeat cost wrong")
 	}
 	if task.MM.Stats.LLCHits != 10 {

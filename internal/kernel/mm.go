@@ -7,6 +7,7 @@ import (
 	"cxlfork/internal/cachesim"
 	"cxlfork/internal/des"
 	"cxlfork/internal/memsim"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/trace"
 	"cxlfork/internal/vma"
@@ -221,7 +222,7 @@ func (mm *MM) Access(va pt.VirtAddr, write bool) error {
 	// Translation: TLB hit is free; a miss walks the page tables, which
 	// are compact enough to live in the cache hierarchy.
 	if !o.TLB.Access(key) {
-		walk := 2 * p.LLCHit
+		walk := 2 * params.LLCHit
 		o.Eng.Advance(walk)
 		mm.Stats.AccessTime += walk
 	}
@@ -237,15 +238,15 @@ func (mm *MM) Access(va pt.VirtAddr, write bool) error {
 		frame := mm.frameOf(pte)
 		var lat des.Time
 		if o.LLC.Access(frame.CacheKey()) {
-			lat = p.LLCHit
+			lat = params.LLCHit
 			mm.Stats.LLCHits++
 		} else {
 			mm.Stats.LLCMisses++
 			if pte.Flags.Has(pt.OnCXL) {
 				lat = p.CXLLatency
-				o.Dev.ReadBytes += int64(p.CacheLineSize)
+				o.Dev.ReadBytes += int64(params.CacheLineSize)
 			} else {
-				lat = p.LocalMemLatency
+				lat = params.LocalMemLatency
 			}
 		}
 		o.Eng.Advance(lat)
@@ -266,7 +267,7 @@ func (mm *MM) AccessRepeat(n int) {
 	if n <= 0 {
 		return
 	}
-	lat := des.Time(n) * mm.OS.P.LLCHit
+	lat := des.Time(n) * params.LLCHit
 	mm.OS.Eng.Advance(lat)
 	mm.Stats.AccessTime += lat
 	mm.Stats.LLCHits += int64(n)
@@ -287,7 +288,7 @@ func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 	// Lazily reconstruct global state for checkpoint-attached file VMAs.
 	if mm.LazyVMAs && v.Kind == vma.FilePrivate && !mm.materialized[v.ID] {
 		mm.materialized[v.ID] = true
-		mm.charge(FaultMaterialize, p.VMAReconstruct)
+		mm.charge(FaultMaterialize, params.VMAReconstruct)
 	}
 
 	if mm.Overlay != nil {
@@ -318,7 +319,7 @@ func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 			f.Data = memsim.NewToken()
 		}
 		res := mm.PT.Set(va, pt.PTE{Flags: flags, PFN: int32(f.PFN())})
-		cost := p.AnonFault
+		cost := params.AnonFault
 		if res.BrokeLeaf {
 			cost += p.CXLReadPage
 		}
@@ -336,9 +337,9 @@ func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 		if err != nil {
 			return err
 		}
-		kind, cost := FaultFileMinor, p.FilePageCacheFault
+		kind, cost := FaultFileMinor, params.FilePageCacheFault
 		if !hit {
-			kind, cost = FaultFileMajor, p.FileBackingFault
+			kind, cost = FaultFileMajor, params.FileBackingFault
 		}
 		if write {
 			// Private copy on first store to a file page.
@@ -352,7 +353,7 @@ func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 			if res.BrokeLeaf {
 				cost += p.CXLReadPage
 			}
-			cost += p.CoWLocalFault
+			cost += params.CoWLocalFault
 			mm.charge(kind, cost)
 			o.LLC.Access(priv.CacheKey())
 			return nil
@@ -401,7 +402,7 @@ func (mm *MM) cowFault(va pt.VirtAddr, pte pt.PTE) error {
 		o.Mem.Put(src) // drop the old shared mapping reference
 	}
 
-	kind, cost := FaultCoWLocal, p.CoWLocalFault
+	kind, cost := FaultCoWLocal, params.CoWLocalFault
 	if onCXL {
 		kind, cost = FaultCoWCXL, p.CoWCXLFault()
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cxlfork/internal/des"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/vma"
 )
@@ -25,8 +26,8 @@ func TestFaultChargingMatchesClock(t *testing.T) {
 	}
 	elapsed := o.Eng.Now() - before
 	st := task.MM.Stats
-	if st.Faults.Time != 32*o.P.AnonFault {
-		t.Fatalf("fault time %v, want %v", st.Faults.Time, 32*o.P.AnonFault)
+	if st.Faults.Time != 32*params.AnonFault {
+		t.Fatalf("fault time %v, want %v", st.Faults.Time, 32*params.AnonFault)
 	}
 	if got := st.Faults.Time + st.AccessTime; got != elapsed {
 		t.Fatalf("accounting gap: faults+access=%v, clock=%v", got, elapsed)
@@ -58,8 +59,8 @@ func TestAnonFaultIntoAttachedLeafBreaksIt(t *testing.T) {
 	if task.MM.PT.Stats().LeafBreaks != 1 {
 		t.Fatal("anon fault did not break the attached leaf")
 	}
-	want := o.P.AnonFault + o.P.CXLReadPage // fault + leaf copy
-	if got := o.Eng.Now() - before - 2*o.P.LLCHit; got != want {
+	want := params.AnonFault + o.P.CXLReadPage // fault + leaf copy
+	if got := o.Eng.Now() - before - 2*params.LLCHit; got != want {
 		t.Fatalf("charged %v, want %v", got, want)
 	}
 	// The checkpointed entry survived the break into the local copy.
@@ -83,8 +84,8 @@ func TestTLBWalkChargedOncePerTranslation(t *testing.T) {
 	before := o.Eng.Now()
 	task.MM.Access(0x10000, false) // TLB hit + LLC hit
 	first := o.Eng.Now() - before
-	if first != o.P.LLCHit {
-		t.Fatalf("warm access = %v, want one LLC hit (%v)", first, o.P.LLCHit)
+	if first != params.LLCHit {
+		t.Fatalf("warm access = %v, want one LLC hit (%v)", first, params.LLCHit)
 	}
 	if o.TLB.Misses() == 0 || o.TLB.Hits() == 0 {
 		t.Fatalf("TLB counters: hits=%d misses=%d", o.TLB.Hits(), o.TLB.Misses())
@@ -106,15 +107,15 @@ func TestCXLReadLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := o.Eng.Now() - before
-	want := 2*o.P.LLCHit + o.P.CXLLatency // walk + CXL miss
+	want := 2*params.LLCHit + o.P.CXLLatency // walk + CXL miss
 	if got != want {
 		t.Fatalf("CXL read charged %v, want %v", got, want)
 	}
 	// Second access: cached.
 	before = o.Eng.Now()
 	task.MM.Access(base, false)
-	if got := o.Eng.Now() - before; got != o.P.LLCHit {
-		t.Fatalf("cached CXL read charged %v, want %v", got, o.P.LLCHit)
+	if got := o.Eng.Now() - before; got != params.LLCHit {
+		t.Fatalf("cached CXL read charged %v, want %v", got, params.LLCHit)
 	}
 }
 
@@ -137,7 +138,7 @@ func TestSharedFrameCacheHitAcrossProcesses(t *testing.T) {
 	}
 	got := o.Eng.Now() - before
 	// Child pays its own TLB walk but hits the parent's cache line.
-	if got != 2*o.P.LLCHit+o.P.LLCHit {
+	if got != 2*params.LLCHit+params.LLCHit {
 		t.Fatalf("child access = %v, want walk + LLC hit", got)
 	}
 }
@@ -151,11 +152,11 @@ func TestAccessTimeVsComputeSeparation(t *testing.T) {
 	task.MM.AccessRepeat(5)
 	o.Eng.Advance(123 * des.Microsecond)
 	task.MM.AccessRepeat(3)
-	want := 8*o.P.LLCHit + 123*des.Microsecond
+	want := 8*params.LLCHit + 123*des.Microsecond
 	if got := o.Eng.Now() - t0; got != want {
 		t.Fatalf("elapsed %v, want %v", got, want)
 	}
-	if task.MM.Stats.AccessTime != 8*o.P.LLCHit {
+	if task.MM.Stats.AccessTime != 8*params.LLCHit {
 		t.Fatal("access time accounting wrong")
 	}
 }

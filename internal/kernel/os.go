@@ -113,8 +113,8 @@ func (o *OS) allocASID() uint32 {
 // NewTask creates an empty task (no address space content) and charges
 // task-creation cost. name labels the task for diagnostics.
 func (o *OS) NewTask(name string) *Task {
-	o.Trace.Emit(trace.None, o.Index, trace.TrackOps, trace.CatOp, "task-create", o.Eng.Now(), o.P.TaskCreate, 0, 0)
-	o.Eng.Advance(o.P.TaskCreate)
+	o.Trace.Emit(trace.None, o.Index, trace.TrackOps, trace.CatOp, "task-create", o.Eng.Now(), params.TaskCreate, 0, 0)
+	o.Eng.Advance(params.TaskCreate)
 	t := &Task{
 		PID:   o.nextPID,
 		Name:  name,

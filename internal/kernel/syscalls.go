@@ -5,6 +5,7 @@ import (
 
 	"cxlfork/internal/des"
 	"cxlfork/internal/memsim"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/vma"
 )
@@ -65,7 +66,7 @@ func (mm *MM) MapSharedFrames(start pt.VirtAddr, pfns []int32, name string) (vma
 	var cost des.Time
 	for i, pfn := range pfns {
 		mm.MapCXL(start+pt.VirtAddr(i<<pt.PageShift), pfn, pt.Accessed)
-		cost += mm.OS.P.PTECopy
+		cost += params.PTECopy
 	}
 	mm.OS.Eng.Advance(cost)
 	return v, nil

@@ -7,6 +7,7 @@ import (
 	"cxlfork/internal/faultinject"
 	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
+	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/trace"
@@ -114,12 +115,12 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	parent.MM.VMAs.Walk(func(v vma.VMA) {
 		enc.PutBytes(fieldVMA, rfork.EncodeVMA(v))
 		im.vmaCount++
-		cost += p.VMACheckpoint
+		cost += params.VMACheckpoint
 	})
 	gs := rfork.CaptureGlobalState(parent)
 	enc.PutBytes(fieldGlobal, gs.Encode())
-	cost += des.Time(len(gs.FDs)) * p.FDSerialize
-	cost += p.StructCopy
+	cost += des.Time(len(gs.FDs)) * params.FDSerialize
+	cost += params.StructCopy
 
 	// Shadow-copy every present page into parent-local memory, and
 	// serialize the page-table metadata.
@@ -154,10 +155,10 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// (wider than the CXL fabric), with the PTE serialization as
 	// lane-local work. One lane charges the exact serial per-page sum.
 	serCost := cost
-	shards := des.UniformShards(im.pteCount, shadowShard, p.PTECopy, p.LocalCopyPage)
+	shards := des.UniformShards(im.pteCount, shadowShard, params.PTECopy, params.LocalCopyPage)
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.CheckpointLanes, p.LocalCopyStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.CheckpointLanes, params.LocalCopyStreams, params.LaneDispatch, shards, obs)
 	cost += pipeDur
 	enc.PutUint(fieldPTEs, uint64(im.pteCount))
 	// The OS-state record travels in a checksummed envelope so Restore
@@ -250,12 +251,12 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	// parent node, so it contends on the fabric streams.
 	shards := make([]des.Shard, 0, len(vmas))
 	for range vmas {
-		shards = append(shards, des.Shard{Setup: p.VMAReconstruct})
+		shards = append(shards, des.Shard{Setup: params.VMAReconstruct})
 	}
-	shards = append(shards, des.UniformShards(pteN, pt.EntriesPerTable, 0, p.PTEDeserialize)...)
+	shards = append(shards, des.UniformShards(pteN, pt.EntriesPerTable, 0, params.PTEDeserialize)...)
 	obs, laneSpans := o.Trace.CollectShards()
 	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.RestoreLanes, p.FabricStreams, p.LaneDispatch, shards, obs)
+	pipeDur := des.Pipeline(p.RestoreLanes, params.FabricStreams, params.LaneDispatch, shards, obs)
 	cost += pipeDur
 	o.Eng.Advance(cost)
 	gBegin := o.Eng.Now()
@@ -321,6 +322,6 @@ func (ov *overlay) Fault(mm *kernel.MM, va pt.VirtAddr, write bool) (pt.PTE, des
 		flags |= pt.Dirty
 		local.Data = memsim.NewToken()
 	}
-	cost := p.FaultEntry + p.CXLWritePage + p.CXLReadPage
+	cost := params.FaultEntry + p.CXLWritePage + p.CXLReadPage
 	return pt.PTE{Flags: pt.Present | flags, PFN: int32(local.PFN())}, cost, kernel.FaultMoA, true
 }

@@ -9,6 +9,7 @@ import (
 	"cxlfork/internal/des"
 	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
+	"cxlfork/internal/params"
 	"cxlfork/internal/replica"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/trace"
@@ -410,7 +411,7 @@ func (p *Porter) maybeRecheckpoint(inst *instance) {
 	}
 	st.reckpting = true
 	node := inst.node
-	cost := p.c.P.StructCopy + des.Time(len(snap.tokens))*p.c.P.CXLWritePage
+	cost := params.StructCopy + des.Time(len(snap.tokens))*p.c.P.CXLWritePage
 	node.cpu.Exec(cost, func(end des.Time) {
 		st.reckpting = false
 		if p.c.Faults.NodeDown(node.os.Index) {

@@ -15,6 +15,7 @@ import (
 	"cxlfork/internal/kernel"
 	"cxlfork/internal/memsim"
 	"cxlfork/internal/metrics"
+	"cxlfork/internal/params"
 	"cxlfork/internal/replica"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/telemetry"
@@ -164,7 +165,7 @@ func (n *nodeState) createGhost(pages int) error {
 	for i := 0; i < pages; i++ {
 		n.os.Mem.MustAlloc()
 	}
-	n.os.Eng.Advance(n.os.P.ContainerCreate)
+	n.os.Eng.Advance(params.ContainerCreate)
 	return nil
 }
 
@@ -500,7 +501,7 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 		byName:     make(map[string]*fnState),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		policy:     pol,
-		ghostPages: int(c.P.GhostContainerBytes / int64(c.P.PageSize)),
+		ghostPages: int(params.GhostContainerBytes / int64(c.P.PageSize)),
 	}
 	if c.Pool != nil && c.Pool.N() > 1 {
 		p.rep = replica.New(c.Pool, c.Eng, c.P)
@@ -548,32 +549,16 @@ func (p *Porter) ghostsCompatible() bool {
 	return !p.cfg.DisableGhosts && p.cfg.Mechanism.Name() != "CRIU-CXL"
 }
 
-// retryBackoff is the base virtual-time delay between provisioning
-// retries; it doubles per attempt, capped by
-// params.RestoreRetryBackoffCap.
-const retryBackoff = 10 * des.Millisecond
-
 // backoff returns the capped exponential backoff for retry attempt n
-// (0-based) and appends it to the deterministic backoff log. With the
-// default base (10 ms) and cap (160 ms) the first five attempts match
-// the historical uncapped doubling exactly.
+// (0-based): params.RestoreRetryBackoff doubled per attempt, at most
+// params.RestoreRetryBackoffCap. It appends the delay to the
+// deterministic backoff log.
 func (p *Porter) backoff(attempt int) des.Time {
-	base := p.c.P.RestoreRetryBackoff
-	if base <= 0 {
-		base = retryBackoff
-	}
-	limit := p.c.P.RestoreRetryBackoffCap
-	d := base
-	for i := 0; i < attempt; i++ {
+	d := params.RestoreRetryBackoff
+	for i := 0; i < attempt && d < params.RestoreRetryBackoffCap; i++ {
 		d <<= 1
-		if limit > 0 && d >= limit {
-			d = limit
-			break
-		}
 	}
-	if limit > 0 && d > limit {
-		d = limit
-	}
+	d = min(d, params.RestoreRetryBackoffCap)
 	p.backoffLog = append(p.backoffLog, d)
 	return d
 }

@@ -213,7 +213,7 @@ func TestSetupPinsGhostContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Eng.Now()-ref.Eng.Now(), des.Time(len(c.Nodes)*ghosts)*c.P.ContainerCreate; got != want {
+	if got, want := c.Eng.Now()-ref.Eng.Now(), des.Time(len(c.Nodes)*ghosts)*params.ContainerCreate; got != want {
 		t.Fatalf("ghosts charged %v of setup time, want %v", got, want)
 	}
 	for i := range c.Nodes {
@@ -242,7 +242,7 @@ func TestSetupGhostOutOfMemory(t *testing.T) {
 		t.Fatalf("node 1 holds %d frames, want %d: one whole ghost and no part of the second", got, want)
 	}
 	// Node 0's two ghosts and node 1's first are the only ones charged.
-	if got, want := c.Eng.Now()-ref.Eng.Now(), 3*c.P.ContainerCreate; got != want {
+	if got, want := c.Eng.Now()-ref.Eng.Now(), 3*params.ContainerCreate; got != want {
 		t.Fatalf("ghosts charged %v of setup time, want %v", got, want)
 	}
 }

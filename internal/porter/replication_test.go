@@ -130,7 +130,7 @@ func TestBackoffScheduleIsByteIdentical(t *testing.T) {
 		}
 	}
 	// The capped exponential never exceeds its configured bound.
-	bound := params.Default().RestoreRetryBackoffCap
+	bound := params.RestoreRetryBackoffCap
 	for i, d := range schedA {
 		if d > bound {
 			t.Fatalf("backoff %d = %v exceeds cap %v", i, d, bound)

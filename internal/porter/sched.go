@@ -10,6 +10,7 @@ import (
 	"cxlfork/internal/des"
 	"cxlfork/internal/faultinject"
 	"cxlfork/internal/metrics"
+	"cxlfork/internal/params"
 	"cxlfork/internal/replica"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/trace"
@@ -92,10 +93,10 @@ func (p *Porter) Run(trace []azure.Request) Results {
 				ck.ClearABits()
 			}
 		}
-		eng.After(p.c.P.ABitResetPeriod, resetTick)
+		eng.After(params.ABitResetPeriod, resetTick)
 	}
 	if p.cfg.DynamicTiering {
-		eng.After(p.c.P.ABitResetPeriod, resetTick)
+		eng.After(params.ABitResetPeriod, resetTick)
 	}
 
 	// Arm the plan's device-loss schedule: a firing rule permanently
@@ -400,8 +401,8 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 						break
 					}
 					bo := p.backoff(attempts)
-					failoverDelay += p.c.P.ReplicaFailoverTimeout + bo
-					probeNS += p.c.P.ReplicaFailoverTimeout
+					failoverDelay += params.ReplicaFailoverTimeout + bo
+					probeNS += params.ReplicaFailoverTimeout
 					backoffNS += bo
 					attempts++
 					p.c.Faults.Counters.Retries.Inc()
@@ -520,13 +521,13 @@ func (p *Porter) trySpawn(st *fnState, req *pending) bool {
 	var containerNS des.Time
 	if useGhost && haveCkpt {
 		node.ghosts[st.id]--
-		dur += p.c.P.GhostContainerTrigger
-		containerNS = p.c.P.GhostContainerTrigger
+		dur += params.GhostContainerTrigger
+		containerNS = params.GhostContainerTrigger
 		p.replenishGhosts(node, st.id)
 	} else {
 		// Fresh container: creation cost plus its fixed overhead.
-		dur += p.c.P.ContainerCreate
-		containerNS = p.c.P.ContainerCreate
+		dur += params.ContainerCreate
+		containerNS = params.ContainerCreate
 		pages += p.ghostPages
 		ownsCtr = true
 	}
@@ -629,7 +630,7 @@ func (p *Porter) replenishGhosts(node *nodeState, id int) {
 			return
 		}
 	}
-	p.c.Eng.After(p.c.P.ContainerCreate, func() {
+	p.c.Eng.After(params.ContainerCreate, func() {
 		if node.ghosts[id] >= p.cfg.GhostsPerFunction || node.freePages() < p.ghostPages {
 			return
 		}
@@ -803,7 +804,7 @@ func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
 	inst.node.idle[st.id] = append(inst.node.idle[st.id], inst)
 	window := p.c.P.KeepAlive
 	if p.memPressure() {
-		window = p.c.P.KeepAliveShort
+		window = params.KeepAliveShort
 	}
 	inst.expire = p.c.Eng.Schedule(p.c.Eng.Now()+window, inst)
 	inst.hasExpire = true
@@ -839,7 +840,7 @@ func (p *Porter) memPressure() bool {
 	for _, n := range p.nodes {
 		u += n.utilization()
 	}
-	return u/float64(len(p.nodes)) >= p.c.P.HighMemFraction
+	return u/float64(len(p.nodes)) >= params.HighMemFraction
 }
 
 // pump retries queued requests, oldest first, after capacity frees up.

@@ -30,7 +30,7 @@ func TestGhostFallback(t *testing.T) {
 	full.usedPages = full.budgetPages
 	busy.cpu.Exec(des.Second, func(des.Time) {})
 	po.replenishGhosts(full, id)
-	c.Eng.RunUntil(c.Eng.Now() + c.P.ContainerCreate)
+	c.Eng.RunUntil(c.Eng.Now() + params.ContainerCreate)
 	if got := []int{full.ghosts[id], busy.ghosts[id], idle.ghosts[id]}; !slices.Equal(got, []int{1, 1, 2}) {
 		t.Fatalf("ghosts per node = %v, want [1 1 2]: the replacement belongs on the idle node", got)
 	}

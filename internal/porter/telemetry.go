@@ -3,6 +3,7 @@ package porter
 import (
 	"cxlfork/internal/des"
 	"cxlfork/internal/metrics"
+	"cxlfork/internal/params"
 	"cxlfork/internal/telemetry"
 )
 
@@ -98,10 +99,10 @@ func (p *Porter) registerTelemetry() {
 			Name:   SLOOccupancyObjective,
 			Series: "cxl_utilization",
 			Target: pp.SLOOccupancy,
-			Budget: pp.SLOBudget,
-			Short:  pp.SLOWindowShort,
-			Long:   pp.SLOWindowLong,
-			Factor: pp.SLOBurnFactor,
+			Budget: params.SLOBudget,
+			Short:  params.SLOWindowShort,
+			Long:   params.SLOWindowLong,
+			Factor: params.SLOBurnFactor,
 		}, action)
 		p.sloTighten = pp.SLODriveReclaim
 	}
@@ -110,10 +111,10 @@ func (p *Porter) registerTelemetry() {
 			Name:   SLOColdP99Objective,
 			Series: "porter_cold_p99_ns",
 			Target: float64(pp.SLOColdStartP99),
-			Budget: pp.SLOBudget,
-			Short:  pp.SLOWindowShort,
-			Long:   pp.SLOWindowLong,
-			Factor: pp.SLOBurnFactor,
+			Budget: params.SLOBudget,
+			Short:  params.SLOWindowShort,
+			Long:   params.SLOWindowLong,
+			Factor: params.SLOBurnFactor,
 		}, nil)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cxlfork/internal/kernel"
+	"cxlfork/internal/params"
 	"cxlfork/internal/wire"
 )
 
@@ -142,7 +143,6 @@ func decodeFD(b []byte) (FDRecord, error) {
 // cgroup configuration are deliberately inherited from the calling task
 // (paper §4.2). It charges per-descriptor and namespace costs.
 func RestoreGlobalState(child *kernel.Task, gs GlobalState) error {
-	p := child.OS.P
 	for _, fd := range gs.FDs {
 		if fd.Kind == kernel.FDFile {
 			if _, err := child.OS.FS.Lookup(fd.Path); err != nil {
@@ -152,11 +152,11 @@ func RestoreGlobalState(child *kernel.Task, gs GlobalState) error {
 		if _, err := child.FDs.OpenAt(fd.Num, fd.Kind, fd.Path, fd.Perm, fd.Pos); err != nil {
 			return err
 		}
-		child.OS.Eng.Advance(p.FDReopen)
+		child.OS.Eng.Advance(params.FDReopen)
 	}
 	child.NS.Mounts = append([]string(nil), gs.Mounts...)
 	child.NS.PIDNS = gs.PIDNS
-	child.OS.Eng.Advance(p.NamespaceRestore)
+	child.OS.Eng.Advance(params.NamespaceRestore)
 	child.Regs = gs.Regs
 	return nil
 }

@@ -72,7 +72,7 @@ func TestRestoreGlobalStateKeepsSandbox(t *testing.T) {
 	if fds := child.FDs.All(); len(fds) != 1 || fds[0].Path != "/etc/conf" {
 		t.Fatalf("descriptors = %+v", fds)
 	}
-	if got, want := o.Eng.Now()-before, p.FDReopen+p.NamespaceRestore; got != want {
+	if got, want := o.Eng.Now()-before, params.FDReopen+params.NamespaceRestore; got != want {
 		t.Fatalf("restore charged %v, want %v", got, want)
 	}
 }
