@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,11 +33,8 @@ const NDJSONContentType = "application/x-ndjson"
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		var spec Spec
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad spec: "+err.Error(), 0)
 			return
 		}
@@ -148,6 +146,16 @@ func NewHandler(m *Manager) http.Handler {
 		_ = m.WriteMetricz(w)
 	})
 	return mux
+}
+
+// decodeSpec reads a spec the way POST /v1/sessions reads its body:
+// the first JSON value in r, with unknown fields rejected.
+func decodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // streamRequested reports whether the submit call asked for an inline

@@ -267,6 +267,11 @@ func TestValidate(t *testing.T) {
 		{"excess restore lanes", func(s *Spec) { s.Config.RestoreLanes = MaxLanes + 1 }},
 		{"excess devices", func(s *Spec) { s.Config.Replication.Devices = MaxDevices + 1 }},
 		{"excess series cap", func(s *Spec) { s.Config.Telemetry.SeriesCap = MaxSeriesCap + 1 }},
+		{"excess ticks", func(s *Spec) { s.Config.Telemetry.SampleEvery = Duration(10 * time.Microsecond) }},
+		{"excess ticks at default duration", func(s *Spec) {
+			s.Workload.Duration = 0
+			s.Config.Telemetry.SampleEvery = Duration(time.Millisecond / 2)
+		}},
 		{"unknown evict policy", func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" }},
 		{"unknown placement", func(s *Spec) { s.Config.Fabric.Placement = "random" }},
 		{"all-zero weights", func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} }},
@@ -292,7 +297,8 @@ func TestValidate(t *testing.T) {
 
 // TestValidateAdmitsDocumentedPlatforms pins the other side of the
 // platform caps: the empty config, the served example spec, and the
-// facade's default platform (2 nodes, 6 GiB DRAM, 8 GiB CXL) all pass.
+// facade's default platform (2 nodes, 6 GiB DRAM, 8 GiB CXL) all pass,
+// and so does default sampling over the server's five-minute cap.
 func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 	blob, err := os.ReadFile("../../examples/served/spec.json")
 	if err != nil {
@@ -314,6 +320,11 @@ func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 			Replication: ReplicationSpec{Devices: MaxDevices},
 			Telemetry:   TelemetrySpec{SeriesCap: MaxSeriesCap},
 		}},
+		"default sampling at the virtual cap": {Workload: WorkloadSpec{Duration: Duration(5 * time.Minute)}},
+		"at tick cap": {
+			Config:   ConfigSpec{Telemetry: TelemetrySpec{SampleEvery: Duration(time.Millisecond)}},
+			Workload: WorkloadSpec{Duration: Duration(MaxTicks * time.Millisecond)},
+		},
 		"named policies, partly zero mix": {
 			Config: ConfigSpec{
 				Capacity: CapacitySpec{EvictPolicy: "lru"},

@@ -210,6 +210,17 @@ const (
 	MaxSeriesCap = 1 << 16
 )
 
+// MaxTicks bounds a session's telemetry ticks at admission: the
+// workload duration over telemetry.sample_every, zero fields at the
+// defaults a run applies (10 s and 100 ms). Every tick appends one
+// sample frame to the session's frame log, which the manager keeps for
+// the session's life and for the 64 most recently finished sessions.
+// A sample frame holds every series, so its size grows with nodes and
+// devices: at MaxNodes × MaxDevices with x-ray on it is about 11 KB,
+// and a log at the cap about 180 MB. A default-sampled spec ticks 3,000
+// times at the five-minute server cap on virtual duration.
+const MaxTicks = 1 << 14
+
 // platformBytes is the simulated memory c builds: nodes × node DRAM plus
 // CXL capacity, zero fields at the defaults a run applies.
 func (c ConfigSpec) platformBytes() int64 {
@@ -225,6 +236,19 @@ func (c ConfigSpec) platformBytes() int64 {
 		cxl = p.CXLBytes
 	}
 	return nodes*dram + cxl
+}
+
+// sampling returns the virtual duration s replays and its telemetry
+// period, zero fields at the defaults a run applies.
+func (s Spec) sampling() (dur, every time.Duration) {
+	dur, every = time.Duration(s.Workload.Duration), time.Duration(s.Config.Telemetry.SampleEvery)
+	if dur <= 0 {
+		dur = 10 * time.Second
+	}
+	if every <= 0 {
+		every = time.Duration(params.Default().SampleEvery)
+	}
+	return dur, every
 }
 
 // Validate rejects malformed specs before they consume a session slot.
@@ -283,6 +307,10 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 	}
 	if maxVirtual > 0 && time.Duration(s.Workload.Duration) > maxVirtual {
 		return fmt.Errorf("duration %v exceeds server cap %v", time.Duration(s.Workload.Duration), maxVirtual)
+	}
+	if dur, every := s.sampling(); dur/every > MaxTicks {
+		return fmt.Errorf("telemetry.sample_every %v gives %d ticks over %v of virtual time, above cap %d",
+			every, int64(dur/every), dur, MaxTicks)
 	}
 	if _, err := experiments.ResolveFunctions(s.Workload.Functions); err != nil {
 		return err

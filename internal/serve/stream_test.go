@@ -279,8 +279,9 @@ func TestHTTPErrors(t *testing.T) {
 
 // TestRejectedSpecsKeepServing posts the specs that used to take the
 // server down: an unknown eviction policy panicked the session
-// goroutine, and an all-zero weight mix generated an arrival every
-// virtual nanosecond until the process ran out of memory. Each must get
+// goroutine, an all-zero weight mix generated an arrival every virtual
+// nanosecond until the process ran out of memory, and a 10 µs sampling
+// period grew the frame log by about 30 MB per wall-clock second. Each must get
 // a 400 whose reason names the field, and the server must still run the
 // next session to completion.
 func TestRejectedSpecsKeepServing(t *testing.T) {
@@ -290,9 +291,10 @@ func TestRejectedSpecsKeepServing(t *testing.T) {
 	defer srv.Close()
 
 	for field, mut := range map[string]func(*Spec){
-		"capacity.evict_policy": func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" },
-		"fabric.placement":      func(s *Spec) { s.Config.Fabric.Placement = "random" },
-		"weights":               func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} },
+		"capacity.evict_policy":  func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" },
+		"fabric.placement":       func(s *Spec) { s.Config.Fabric.Placement = "random" },
+		"weights":                func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} },
+		"telemetry.sample_every": func(s *Spec) { s.Config.Telemetry.SampleEvery = Duration(10 * time.Microsecond) },
 	} {
 		spec := fastSpec()
 		mut(&spec)
