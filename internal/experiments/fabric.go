@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"text/tabwriter"
 
@@ -213,11 +214,11 @@ func (r *FabricResult) run(sw, dev int, pol string) *FabricRun {
 // the hash the golden worker-equivalence tests and the CI double-run
 // diff compare.
 func (r *FabricResult) Fingerprint() uint64 {
-	h := uint64(fpOffset)
+	h := fnv.New64a()
 	for _, run := range r.Runs {
-		fpFold(&h, uint64(run.Switches), uint64(run.Devices), uint64(len(run.Policy)), run.Fingerprint)
+		fpFold(h, uint64(run.Switches), uint64(run.Devices), uint64(len(run.Policy)), run.Fingerprint)
 	}
-	return h
+	return h.Sum64()
 }
 
 // Render prints one table per switch count, then the headline

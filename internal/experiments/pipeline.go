@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"slices"
 
 	"cxlfork/internal/azure"
@@ -219,19 +221,14 @@ func sweep[T any](p params.Params, n int, cell func(i int) (T, error)) ([]T, err
 	return out, nil
 }
 
-// fpOffset seeds an fpFold hash.
-const fpOffset = 14695981039346656037
-
-// fpFold FNV-1a-folds 64-bit words into *h byte by byte, with porter's
-// fingerprint constants, so every experiment fold and golden reads as
-// one hash family.
-func fpFold(h *uint64, vs ...uint64) {
-	const prime = 1099511628211
+// fpFold writes each 64-bit word to h little-endian, the byte order
+// porter.Results.Fingerprint hashes its words in. With h from
+// fnv.New64a, every experiment fold and golden reads as one hash family.
+func fpFold(h hash.Hash64, vs ...uint64) {
+	var b [8]byte
 	for _, v := range vs {
-		for b := 0; b < 8; b++ {
-			*h ^= (v >> (8 * b)) & 0xff
-			*h *= prime
-		}
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
 	}
 }
 

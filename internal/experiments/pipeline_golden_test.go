@@ -38,13 +38,13 @@ func TestGoldenCapacityPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := uint64(fpOffset)
-		fpFold(&h, uint64(r.FootprintBytes))
+		h := fnv.New64a()
+		fpFold(h, uint64(r.FootprintBytes))
 		for _, run := range r.Runs {
-			fpFold(&h, uint64(run.DeviceBytes), run.Fingerprint, uint64(run.ColdP99))
+			fpFold(h, uint64(run.DeviceBytes), run.Fingerprint, uint64(run.ColdP99))
 		}
-		if h != uint64(goldenCapacity) {
-			t.Fatalf("workers=%d: capacity fingerprint %#x, golden %#x", workers, h, uint64(goldenCapacity))
+		if got := h.Sum64(); got != uint64(goldenCapacity) {
+			t.Fatalf("workers=%d: capacity fingerprint %#x, golden %#x", workers, got, uint64(goldenCapacity))
 		}
 	}
 }
@@ -60,11 +60,11 @@ func TestGoldenAzureBenchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := uint64(fpOffset)
-	fpFold(&h, uint64(r.Arrivals), uint64(r.Completed), r.Events, uint64(r.SimTime), r.Fingerprint)
-	if h != uint64(goldenAzureBench) {
+	h := fnv.New64a()
+	fpFold(h, uint64(r.Arrivals), uint64(r.Completed), r.Events, uint64(r.SimTime), r.Fingerprint)
+	if got := h.Sum64(); got != uint64(goldenAzureBench) {
 		t.Fatalf("azurebench fingerprint %#x (arrivals %d, events %d), golden %#x",
-			h, r.Arrivals, r.Events, uint64(goldenAzureBench))
+			got, r.Arrivals, r.Events, uint64(goldenAzureBench))
 	}
 }
 
@@ -94,12 +94,12 @@ func textHash(s string) uint64 {
 
 // eventsHash fpFolds every field of every recorded span, in order.
 func eventsHash(events []trace.Event) uint64 {
-	h := uint64(fpOffset)
+	h := fnv.New64a()
 	for _, e := range events {
-		fpFold(&h, textHash(e.Name), textHash(e.Cat), uint64(e.Node), uint64(e.Track),
+		fpFold(h, textHash(e.Name), textHash(e.Cat), uint64(e.Node), uint64(e.Track),
 			uint64(e.Begin), uint64(e.Dur), uint64(e.Parent), uint64(e.Bytes), uint64(e.Pages))
 	}
-	return h
+	return h.Sum64()
 }
 
 func TestGoldenAzureBenchObservers(t *testing.T) {

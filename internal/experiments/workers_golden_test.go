@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"cxlfork/internal/des"
@@ -37,12 +38,12 @@ func TestGoldenFig10WorkerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := uint64(fpOffset)
+		h := fnv.New64a()
 		for _, run := range r.Runs {
-			fpFold(&h, run.Results.Fingerprint(), uint64(run.P50), uint64(run.P99))
+			fpFold(h, run.Results.Fingerprint(), uint64(run.P50), uint64(run.P99))
 		}
-		if h != uint64(goldenFig10) {
-			t.Fatalf("workers=%d: fig10 fingerprint %#x, golden %#x", workers, h, uint64(goldenFig10))
+		if got := h.Sum64(); got != uint64(goldenFig10) {
+			t.Fatalf("workers=%d: fig10 fingerprint %#x, golden %#x", workers, got, uint64(goldenFig10))
 		}
 	}
 }
@@ -55,14 +56,14 @@ func TestGoldenLanesWorkerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := uint64(fpOffset)
+		h := fnv.New64a()
 		for _, pt := range r.Points {
-			fpFold(&h, uint64(pt.Lanes), uint64(pt.Checkpoint), uint64(pt.Recheckpoint),
+			fpFold(h, uint64(pt.Lanes), uint64(pt.Checkpoint), uint64(pt.Recheckpoint),
 				uint64(pt.Restore), uint64(pt.Pages), uint64(pt.DedupHits),
 				uint64(pt.DedupMisses), uint64(pt.DedupBytesSaved))
 		}
-		if h != uint64(goldenLanes) {
-			t.Fatalf("workers=%d: lanes fingerprint %#x, golden %#x", workers, h, uint64(goldenLanes))
+		if got := h.Sum64(); got != uint64(goldenLanes) {
+			t.Fatalf("workers=%d: lanes fingerprint %#x, golden %#x", workers, got, uint64(goldenLanes))
 		}
 	}
 }
@@ -79,12 +80,12 @@ func TestGoldenChaosWorkerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := uint64(fpOffset)
+		h := fnv.New64a()
 		for _, run := range r.Runs {
-			fpFold(&h, uint64(run.Factor), uint64(int64(run.Killed)), run.Fingerprint)
+			fpFold(h, uint64(run.Factor), uint64(int64(run.Killed)), run.Fingerprint)
 		}
-		if h != uint64(goldenChaos) {
-			t.Fatalf("workers=%d: chaos fingerprint %#x, golden %#x", workers, h, uint64(goldenChaos))
+		if got := h.Sum64(); got != uint64(goldenChaos) {
+			t.Fatalf("workers=%d: chaos fingerprint %#x, golden %#x", workers, got, uint64(goldenChaos))
 		}
 	}
 }
@@ -108,10 +109,10 @@ func TestGoldenSLOWorkerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := uint64(fpOffset)
-		fpFold(&h, r.Observe.Results.Fingerprint(), r.Drive.Results.Fingerprint())
-		if h != uint64(goldenSLO) {
-			t.Fatalf("workers=%d: slo fingerprint %#x, golden %#x", workers, h, uint64(goldenSLO))
+		h := fnv.New64a()
+		fpFold(h, r.Observe.Results.Fingerprint(), r.Drive.Results.Fingerprint())
+		if got := h.Sum64(); got != uint64(goldenSLO) {
+			t.Fatalf("workers=%d: slo fingerprint %#x, golden %#x", workers, got, uint64(goldenSLO))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 
 	"cxlfork/internal/des"
@@ -50,11 +51,11 @@ func XRaySweep(p params.Params, cfg FabricExpConfig) (*XRayResult, error) {
 // Fingerprint folds each policy's replay fingerprint and report
 // fingerprint — the hash the CI double-run diff compares.
 func (r *XRayResult) Fingerprint() uint64 {
-	h := uint64(fpOffset)
+	h := fnv.New64a()
 	for _, run := range r.Runs {
-		fpFold(&h, uint64(len(run.Policy)), run.Fingerprint, run.XRay.Fingerprint())
+		fpFold(h, uint64(len(run.Policy)), run.Fingerprint, run.XRay.Fingerprint())
 	}
-	return h
+	return h.Sum64()
 }
 
 // Render prints each policy's blame report, then the headline: which

@@ -1,52 +1,35 @@
 package porter
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sort"
 
+	"cxlfork/internal/des"
 	"cxlfork/internal/metrics"
 )
 
 // Fingerprint folds every scalar result and the latency distributions
-// into one FNV-1a hash. Two replays of the same seeded trace must
+// into one FNV-1a hash: each value as a little-endian 64-bit word, each
+// name NUL-terminated. Two replays of the same seeded trace must
 // produce equal fingerprints — the golden determinism tests compare
 // them across runs and lane counts.
 func (r Results) Fingerprint() uint64 {
-	h := newFingerprint()
-	h.word(uint64(r.Completed))
-	h.word(uint64(r.WarmStarts))
-	h.word(uint64(r.ColdForks))
-	h.word(uint64(r.ScratchCold))
-	h.word(uint64(r.Evictions))
-	h.word(uint64(r.CkptReclaims))
-	h.word(uint64(r.WindowCompleted))
-	h.word(uint64(r.Duration))
-	h.word(uint64(r.PolicyPromotions))
-	h.word(uint64(r.InjectedFaults))
-	h.word(uint64(r.Retries))
-	h.word(uint64(r.Fallbacks))
-	h.word(uint64(r.RecoveredBytes))
-	h.word(uint64(r.DedupHits))
-	h.word(uint64(r.DedupMisses))
-	h.word(uint64(r.DedupBytesSaved))
-	h.word(uint64(r.ReclaimPasses))
-	h.word(uint64(r.EvictedCkpts))
-	h.word(uint64(r.EvictedBytes))
-	h.word(uint64(r.DeferredBytes))
-	h.word(uint64(r.CkptRefused))
-	h.word(uint64(r.Recheckpoints))
-	h.word(uint64(r.FailedRestores))
-	h.word(uint64(r.RetryExhausted))
-	h.word(uint64(r.Failovers))
-	h.word(uint64(r.ReplicasPlaced))
-	h.word(uint64(r.ReplicasShed))
-	h.word(uint64(r.RepairCopies))
-	h.word(uint64(r.RepairedPages))
-	h.word(uint64(r.LostImages))
-	h.word(uint64(r.UnderReplicated))
-	h.word(uint64(r.RepairConverged))
-	h.recorder(r.Overall)
-	h.recorder(r.ColdLatency)
+	var b []byte
+	for _, v := range []int64{
+		int64(r.Completed), int64(r.WarmStarts), int64(r.ColdForks), int64(r.ScratchCold),
+		int64(r.Evictions), int64(r.CkptReclaims), int64(r.WindowCompleted), int64(r.Duration),
+		int64(r.PolicyPromotions), r.InjectedFaults, r.Retries, r.Fallbacks, r.RecoveredBytes,
+		r.DedupHits, r.DedupMisses, r.DedupBytesSaved, r.ReclaimPasses, r.EvictedCkpts,
+		r.EvictedBytes, r.DeferredBytes, r.CkptRefused, r.Recheckpoints, int64(r.FailedRestores),
+		r.RetryExhausted, r.Failovers, r.ReplicasPlaced, r.ReplicasShed, r.RepairCopies,
+		r.RepairedPages, r.LostImages, r.UnderReplicated, int64(r.RepairConverged),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	b = appendRecorder(b, r.Overall)
+	b = appendRecorder(b, r.ColdLatency)
 
 	fns := make([]string, 0, len(r.PerFunction))
 	for fn := range r.PerFunction {
@@ -54,8 +37,8 @@ func (r Results) Fingerprint() uint64 {
 	}
 	sort.Strings(fns)
 	for _, fn := range fns {
-		h.str(fn)
-		h.recorder(r.PerFunction[fn])
+		b = append(append(b, fn...), 0)
+		b = appendRecorder(b, r.PerFunction[fn])
 	}
 
 	gauges := make([]string, 0, len(r.MemGauge))
@@ -64,46 +47,23 @@ func (r Results) Fingerprint() uint64 {
 	}
 	sort.Strings(gauges)
 	for _, name := range gauges {
-		h.str(name)
-		h.word(math.Float64bits(r.MemGauge[name].Max()))
-		h.word(math.Float64bits(r.MemGauge[name].MeanOver(r.Duration)))
+		b = append(append(b, name...), 0)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.MemGauge[name].Max()))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.MemGauge[name].MeanOver(r.Duration)))
 	}
-	return h.sum
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
-// fingerprint is a tiny incremental FNV-1a accumulator.
-type fingerprint struct{ sum uint64 }
-
-func newFingerprint() *fingerprint {
-	return &fingerprint{sum: 14695981039346656037}
-}
-
-func (f *fingerprint) byte(b byte) {
-	f.sum ^= uint64(b)
-	f.sum *= 1099511628211
-}
-
-func (f *fingerprint) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		f.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (f *fingerprint) str(s string) {
-	for i := 0; i < len(s); i++ {
-		f.byte(s[i])
-	}
-	f.byte(0)
-}
-
-func (f *fingerprint) recorder(r *metrics.LatencyRecorder) {
+// appendRecorder appends r's count, mean, P50, P99 and maximum, or one
+// zero word for a nil recorder.
+func appendRecorder(b []byte, r *metrics.LatencyRecorder) []byte {
 	if r == nil {
-		f.word(0)
-		return
+		return binary.LittleEndian.AppendUint64(b, 0)
 	}
-	f.word(uint64(r.Count()))
-	f.word(uint64(r.Mean()))
-	f.word(uint64(r.P50()))
-	f.word(uint64(r.P99()))
-	f.word(uint64(r.Max()))
+	for _, v := range []des.Time{des.Time(r.Count()), r.Mean(), r.P50(), r.P99(), r.Max()} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
 }

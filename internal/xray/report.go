@@ -2,6 +2,7 @@ package xray
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"strings"
 
@@ -240,14 +241,7 @@ func (r *Report) Text() string {
 // Fingerprint hashes the report's text rendering with FNV-1a (the same
 // construction porter.Results uses), for golden determinism pins.
 func (r *Report) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range []byte(r.Text()) {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(r.Text()))
+	return h.Sum64()
 }
