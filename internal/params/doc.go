@@ -4,9 +4,11 @@
 // a value chosen during calibration so that the mechanistic model
 // reproduces the paper's reported shapes (see EXPERIMENTS.md).
 //
-// Params is passed explicitly to every subsystem; there is no global
-// configuration. Experiments that sweep a dimension (Fig. 9 sweeps CXL
-// latency) copy the struct and override one field.
+// Params holds only the values some caller varies, and it is passed
+// explicitly to every subsystem. Experiments that sweep a dimension
+// (Fig. 9 sweeps CXL latency) copy the struct and override one field.
+// Every cost no caller varies, such as fault, page-table and container
+// costs, is an exported constant.
 //
 // The entry point is Default; experiments copy the returned struct and
 // override fields. The capacity-manager knobs (EvictPolicy,

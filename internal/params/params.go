@@ -175,31 +175,30 @@ type Params struct {
 	SimWorkers int
 }
 
-// ---- Platform geometry (paper §6.1) ----
-
-// CacheLineSize in bytes.
-const CacheLineSize int = 64
-
-// ---- Memory access latencies (round trip, paper §6.1) ----
-
+// The cost-model values no caller varies.
 const (
+	// ---- Platform geometry (paper §6.1) ----
+
+	// CacheLineSize in bytes.
+	CacheLineSize int = 64
+
+	// ---- Memory access latencies (round trip, paper §6.1) ----
+
 	// LLCHit is the latency of a last-level-cache hit.
 	LLCHit = 20 * des.Nanosecond
 	// LocalMemLatency is the round-trip latency of node-local DRAM
 	// (~100 ns; Fig. 9 calls 100 ns "close to the round trip to our
 	// local memory").
 	LocalMemLatency = 100 * des.Nanosecond
-)
 
-// ---- Copy bandwidth-derived per-page costs ----
+	// ---- Copy bandwidth-derived per-page costs ----
 
-// LocalCopyPage is the cost of copying one page DRAM→DRAM (Mitosis
-// checkpoints into local memory at this rate).
-const LocalCopyPage = 340 * des.Nanosecond
+	// LocalCopyPage is the cost of copying one page DRAM→DRAM (Mitosis
+	// checkpoints into local memory at this rate).
+	LocalCopyPage = 340 * des.Nanosecond
 
-// ---- Page fault costs (paper §4.2.1) ----
+	// ---- Page fault costs (paper §4.2.1) ----
 
-const (
 	// AnonFault is a regular minor fault allocating a zeroed anonymous
 	// page from local memory ("less than 1 µs").
 	AnonFault = 900 * des.Nanosecond
@@ -220,11 +219,9 @@ const (
 	// (distributed) filesystem — the cost CXLfork avoids by
 	// checkpointing clean private file pages (§4.1).
 	FileBackingFault = 8 * des.Microsecond
-)
 
-// ---- Process / OS structure costs ----
+	// ---- Process / OS structure costs ----
 
-const (
 	// PTECopy is the per-entry cost of copying or rewriting one page
 	// table entry (local fork's table duplication; Mitosis' page-table
 	// deserialization uses PTEDeserialize below).
@@ -266,11 +263,9 @@ const (
 	// StructCopy is the fixed cost of copying the Task and MM
 	// descriptors to or from a checkpoint.
 	StructCopy = 20 * des.Microsecond
-)
 
-// ---- Parallel copy lanes and fabric bandwidth ----
+	// ---- Parallel copy lanes and fabric bandwidth ----
 
-const (
 	// FabricStreams is how many concurrent full-rate copy streams the
 	// CXL fabric admits before lanes contend on bandwidth; matches the
 	// parent-uplink stream count the porter's queue model uses.
@@ -285,11 +280,9 @@ const (
 	// content-addressed frame dedup cache when the copy is elided (on a
 	// miss the hash overlaps the NT-store and is not charged).
 	DedupHashPage = 250 * des.Nanosecond
-)
 
-// ---- CRIU image costs (protobuf encode/decode, file I/O on cxlfs) ----
+	// ---- CRIU image costs (protobuf encode/decode, file I/O on cxlfs) ----
 
-const (
 	// CRIUPageSerialize is CRIU's per-page cost to protobuf-encode and
 	// write one memory page into an image file.
 	CRIUPageSerialize = 4 * des.Microsecond
@@ -300,11 +293,9 @@ const (
 	// non-page image records (VMAs, FDs, task metadata).
 	CRIURecordEncode = 5 * des.Microsecond
 	CRIURecordDecode = 15 * des.Microsecond
-)
 
-// ---- Serverless platform costs (paper §5 / Fig. 6) ----
+	// ---- Serverless platform costs (paper §5 / Fig. 6) ----
 
-const (
 	// ContainerCreate is the cost of creating a fresh container:
 	// network, namespaces, cgroups (~130 ms, function-independent).
 	ContainerCreate = 130 * des.Millisecond
@@ -328,11 +319,9 @@ const (
 	// ABitResetPeriod is how often CXLporter clears checkpointed A bits
 	// to re-estimate hot pages.
 	ABitResetPeriod = 30 * des.Second
-)
 
-// ---- Replication and failover (DESIGN.md §12) ----
+	// ---- Replication and failover (DESIGN.md §12) ----
 
-const (
 	// RestoreRetryBackoff is the base of the capped exponential backoff
 	// charged (in virtual time) before each retry.
 	RestoreRetryBackoff = 10 * des.Millisecond
@@ -341,11 +330,9 @@ const (
 	// ReplicaFailoverTimeout is the virtual-time cost of probing one dead
 	// replica before failing over to the next device on the list.
 	ReplicaFailoverTimeout = 2 * des.Millisecond
-)
 
-// ---- SLO burn-rate alerting (DESIGN.md §11) ----
+	// ---- SLO burn-rate alerting (DESIGN.md §11) ----
 
-const (
 	// SLOBudget is the fraction of window samples allowed to violate
 	// an objective before burn-rate alerting engages.
 	SLOBudget float64 = 0.1
