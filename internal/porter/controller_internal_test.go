@@ -32,15 +32,6 @@ func controllerPorter(t *testing.T, nodes int, cfg Config, fns ...string) (*Port
 	return po, c
 }
 
-// arrivals builds a trace from (function, arrival offset) pairs.
-func arrivals(reqs ...any) []azure.Request {
-	var out []azure.Request
-	for i := 0; i < len(reqs); i += 2 {
-		out = append(out, azure.Request{Function: reqs[i].(string), At: reqs[i+1].(des.Time)})
-	}
-	return out
-}
-
 // budgetPages is a node budget of n pages, for Config.NodeBudgetBytes.
 func budgetPages(n int) int64 { return int64(n) * int64(params.Default().PageSize) }
 
@@ -61,9 +52,9 @@ func TestDynamicTieringPromotesOverSLO(t *testing.T) {
 		{"static MoW", Config{DynamicTiering: true, StaticPolicy: &mow}, 0, rfork.MigrateOnWrite},
 		{"tiering off", Config{}, 0, rfork.MigrateOnWrite},
 	}
-	var burst []any
-	for i := 0; i < 8; i++ {
-		burst = append(burst, "A", des.Time(0))
+	burst := make([]azure.Request, 8)
+	for i := range burst {
+		burst[i].Function = "A"
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,7 +63,7 @@ func TestDynamicTieringPromotesOverSLO(t *testing.T) {
 			if st.policy != rfork.MigrateOnWrite {
 				t.Fatalf("policy before the replay = %v, want MoW", st.policy)
 			}
-			res := po.Run(arrivals(burst...))
+			res := po.Run(burst)
 			if res.Completed != 8 {
 				t.Fatalf("completed %d of 8", res.Completed)
 			}
@@ -127,7 +118,7 @@ func TestKeepAliveShortensUnderPressure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			po, _ := controllerPorter(t, 1, Config{NodeBudgetBytes: budgetPages(1000)}, "A")
 			po.nodes[0].reservedPages = tc.reserved
-			res := po.Run(arrivals("A", des.Time(0), "A", gap))
+			res := po.Run([]azure.Request{{Function: "A"}, {Function: "A", At: gap}})
 			if res.Completed != 2 || res.WarmStarts != tc.warm || res.ColdForks != 2-tc.warm {
 				t.Fatalf("completed %d, warm %d, cold forks %d; want 2, %d, %d",
 					res.Completed, res.WarmStarts, res.ColdForks, tc.warm, 2-tc.warm)
@@ -144,7 +135,9 @@ func TestEvictForTakesOldestIdleInstance(t *testing.T) {
 	// Without ghosts an instance holds 256 pages plus its 128-page
 	// container, so two fit in the budget and a third does not.
 	po, _ := controllerPorter(t, 1, Config{DisableGhosts: true, NodeBudgetBytes: budgetPages(1000)}, "A", "B", "Tiny")
-	res := po.Run(arrivals("B", des.Time(0), "A", des.Second, "Tiny", 2*des.Second, "A", 3*des.Second))
+	res := po.Run([]azure.Request{
+		{Function: "B"}, {Function: "A", At: des.Second}, {Function: "Tiny", At: 2 * des.Second}, {Function: "A", At: 3 * des.Second},
+	})
 	if res.Completed != 4 || res.Evictions != 1 || res.WarmStarts != 1 || res.ColdForks != 3 {
 		t.Fatalf("completed %d, evictions %d, warm %d, cold forks %d; want 4, 1, 1, 3",
 			res.Completed, res.Evictions, res.WarmStarts, res.ColdForks)
@@ -159,7 +152,7 @@ func TestEvictForTakesOldestIdleInstance(t *testing.T) {
 func TestQueueDrainsOldestFirstAcrossFunctions(t *testing.T) {
 	po, _ := controllerPorter(t, 1, Config{DisableGhosts: true, NodeBudgetBytes: budgetPages(500)}, "A", "B", "Tiny")
 	tinyAt, bAt := 10*des.Millisecond, 20*des.Millisecond
-	res := po.Run(arrivals("A", des.Time(0), "Tiny", tinyAt, "B", bAt))
+	res := po.Run([]azure.Request{{Function: "A"}, {Function: "Tiny", At: tinyAt}, {Function: "B", At: bAt}})
 	if res.Completed != 3 || res.Evictions != 2 {
 		t.Fatalf("completed %d, evictions %d; want 3, 2", res.Completed, res.Evictions)
 	}

@@ -12,9 +12,6 @@ import (
 	"cxlfork"
 )
 
-// serverMaxVirtual is the manager's default cap on virtual duration.
-const serverMaxVirtual = 5 * time.Minute
-
 // FuzzSpec decodes arbitrary bytes the way POST /v1/sessions does and
 // runs admission on the result, with and without the server's cap on
 // virtual duration. Validate must never panic, and every spec it admits
@@ -33,7 +30,7 @@ func FuzzSpec(f *testing.F) {
 		}
 		maxVirtual := time.Duration(0)
 		if capped {
-			maxVirtual = serverMaxVirtual
+			maxVirtual = Config{}.withDefaults().MaxVirtual
 		}
 		if spec.Validate(maxVirtual) != nil {
 			return

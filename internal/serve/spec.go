@@ -211,8 +211,8 @@ const (
 )
 
 // MaxTicks bounds a session's telemetry ticks at admission: the
-// workload duration over telemetry.sample_every, zero fields at the
-// defaults a run applies (10 s and 100 ms). Every tick appends one
+// workload duration over telemetry.sample_every, each at the default a
+// run applies when unset (10 s and 100 ms). Every tick appends one
 // sample frame to the session's frame log, which the manager keeps for
 // the session's life and for the 64 most recently finished sessions.
 // A sample frame holds every series, so its size grows with nodes and
@@ -239,7 +239,7 @@ func (c ConfigSpec) platformBytes() int64 {
 }
 
 // sampling returns the virtual duration s replays and its telemetry
-// period, zero fields at the defaults a run applies.
+// period, each at the default a run applies when not positive.
 func (s Spec) sampling() (dur, every time.Duration) {
 	dur, every = time.Duration(s.Workload.Duration), time.Duration(s.Config.Telemetry.SampleEvery)
 	if dur <= 0 {
