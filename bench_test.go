@@ -9,7 +9,10 @@ package cxlfork
 //	go test -bench=. -benchmem
 //
 // The full-figure benchmarks are heavy (seconds per iteration); use
-// -benchtime=1x for a single regeneration.
+// -benchtime=1x for a single regeneration. Calibration is memoized per
+// process (DESIGN.md §13), so after the first iteration the figure
+// benchmarks time memo hits; the paper metrics they report are
+// unchanged.
 
 import (
 	"testing"

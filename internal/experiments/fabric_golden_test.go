@@ -34,7 +34,8 @@ func goldenFabricConfig() FabricExpConfig {
 // worker-invariant, an in-process rerun reproduces it, and attribution
 // leaves each cell's replay fingerprint at its attribution-off value.
 // Each cell's blame report must render byte-identically at every worker
-// count.
+// count. Every sweep empties the calibration memo first, so each one
+// calibrates.
 func TestGoldenFabricWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("porter replays are slow")
@@ -43,6 +44,7 @@ func TestGoldenFabricWorkerEquivalence(t *testing.T) {
 	var blame []string // each cell's blame report, first attributed sweep
 	for _, attributed := range []bool{false, true} {
 		for _, workers := range goldenWorkerCounts {
+			resetCalibrationMemo()
 			p := ExpParams()
 			p.SimWorkers = workers
 			p.XRayEnabled = attributed

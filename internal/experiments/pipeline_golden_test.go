@@ -32,6 +32,7 @@ func TestGoldenCapacityPipeline(t *testing.T) {
 	cfg.Policies = []string{"lru", "costbenefit"}
 	cfg.Weights = map[string]float64{"Json": 3}
 	for _, workers := range goldenWorkerCounts {
+		resetCalibrationMemo()
 		p := ExpParams()
 		p.SimWorkers = workers
 		r, err := Capacity(p, cfg)

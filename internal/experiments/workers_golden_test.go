@@ -20,6 +20,8 @@ const (
 )
 
 // goldenWorkerCounts are the SimWorkers values every golden runs at.
+// Each golden empties the calibration memo before each count, so every
+// count, and every -count=N rerun, calibrates afresh.
 var goldenWorkerCounts = []int{1, 2, 8}
 
 func TestGoldenFig10WorkerEquivalence(t *testing.T) {
@@ -27,6 +29,7 @@ func TestGoldenFig10WorkerEquivalence(t *testing.T) {
 		t.Skip("porter replays are slow")
 	}
 	for _, workers := range goldenWorkerCounts {
+		resetCalibrationMemo()
 		p := ExpParams()
 		p.SimWorkers = workers
 		cfg := DefaultFig10Config()
@@ -50,6 +53,7 @@ func TestGoldenFig10WorkerEquivalence(t *testing.T) {
 
 func TestGoldenLanesWorkerEquivalence(t *testing.T) {
 	for _, workers := range goldenWorkerCounts {
+		resetCalibrationMemo()
 		p := ExpParams()
 		p.SimWorkers = workers
 		r, err := LaneSweep(p, "Float", []int{1, 2, 4})
@@ -73,6 +77,7 @@ func TestGoldenChaosWorkerEquivalence(t *testing.T) {
 		t.Skip("porter replays are slow")
 	}
 	for _, workers := range goldenWorkerCounts {
+		resetCalibrationMemo()
 		p := ExpParams()
 		p.SimWorkers = workers
 		cfg := smallChaosConfig()
@@ -95,6 +100,7 @@ func TestGoldenSLOWorkerEquivalence(t *testing.T) {
 		t.Skip("porter replays are slow")
 	}
 	for _, workers := range goldenWorkerCounts {
+		resetCalibrationMemo()
 		p := ExpParams()
 		p.SimWorkers = workers
 		cfg := DefaultSLOConfig()

@@ -185,8 +185,8 @@ func (r *LatencyRecorder) countLE(v des.Time) int {
 }
 
 // Presort sorts the sample buffer ahead of percentile queries, so a
-// worker pool can pay the O(n log n) for many recorders in parallel
-// before a sequential summary pass reads them. Sorting is the
+// worker pool can pay for sorting many recorders in parallel before a
+// sequential summary pass reads them. Sorting is the
 // recorders' only deferred work; after Presort, Percentile and
 // Quantile are read-only until the next Record. A union presorts its
 // parts.
@@ -201,10 +201,10 @@ func (r *LatencyRecorder) Presort() {
 // arrived since it last did. Every reader runs after its recorder's
 // samples are in, so one full sort serves them all; a percentile read
 // between samples, as on every telemetry tick, wants
-// RunningPercentile.
+// RunningPercentile. A large buffer sorts in linear time (sortTimes).
 func (r *LatencyRecorder) sort() {
 	if r.sorted != len(r.samples) {
-		slices.Sort(r.samples)
+		sortTimes(r.samples)
 		r.sorted = len(r.samples)
 	}
 }

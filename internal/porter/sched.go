@@ -228,9 +228,9 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	// caller's summary pass reads percentiles. Each recorder sorts its
 	// own buffer, sorting is order-insensitive, and the replay itself
 	// is already over — so SimWorkers > 1 cannot change any result,
-	// only the wall-clock cost of the O(n log n) at scale (a
-	// million-request trace sorts ~1M samples here). Overall reads the
-	// per-function buffers, so sorting those sorts it.
+	// only the wall-clock cost of the sorts (a million-request trace
+	// sorts ~1M samples here, in linear time by radix sort). Overall
+	// reads the per-function buffers, so sorting those sorts it.
 	recs = append(recs, p.res.ColdLatency, p.res.RestoreLatency)
 	p.c.Sim.Each(len(recs), func(i int) { recs[i].Presort() })
 	return p.res

@@ -69,8 +69,9 @@ func documentedSpecs(f *testing.F) [][]byte {
 
 // admissionBound restates each bound Validate enforces and returns the
 // first one s breaks. Zero fields count at the defaults a run applies:
-// 2 nodes, 128 GiB DRAM per node, 16 GiB CXL, a 10 s duration and a
-// 100 ms sampling period.
+// 2 nodes, 128 GiB DRAM per node, 16 GiB CXL, a 10 s duration, a
+// 100 ms sampling period, a 1 s reclaim period and a 500 ms repair
+// period.
 func admissionBound(s Spec, maxVirtual time.Duration) error {
 	c, w := s.Config, s.Workload
 	if w.Design != "" && !slices.Contains(cxlfork.WorkloadDesigns, w.Design) {
@@ -120,12 +121,20 @@ func admissionBound(s Spec, maxVirtual time.Duration) error {
 	if dur == 0 {
 		dur = 10 * time.Second
 	}
-	every := time.Duration(c.Telemetry.SampleEvery)
-	if every <= 0 {
-		every = 100 * time.Millisecond
-	}
-	if ticks := dur / every; ticks > MaxTicks {
-		return fmt.Errorf("%d ticks", ticks)
+	for _, loop := range []struct {
+		every, def time.Duration
+	}{
+		{time.Duration(c.Telemetry.SampleEvery), 100 * time.Millisecond},
+		{time.Duration(c.Capacity.ReclaimPeriod), time.Second},
+		{time.Duration(c.Replication.RepairPeriod), 500 * time.Millisecond},
+	} {
+		every := loop.every
+		if every <= 0 {
+			every = loop.def
+		}
+		if ticks := dur / every; ticks > MaxTicks {
+			return fmt.Errorf("%d ticks of %v", ticks, every)
+		}
 	}
 	mix := w.Functions
 	if len(mix) == 0 {

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"cxlfork/internal/experiments"
 )
 
 // metric is one /metricz series: the exposition is assembled from a
@@ -54,6 +56,16 @@ func (m *Manager) WriteMetricz(w io.Writer) error {
 		metric{"cxlserved_heap_bytes", "Heap bytes currently allocated (runtime HeapAlloc).", "gauge", float64(rt.HeapAlloc)},
 		metric{"cxlserved_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter", float64(rt.PauseTotalNs) / 1e9},
 		metric{"cxlserved_gc_cycles_total", "Completed GC cycles.", "counter", float64(rt.NumGC)},
+	)
+
+	// The calibration memo is process-wide (DESIGN.md §13): a session
+	// measures each function of its mix once per platform and design,
+	// and every later session with the same inputs hits.
+	memo := experiments.CalibrationMemoStats()
+	ms = append(ms,
+		metric{"cxlserved_calibration_memo_hits_total", "Function calibrations answered from the calibration memo.", "counter", float64(memo.Hits)},
+		metric{"cxlserved_calibration_memo_misses_total", "Function calibrations measured because the memo lacked their inputs.", "counter", float64(memo.Misses)},
+		metric{"cxlserved_calibration_memo_entries", "Function calibrations the memo holds.", "gauge", float64(memo.Entries)},
 	)
 
 	ts := time.Since(m.start).Milliseconds()

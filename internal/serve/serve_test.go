@@ -272,6 +272,12 @@ func TestValidate(t *testing.T) {
 			s.Workload.Duration = 0
 			s.Config.Telemetry.SampleEvery = Duration(time.Millisecond / 2)
 		}},
+		{"excess reclaim ticks", func(s *Spec) { s.Config.Capacity.ReclaimPeriod = Duration(time.Microsecond) }},
+		{"excess repair ticks", func(s *Spec) { s.Config.Replication.RepairPeriod = Duration(time.Microsecond) }},
+		{"excess repair ticks at default duration", func(s *Spec) {
+			s.Workload.Duration = 0
+			s.Config.Replication.RepairPeriod = Duration(time.Millisecond / 2)
+		}},
 		{"unknown evict policy", func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" }},
 		{"unknown placement", func(s *Spec) { s.Config.Fabric.Placement = "random" }},
 		{"all-zero weights", func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} }},
@@ -298,7 +304,8 @@ func TestValidate(t *testing.T) {
 // TestValidateAdmitsDocumentedPlatforms pins the other side of the
 // platform caps: the empty config, the served example spec, and the
 // facade's default platform (2 nodes, 6 GiB DRAM, 8 GiB CXL) all pass,
-// and so does default sampling over the server's five-minute cap.
+// and so do the default sampling, reclaim and repair periods over the
+// server's five-minute cap.
 func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 	blob, err := os.ReadFile("../../examples/served/spec.json")
 	if err != nil {
@@ -320,9 +327,13 @@ func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 			Replication: ReplicationSpec{Devices: MaxDevices},
 			Telemetry:   TelemetrySpec{SeriesCap: MaxSeriesCap},
 		}},
-		"default sampling at the virtual cap": {Workload: WorkloadSpec{Duration: Duration(5 * time.Minute)}},
+		"default periods at the virtual cap": {Workload: WorkloadSpec{Duration: Duration(5 * time.Minute)}},
 		"at tick cap": {
-			Config:   ConfigSpec{Telemetry: TelemetrySpec{SampleEvery: Duration(time.Millisecond)}},
+			Config: ConfigSpec{
+				Capacity:    CapacitySpec{ReclaimPeriod: Duration(time.Millisecond)},
+				Replication: ReplicationSpec{RepairPeriod: Duration(time.Millisecond)},
+				Telemetry:   TelemetrySpec{SampleEvery: Duration(time.Millisecond)},
+			},
 			Workload: WorkloadSpec{Duration: Duration(MaxTicks * time.Millisecond)},
 		},
 		"named policies, partly zero mix": {

@@ -210,15 +210,20 @@ const (
 	MaxSeriesCap = 1 << 16
 )
 
-// MaxTicks bounds a session's telemetry ticks at admission: the
-// workload duration over telemetry.sample_every, each at the default a
-// run applies when unset (10 s and 100 ms). Every tick appends one
-// sample frame to the session's frame log, which the manager keeps for
-// the session's life and for the 64 most recently finished sessions.
-// A sample frame holds every series, so its size grows with nodes and
-// devices: at MaxNodes × MaxDevices with x-ray on it is about 11 KB,
-// and a log at the cap about 180 MB. A default-sampled spec ticks 3,000
-// times at the five-minute server cap on virtual duration.
+// MaxTicks bounds, at admission, the ticks of each loop a session runs
+// on a fixed virtual-time period: the workload duration over
+// telemetry.sample_every, over capacity.reclaim_period and over
+// replication.repair_period, each at the default a run applies when
+// unset (10 s; 100 ms, 1 s and 500 ms). Every telemetry tick appends
+// one sample frame to the session's frame log, which the manager keeps
+// for the session's life and for the 64 most recently finished
+// sessions. A sample frame holds every series, so its size grows with
+// nodes and devices: at MaxNodes × MaxDevices with x-ray on it is
+// about 11 KB, and a log at the cap about 180 MB. A reclaim or repair
+// tick costs an event and a pass over the device pool, so a 1 µs
+// period would run until the session timeout. At the five-minute
+// server cap on virtual duration the defaults tick 3,000, 300 and 600
+// times.
 const MaxTicks = 1 << 14
 
 // platformBytes is the simulated memory c builds: nodes × node DRAM plus
@@ -236,19 +241,6 @@ func (c ConfigSpec) platformBytes() int64 {
 		cxl = p.CXLBytes
 	}
 	return nodes*dram + cxl
-}
-
-// sampling returns the virtual duration s replays and its telemetry
-// period, each at the default a run applies when not positive.
-func (s Spec) sampling() (dur, every time.Duration) {
-	dur, every = time.Duration(s.Workload.Duration), time.Duration(s.Config.Telemetry.SampleEvery)
-	if dur <= 0 {
-		dur = 10 * time.Second
-	}
-	if every <= 0 {
-		every = time.Duration(params.Default().SampleEvery)
-	}
-	return dur, every
 }
 
 // Validate rejects malformed specs before they consume a session slot.
@@ -308,9 +300,27 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 	if maxVirtual > 0 && time.Duration(s.Workload.Duration) > maxVirtual {
 		return fmt.Errorf("duration %v exceeds server cap %v", time.Duration(s.Workload.Duration), maxVirtual)
 	}
-	if dur, every := s.sampling(); dur/every > MaxTicks {
-		return fmt.Errorf("telemetry.sample_every %v gives %d ticks over %v of virtual time, above cap %d",
-			every, int64(dur/every), dur, MaxTicks)
+	dur := time.Duration(s.Workload.Duration)
+	if dur <= 0 {
+		dur = 10 * time.Second
+	}
+	def := params.Default()
+	for _, loop := range []struct {
+		field      string
+		every, def time.Duration
+	}{
+		{"telemetry.sample_every", time.Duration(c.Telemetry.SampleEvery), time.Duration(def.SampleEvery)},
+		{"capacity.reclaim_period", time.Duration(c.Capacity.ReclaimPeriod), time.Duration(def.CXLReclaimPeriod)},
+		{"replication.repair_period", time.Duration(c.Replication.RepairPeriod), time.Duration(def.RepairPeriod)},
+	} {
+		every := loop.every
+		if every <= 0 {
+			every = loop.def
+		}
+		if dur/every > MaxTicks {
+			return fmt.Errorf("%s %v gives %d ticks over %v of virtual time, above cap %d",
+				loop.field, every, int64(dur/every), dur, MaxTicks)
+		}
 	}
 	if _, err := experiments.ResolveFunctions(s.Workload.Functions); err != nil {
 		return err

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +213,95 @@ func TestHTTPAdmissionAndMetricz(t *testing.T) {
 	}
 }
 
+// memoRuns counts TestMetriczCalibrationMemo's runs, so that each run,
+// -count=2 included, calibrates a CXL latency of its own.
+var memoRuns int
+
+// TestMetriczCalibrationMemo posts one spec twice. Its CXL latency is
+// one no other test or run uses, so the first session misses the
+// calibration memo once per function and the second hits once per
+// function.
+func TestMetriczCalibrationMemo(t *testing.T) {
+	m := NewManager(Config{MaxSessions: 1})
+	defer drainNow(t, m)
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	memoRuns++
+	spec := fastSpec()
+	spec.Config.CXLLatency = Duration(time.Duration(400+memoRuns) * time.Nanosecond)
+	spec.Workload.Functions = []string{"Float", "Json"}
+	fns := float64(len(spec.Workload.Functions))
+	series := []string{
+		"cxlserved_calibration_memo_hits_total",
+		"cxlserved_calibration_memo_misses_total",
+		"cxlserved_calibration_memo_entries",
+	}
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/metricz")
+		if err != nil {
+			t.Fatalf("GET /metricz: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("read /metricz: %v", err)
+		}
+		checkExposition(t, string(body))
+		vals := make(map[string]float64)
+		for _, line := range strings.Split(string(body), "\n") {
+			f := strings.Fields(line)
+			if len(f) == 3 && slices.Contains(series, f[0]) {
+				v, err := strconv.ParseFloat(f[1], 64)
+				if err != nil {
+					t.Fatalf("bad sample %q: %v", line, err)
+				}
+				vals[f[0]] = v
+			}
+		}
+		if len(vals) != len(series) {
+			t.Fatalf("/metricz carries %v, want all of %v:\n%s", vals, series, body)
+		}
+		return vals
+	}
+	session := func() {
+		t.Helper()
+		resp := postSpec(t, srv.Client(), srv.URL+"/v1/sessions?stream=1", spec)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200", resp.StatusCode)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatalf("stream read: %v", err)
+		}
+	}
+
+	before := scrape()
+	session()
+	first := scrape()
+	session()
+	second := scrape()
+	for _, d := range []struct {
+		name                  string
+		from, to              map[string]float64
+		hits, misses, entries float64
+	}{
+		{"first session", before, first, 0, fns, fns},
+		{"second session", first, second, fns, 0, 0},
+	} {
+		if got := d.to[series[0]] - d.from[series[0]]; got != d.hits {
+			t.Errorf("%s: %g memo hits, want %g", d.name, got, d.hits)
+		}
+		if got := d.to[series[1]] - d.from[series[1]]; got != d.misses {
+			t.Errorf("%s: %g memo misses, want %g", d.name, got, d.misses)
+		}
+		if got := d.to[series[2]] - d.from[series[2]]; got != d.entries {
+			t.Errorf("%s: memo entries grew by %g, want %g", d.name, got, d.entries)
+		}
+	}
+}
+
 // checkExposition validates the Prometheus text format the telemetry
 // exporters (and cxlstat's scrape checker) expect: HELP/TYPE comment
 // pairs and `name{labels} value timestamp` samples.
@@ -280,10 +371,11 @@ func TestHTTPErrors(t *testing.T) {
 // TestRejectedSpecsKeepServing posts the specs that used to take the
 // server down: an unknown eviction policy panicked the session
 // goroutine, an all-zero weight mix generated an arrival every virtual
-// nanosecond until the process ran out of memory, and a 10 µs sampling
-// period grew the frame log by about 30 MB per wall-clock second. Each must get
-// a 400 whose reason names the field, and the server must still run the
-// next session to completion.
+// nanosecond until the process ran out of memory, a 10 µs sampling
+// period grew the frame log by about 30 MB per wall-clock second, and a
+// 1 µs reclaim or repair period ran until the session timeout. Each
+// must get a 400 whose reason names the field, and the server must
+// still run the next session to completion.
 func TestRejectedSpecsKeepServing(t *testing.T) {
 	m := NewManager(Config{})
 	defer drainNow(t, m)
@@ -291,10 +383,12 @@ func TestRejectedSpecsKeepServing(t *testing.T) {
 	defer srv.Close()
 
 	for field, mut := range map[string]func(*Spec){
-		"capacity.evict_policy":  func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" },
-		"fabric.placement":       func(s *Spec) { s.Config.Fabric.Placement = "random" },
-		"weights":                func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} },
-		"telemetry.sample_every": func(s *Spec) { s.Config.Telemetry.SampleEvery = Duration(10 * time.Microsecond) },
+		"capacity.evict_policy":     func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" },
+		"fabric.placement":          func(s *Spec) { s.Config.Fabric.Placement = "random" },
+		"weights":                   func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} },
+		"telemetry.sample_every":    func(s *Spec) { s.Config.Telemetry.SampleEvery = Duration(10 * time.Microsecond) },
+		"capacity.reclaim_period":   func(s *Spec) { s.Config.Capacity.ReclaimPeriod = Duration(time.Microsecond) },
+		"replication.repair_period": func(s *Spec) { s.Config.Replication.RepairPeriod = Duration(time.Microsecond) },
 	} {
 		spec := fastSpec()
 		mut(&spec)

@@ -205,10 +205,13 @@ type RunReport struct {
 // RunWorkload replays one arrival trace, seeded or explicit, against a
 // freshly built cluster and returns its results — the facade's one
 // porter-replay entry point, and the exact runner behind every
-// cxlserved session (DESIGN.md §15). Construction is fully
-// session-scoped: the cluster, porter, calibration profiles, and
-// telemetry registry live and die with this call, so any number of
-// RunWorkload calls may run concurrently on independent goroutines.
+// cxlserved session (DESIGN.md §15). Construction is session-scoped:
+// the cluster, porter and telemetry registry live and die with this
+// call, so any number of RunWorkload calls may run concurrently on
+// independent goroutines. The calibration profiles come from the
+// process-wide calibration memo (DESIGN.md §13): the first call for a
+// platform, design and function measures it, and later calls with the
+// same inputs reuse that exact measurement.
 //
 // opts may be nil (no streaming, no cancellation). When
 // opts.Interrupt stops the run mid-trace, RunWorkload returns the
