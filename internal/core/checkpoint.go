@@ -238,27 +238,23 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	o := parent.OS
 	p := o.P
 	node := o.Index
-	t0 := o.Eng.Now()
+	op := o.BeginOp("checkpoint")
 	arena, err := m.Dev.NewArena(id)
 	if err != nil {
-		o.TraceOpError("checkpoint", t0, "alloc")
-		return nil, err
+		return nil, op.Fail("alloc", err)
 	}
 	ck := &Checkpoint{id: id, dev: m.Dev, arena: arena, refs: rfork.NewRefCount()}
 	pool := m.Dev.Pool()
-	lanes := p.CheckpointLanes
-	var cost des.Time // lane-independent serial work
 	shards := m.shardScratch[:0]
 	defer func() { m.shardScratch = shards[:0] }()
 
 	// Task and MM descriptors (steps 1-3): native memory copies.
-	cost += params.StructCopy
+	op.Phase("struct-copy", params.StructCopy, 0, 0)
 
 	// VMA tree leaves: copied as-is, marked immutable (step 2). Each leaf
 	// is one lane shard of pure metadata work (no fabric units).
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, node); err != nil {
-		copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, nil)
-		return nil, m.checkpointFault(ck, o, t0, cost+copyDur, "vma", err)
+		return nil, m.checkpointFault(ck, o, &op, shards, "vma", err)
 	}
 	var vmaErr error
 	srcVMAs := collectVMALeaves(parent)
@@ -277,8 +273,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	}
 	if vmaErr != nil {
 		ck.Release()
-		o.TraceOpError("checkpoint", t0, "alloc")
-		return nil, vmaErr
+		return nil, op.Fail("alloc", vmaErr)
 	}
 	nVMA := len(shards)
 
@@ -292,8 +287,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// function of the current virtual time only, so hoisting it out of
 	// the walk charges exactly what the per-page form did.
 	if err := m.Faults.At(faultinject.StepCheckpointPT, node); err != nil {
-		copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, nil)
-		return nil, m.checkpointFault(ck, o, t0, cost+copyDur, "pt", err)
+		return nil, m.checkpointFault(ck, o, &op, shards, "pt", err)
 	}
 	pageCost := m.Faults.Scale(p.CXLWritePage)
 	var ptErr error
@@ -354,20 +348,18 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	})
 	if ptErr != nil {
 		ck.Release()
-		o.TraceOpError("checkpoint", t0, "alloc")
-		return nil, ptErr
+		return nil, op.Fail("alloc", ptErr)
 	}
-	obs, laneSpans := o.Trace.CollectShards()
-	obs = o.LaneObs(shards, obs)
-	copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, obs)
-	cost += copyDur
+	op.Lanes("copy", int64(ck.dataPages-ck.dedupHits)*int64(p.PageSize), ck.dataPages,
+		p.CheckpointLanes, params.FabricStreams, shards,
+		trace.ShardNames{Head: "vma-leaf", Split: nVMA, Tail: "pt-leaf"})
 
 	// Global state (step 8): light serialization of paths, permissions,
 	// mounts, PID namespace, and the register file, wrapped in a
 	// checksummed envelope so Restore can detect corruption before it
 	// mutates the child.
 	if err := m.Faults.At(faultinject.StepCheckpointGlobal, node); err != nil {
-		return nil, m.checkpointFault(ck, o, t0, cost, "global", err)
+		return nil, m.checkpointFault(ck, o, &op, nil, "global", err)
 	}
 	gs := rfork.CaptureGlobalState(parent)
 	blob := wire.SealEnvelope(gs.Encode())
@@ -375,61 +367,39 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	off, err := arena.Alloc(blob, int64(len(blob)))
 	if err != nil {
 		ck.Release()
-		o.TraceOpError("checkpoint", t0, "alloc")
-		return nil, err
+		return nil, op.Fail("alloc", err)
 	}
 	ck.globalOff = off
-	globalCost := des.Time(len(gs.FDs))*params.FDSerialize + params.StructCopy // FDs + mounts + pidns records
-	cost += globalCost
+	op.Phase("global-serialize", des.Time(len(gs.FDs))*params.FDSerialize+params.StructCopy, // FDs + mounts + pidns records
+		int64(len(blob)), 0)
 
 	// Publication commit: the arena becomes visible to Restore only now.
 	// Everything before this point is recoverable staging.
 	if err := arena.Seal(); err != nil {
 		ck.Release()
-		o.TraceOpError("checkpoint", t0, "seal")
-		return nil, err
+		return nil, op.Fail("seal", err)
 	}
-	o.Eng.Advance(cost)
-	if o.Trace.Enabled() {
-		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "checkpoint",
-			t0, cost, ck.CXLBytes(), ck.dataPages)
-		pos := t0
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "struct-copy", pos, params.StructCopy, 0, 0)
-		pos += params.StructCopy
-		copiedBytes := int64(ck.dataPages-ck.dedupHits) * int64(p.PageSize)
-		copyID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "copy", pos, copyDur,
-			copiedBytes, ck.dataPages)
-		o.Trace.EmitShards(copyID, node, pos, laneSpans,
-			func(i int) string {
-				if i < nVMA {
-					return "vma-leaf"
-				}
-				return "pt-leaf"
-			},
-			func(i int) int { return shards[i].Units })
-		pos += copyDur
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "global-serialize", pos, globalCost,
-			int64(len(blob)), 0)
-	}
+	o.Eng.Advance(op.Dur())
+	op.Done(ck.CXLBytes(), ck.dataPages)
 	return ck, nil
 }
 
 // checkpointFault finishes a Checkpoint interrupted by an injected
 // fault. A node crash leaves the staged arena torn on the device (the
 // dead node cannot roll back; Device.Recover garbage-collects it) and
-// still charges the virtual-time cost accrued before the crash — that
-// work happened. Any other fault (transient device-full) rolls the
-// staging back so occupancy is exactly what it was, matching the real
+// still charges the virtual-time cost accrued before the crash — the
+// recorded phases plus the staged shards' pipeline; that work
+// happened. Any other fault (transient device-full) rolls the staging
+// back so occupancy is exactly what it was, matching the real
 // device-full paths. Either way the aborted operation is traced with
 // the step that failed.
-func (m *Mechanism) checkpointFault(ck *Checkpoint, o *kernel.OS, t0, cost des.Time, step string, cause error) error {
+func (m *Mechanism) checkpointFault(ck *Checkpoint, o *kernel.OS, op *kernel.Op, staged []des.Shard, step string, cause error) error {
 	if errors.Is(cause, rfork.ErrNodeDown) {
-		o.Eng.Advance(cost)
+		o.Eng.Advance(op.Dur() + des.Pipeline(o.P.CheckpointLanes, params.FabricStreams, params.LaneDispatch, staged, nil))
 	} else {
 		ck.Release()
 	}
-	o.TraceOpError("checkpoint", t0, step)
-	return cause
+	return op.Fail(step, cause)
 }
 
 // collectVMALeaves snapshots the parent's VMA tree as leaves of at most

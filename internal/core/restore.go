@@ -28,10 +28,9 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 	}
 	o := child.OS
 	p := o.P
-	t0 := o.Eng.Now()
+	op := o.BeginOp("restore")
 	if err := m.Faults.At(faultinject.StepRestoreAttach, o.Index); err != nil {
-		o.TraceOpError("restore", t0, "attach")
-		return err
+		return op.Fail("attach", err)
 	}
 
 	// Validate the image before touching the child: a reclaimed or torn
@@ -39,20 +38,15 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 	// blob must decode cleanly — it is needed after the attach, when a
 	// failure would leave the child half-mutated.
 	if ck.refs.Count() <= 0 {
-		o.TraceOpError("restore", t0, "validate")
-		return fmt.Errorf("core: restore from reclaimed checkpoint %s", ck.id)
+		return op.Fail("validate", fmt.Errorf("core: restore from reclaimed checkpoint %s", ck.id))
 	}
 	if !ck.arena.Sealed() {
-		o.TraceOpError("restore", t0, "validate")
-		return fmt.Errorf("core: checkpoint %s: %w", ck.id, rfork.ErrTornImage)
+		return op.Fail("validate", fmt.Errorf("core: checkpoint %s: %w", ck.id, rfork.ErrTornImage))
 	}
 	gs, err := ck.globalState()
 	if err != nil {
-		o.TraceOpError("restore", t0, "validate")
-		return err
+		return op.Fail("validate", err)
 	}
-	lanes := p.RestoreLanes
-	var cost des.Time // lane-independent serial work
 	shards := m.shardScratch[:0]
 	defer func() { m.shardScratch = shards[:0] }()
 
@@ -60,15 +54,14 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 	// state for file VMAs is reconstructed lazily at first fault. The
 	// naive ablation reconstructs every VMA individually and eagerly
 	// instead. Each leaf is one lane shard of metadata work; the shards
-	// fold into virtual time via des.Pipeline below (one lane = the
-	// exact serial sum; several lanes = the fabric contention model).
+	// fold into virtual time through the lane pipeline below (one lane =
+	// the exact serial sum; several lanes = the fabric contention model).
 	if opts.NaivePTCopy {
 		for _, off := range ck.vmaLeaves {
 			leaf := cxl.Get[*vma.Leaf](ck.arena, off)
 			for _, v := range leaf.VMAs {
 				if _, err := child.MM.VMAs.Insert(v); err != nil {
-					o.TraceOpError("restore", t0, "attach")
-					return err
+					return op.Fail("attach", err)
 				}
 			}
 			shards = append(shards, des.Shard{Setup: des.Time(len(leaf.VMAs)) * params.VMAReconstruct})
@@ -77,15 +70,14 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 		for _, off := range ck.vmaLeaves {
 			leaf := cxl.Get[*vma.Leaf](ck.arena, off)
 			if err := child.MM.VMAs.AttachLeaf(leaf); err != nil {
-				o.TraceOpError("restore", t0, "attach")
-				return err
+				return op.Fail("attach", err)
 			}
 			shards = append(shards, des.Shard{Setup: params.VMALeafAttach})
 		}
 		child.MM.LazyVMAs = true
 	}
 	nVMA := len(shards)
-	cost += params.StructCopy // MM descriptor upper levels
+	op.Phase("struct-copy", params.StructCopy, 0, 0) // MM descriptor upper levels
 
 	switch opts.Policy {
 	case rfork.MigrateOnWrite:
@@ -101,8 +93,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 				local.Protected = true // PTEs stay read-only CoW
 				before := child.MM.PT.Stats().LocalUppers
 				if err := child.MM.PT.AttachLeaf(ref.base, local); err != nil {
-					o.TraceOpError("restore", t0, "attach")
-					return err
+					return op.Fail("attach", err)
 				}
 				newUppers := child.MM.PT.Stats().LocalUppers - before
 				shards = append(shards, des.Shard{
@@ -118,8 +109,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 				leaf := cxl.Get[*pt.Leaf](ck.arena, ref.off)
 				before := child.MM.PT.Stats().LocalUppers
 				if err := child.MM.PT.AttachLeaf(ref.base, leaf); err != nil {
-					o.TraceOpError("restore", t0, "attach")
-					return err
+					return op.Fail("attach", err)
 				}
 				newUppers := child.MM.PT.Stats().LocalUppers - before
 				shards = append(shards, des.Shard{
@@ -132,22 +122,18 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 		// checkpoint through the overlay (§4.3).
 		child.MM.Overlay = &ckptOverlay{ck: ck, policy: opts.Policy}
 	default:
-		o.TraceOpError("restore", t0, "validate")
-		return fmt.Errorf("core: unknown tiering policy %v", opts.Policy)
+		return op.Fail("validate", fmt.Errorf("core: unknown tiering policy %v", opts.Policy))
 	}
-	obs, laneSpans := o.Trace.CollectShards()
-	obs = o.LaneObs(shards, obs)
-	copyDur := des.Pipeline(lanes, params.FabricStreams, params.LaneDispatch, shards, obs)
-	cost += copyDur
+	op.Lanes("attach", 0, len(ck.ptLeaves), p.RestoreLanes, params.FabricStreams, shards,
+		trace.ShardNames{Head: "vma-leaf", Split: nVMA, Tail: "pt-leaf"})
 
 	// Redo global state from the light serialization (decoded and
 	// verified above, before the child was touched).
-	o.Eng.Advance(cost)
-	gBegin := o.Eng.Now()
+	o.Eng.Advance(op.Dur())
 	if err := rfork.RestoreGlobalState(child, gs); err != nil {
-		o.TraceOpError("restore", t0, "global")
-		return err
+		return op.Fail("global", err)
 	}
+	op.Clocked("global-restore", 0, 0)
 	gEnd := o.Eng.Now()
 
 	// The clone holds a checkpoint reference until exit.
@@ -167,29 +153,11 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 			return e.Flags.Has(pt.Accessed) || e.Flags.Has(pt.UserHot)
 		}, false)
 	}
-	if o.Trace.Enabled() {
-		pEnd := o.Eng.Now()
-		node := o.Index
-		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "restore",
-			t0, pEnd-t0, 0, ck.dataPages)
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "struct-copy", t0, params.StructCopy, 0, 0)
-		copyID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "attach",
-			t0+params.StructCopy, copyDur, 0, len(ck.ptLeaves))
-		o.Trace.EmitShards(copyID, node, t0+params.StructCopy, laneSpans,
-			func(i int) string {
-				if i < nVMA {
-					return "vma-leaf"
-				}
-				return "pt-leaf"
-			},
-			func(i int) int { return shards[i].Units })
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "global-restore", gBegin, gEnd-gBegin, 0, 0)
-		if pEnd > gEnd {
-			prefPages := int(o.Faults.Counts[kernel.FaultPrefetch] - prefBefore)
-			o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "prefetch",
-				gEnd, pEnd-gEnd, int64(prefPages)*int64(p.PageSize), prefPages)
-		}
+	if o.Eng.Now() > gEnd {
+		prefPages := int(o.Faults.Counts[kernel.FaultPrefetch] - prefBefore)
+		op.Clocked("prefetch", int64(prefPages)*int64(p.PageSize), prefPages)
 	}
+	op.Done(0, ck.dataPages)
 	return nil
 }
 

@@ -93,10 +93,9 @@ const pageShard = 128
 func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
 	o := parent.OS
 	p := o.P
-	t0 := o.Eng.Now()
+	op := o.BeginOp("checkpoint")
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, o.Index); err != nil {
-		o.TraceOpError("checkpoint", t0, "vma")
-		return nil, err
+		return nil, op.Fail("vma", err)
 	}
 	var cost des.Time
 
@@ -111,6 +110,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	enc.PutBytes(fieldGlobal, gs.Encode())
 	cost += des.Time(len(gs.FDs)) * params.CRIURecordEncode
 	cost += params.CRIURecordEncode // task metadata record
+	op.Phase("serialize", cost, 0, 0)
 
 	pages := 0
 	parent.MM.PT.Walk(func(va pt.VirtAddr, leaf *pt.Leaf, i int) {
@@ -133,39 +133,24 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	// Page dumps run on the checkpoint lanes; the encoded stream goes to
 	// the in-CXL-memory filesystem, so the copies contend on the fabric
 	// streams. One lane charges the exact serial per-page sum.
-	encCost := cost
-	shards := des.UniformShards(pages, pageShard, 0, m.Faults.Scale(params.CRIUPageSerialize))
-	obs, laneSpans := o.Trace.CollectShards()
-	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.CheckpointLanes, params.FabricStreams, params.LaneDispatch, shards, obs)
-	cost += pipeDur
+	op.Lanes("page-dump", int64(pages)*int64(p.PageSize), pages, p.CheckpointLanes, params.FabricStreams,
+		des.UniformShards(pages, pageShard, 0, m.Faults.Scale(params.CRIUPageSerialize)),
+		trace.ShardNames{Tail: "page-batch"})
 
 	logical := int64(pages)*int64(p.PageSize) + int64(vmaCount+len(gs.FDs)+1)*64
 	file := "criu-" + id + ".img"
 	if err := m.Faults.At(faultinject.StepCheckpointGlobal, o.Index); err != nil {
-		o.TraceOpError("checkpoint", t0, "global")
-		return nil, err
+		return nil, op.Fail("global", err)
 	}
 	// The whole image goes through a checksummed envelope so Restore can
 	// reject a torn or bit-flipped file before reconstructing anything.
 	blob := wire.SealEnvelope(enc.Bytes())
 	m.Faults.Corrupt(faultinject.StepCheckpointGlobal, o.Index, id, blob)
 	if err := m.FS.Write(file, blob, logical); err != nil {
-		o.TraceOpError("checkpoint", t0, "write")
-		return nil, err
+		return nil, op.Fail("write", err)
 	}
-	o.Eng.Advance(cost)
-	if o.Trace.Enabled() {
-		node := o.Index
-		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "checkpoint",
-			t0, cost, logical, pages)
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "serialize", t0, encCost, 0, 0)
-		dumpID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "page-dump",
-			t0+encCost, pipeDur, int64(pages)*int64(p.PageSize), pages)
-		o.Trace.EmitShards(dumpID, node, t0+encCost, laneSpans,
-			func(int) string { return "page-batch" },
-			func(i int) int { return shards[i].Units })
-	}
+	o.Eng.Advance(op.Dur())
+	op.Done(logical, pages)
 	return &Image{id: id, fs: m.FS, file: file, pages: pages, size: logical, refs: rfork.NewRefCount()}, nil
 }
 
@@ -179,35 +164,31 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	}
 	o := child.OS
 	p := o.P
-	t0 := o.Eng.Now()
+	op := o.BeginOp("restore")
 	if err := m.Faults.At(faultinject.StepRestoreAttach, o.Index); err != nil {
-		o.TraceOpError("restore", t0, "attach")
-		return err
+		return op.Fail("attach", err)
 	}
 	if im.refs.Count() <= 0 {
-		o.TraceOpError("restore", t0, "validate")
-		return fmt.Errorf("criu: restore from reclaimed image %s", im.id)
+		return op.Fail("validate", fmt.Errorf("criu: restore from reclaimed image %s", im.id))
 	}
 	envelope, err := m.FS.Read(im.file)
 	if err != nil {
-		o.TraceOpError("restore", t0, "read")
-		return err
+		return op.Fail("read", err)
 	}
 
 	// Validate and fully decode the image before mutating the child: a
 	// damaged file must surface as ErrImageCorrupt with the child
 	// untouched, never as a half-reconstructed address space.
-	gs, vmas, pageRecs, cost, err := decodeImage(im.id, envelope, p)
+	gs, vmas, pageRecs, decCost, err := decodeImage(im.id, envelope, p)
 	if err != nil {
-		o.TraceOpError("restore", t0, "decode")
-		return err
+		return op.Fail("decode", err)
 	}
+	op.Phase("decode", decCost, 0, 0)
 
 	// Decode succeeded; reconstruct the child.
 	for _, v := range vmas {
 		if _, err := child.MM.VMAs.Insert(v); err != nil {
-			o.TraceOpError("restore", t0, "attach")
-			return err
+			return op.Fail("attach", err)
 		}
 	}
 
@@ -216,13 +197,11 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 		va := pt.VirtAddr(rec.vpn << pt.PageShift)
 		v := child.MM.VMAs.Find(va)
 		if v == nil {
-			o.TraceOpError("restore", t0, "attach")
-			return fmt.Errorf("criu: page %#x outside any restored VMA", rec.vpn)
+			return op.Fail("attach", fmt.Errorf("criu: page %#x outside any restored VMA", rec.vpn))
 		}
 		f, err := o.Mem.Alloc()
 		if err != nil {
-			o.TraceOpError("restore", t0, "alloc")
-			return err
+			return op.Fail("alloc", err)
 		}
 		f.Data = rec.token
 		flags := pt.Accessed
@@ -235,44 +214,23 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	// VMA record decode/reconstruct and page copy-in run on the restore
 	// lanes, reading the image off the CXL filesystem through the fabric
 	// streams. Each VMA is one metadata shard; pages shard in chunks.
-	decCost := cost
 	shards := make([]des.Shard, 0, len(vmas))
 	for range vmas {
 		shards = append(shards, des.Shard{Setup: params.CRIURecordDecode + params.VMAReconstruct})
 	}
 	shards = append(shards, des.UniformShards(len(pageRecs), pageShard, 0, m.Faults.Scale(params.CRIUPageRestore))...)
-	obs, laneSpans := o.Trace.CollectShards()
-	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.RestoreLanes, params.FabricStreams, params.LaneDispatch, shards, obs)
-	cost += pipeDur
+	op.Lanes("page-restore", int64(len(pageRecs))*int64(p.PageSize), len(pageRecs), p.RestoreLanes, params.FabricStreams,
+		shards, trace.ShardNames{Head: "vma-record", Split: len(vmas), Tail: "page-batch"})
 
-	o.Eng.Advance(cost)
-	gBegin := t0 + cost
+	o.Eng.Advance(op.Dur())
 	if err := rfork.RestoreGlobalState(child, gs); err != nil {
-		o.TraceOpError("restore", t0, "global")
-		return err
+		return op.Fail("global", err)
 	}
-	gEnd := o.Eng.Now()
+	op.Clocked("global-restore", 0, 0)
 
 	im.Retain()
 	child.MM.OnExit(im.Release)
-	if o.Trace.Enabled() {
-		node := o.Index
-		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "restore",
-			t0, gEnd-t0, im.size, im.pages)
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "decode", t0, decCost, 0, 0)
-		restID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "page-restore",
-			t0+decCost, pipeDur, int64(len(pageRecs))*int64(p.PageSize), len(pageRecs))
-		o.Trace.EmitShards(restID, node, t0+decCost, laneSpans,
-			func(i int) string {
-				if i < len(vmas) {
-					return "vma-record"
-				}
-				return "page-batch"
-			},
-			func(i int) int { return shards[i].Units })
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "global-restore", gBegin, gEnd-gBegin, 0, 0)
-	}
+	op.Done(im.size, im.pages)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"cxlfork/internal/des"
 	"cxlfork/internal/params"
 	"cxlfork/internal/pt"
-	"cxlfork/internal/trace"
 	"cxlfork/internal/vma"
 )
 
@@ -16,7 +15,7 @@ import (
 // faults on the library pages it touches, which is precisely the cost
 // CXLfork avoids by checkpointing clean file pages.
 func (o *OS) Fork(parent *Task, name string) (*Task, error) {
-	t0 := o.Eng.Now()
+	op := o.BeginOp("fork")
 	child := o.NewTask(name) // charges TaskCreate
 
 	child.Regs = parent.Regs
@@ -38,18 +37,13 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 	})
 	if vmaErr != nil {
 		o.Exit(child)
-		o.TraceOpError("fork", t0, "vma-copy")
-		return nil, vmaErr
+		return nil, op.Fail("vma-copy", vmaErr)
 	}
 
 	// Copy page tables for anonymous pages; downgrade writable mappings
 	// to copy-on-write on both sides. File-backed PTEs are dropped in
 	// the child (lazy re-population).
-	var copyErr error
 	parent.MM.PT.Walk(func(va pt.VirtAddr, leaf *pt.Leaf, i int) {
-		if copyErr != nil {
-			return
-		}
 		e := leaf.PTEs[i]
 		if e.Flags.Has(pt.FileBacked) {
 			return
@@ -73,15 +67,10 @@ func (o *OS) Fork(parent *Task, name string) (*Task, error) {
 		child.MM.PT.Set(va, pt.PTE{Flags: childFlags, PFN: e.PFN})
 		cost += 2 * params.PTECopy
 	})
-	if copyErr != nil {
-		o.Exit(child)
-		o.TraceOpError("fork", t0, "pt-copy")
-		return nil, copyErr
-	}
 
 	// One batched TLB flush for the parent's downgraded mappings.
 	cost += params.TLBShootdown
 	o.Eng.Advance(cost)
-	o.Trace.Emit(trace.None, o.Index, trace.TrackOps, trace.CatOp, "fork", t0, o.Eng.Now()-t0, 0, 0)
+	op.Done(0, 0)
 	return child, nil
 }

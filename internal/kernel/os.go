@@ -141,21 +141,6 @@ func (o *OS) Exit(t *Task) {
 	delete(o.tasks, t.PID)
 }
 
-// TraceOpError records a failed operation in the trace: an op span
-// covering [t0, now) — whatever cost the failed attempt charged — with
-// a zero-width error annotation naming the step that failed. Mechanisms
-// call it on every error return so traces show aborted work, not gaps.
-func (o *OS) TraceOpError(op string, t0 des.Time, step string) {
-	if !o.Trace.Enabled() {
-		return
-	}
-	now := o.Eng.Now()
-	id := o.Trace.Emit(trace.None, o.Index, trace.TrackOps, trace.CatOp, op, t0, now-t0, 0, 0)
-	if id > trace.None {
-		o.Trace.Emit(id, o.Index, trace.TrackOps, trace.CatError, step, now, 0, 0, 0)
-	}
-}
-
 // WarmFile pulls every page of a file into the node's page cache (image
 // pre-pull). Used at cluster setup so that library faults hit the page
 // cache, matching a steady-state serverless node.

@@ -7,7 +7,7 @@ import (
 
 // RegisterTelemetry registers the node's gauges and counters against
 // reg, labelled with the node name, and arms the lane-pipeline
-// accumulation counters that LaneObs feeds.
+// accumulation counters that laneObs feeds.
 func (o *OS) RegisterTelemetry(reg *telemetry.Registry) {
 	if !reg.Enabled() {
 		return
@@ -34,14 +34,14 @@ func (o *OS) RegisterTelemetry(reg *telemetry.Registry) {
 		"full-rate stream copy time pushed through lane pipelines (lane busy minus this is setup, dispatch, and stream queueing)", node)
 }
 
-// LaneObs chains a lane-utilization observer in front of prev (the
+// laneObs chains a lane-utilization observer in front of prev (the
 // tracer's shard collector, possibly nil). Each scheduled shard adds
 // its lane-occupancy interval and its uncontended stream copy time to
 // the node's counters; the ratio of the two is the stream utilization
 // of the pipeline's busy time. Observers are passive, so chaining one
-// never changes a makespan. With telemetry disabled LaneObs returns
+// never changes a makespan. With telemetry disabled laneObs returns
 // prev unchanged.
-func (o *OS) LaneObs(shards []des.Shard, prev des.ShardObserver) des.ShardObserver {
+func (o *OS) laneObs(shards []des.Shard, prev des.ShardObserver) des.ShardObserver {
 	if o.laneBusy == nil {
 		return prev
 	}

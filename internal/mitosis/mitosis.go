@@ -102,10 +102,9 @@ const shadowShard = 128
 func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
 	o := parent.OS
 	p := o.P
-	t0 := o.Eng.Now()
+	op := o.BeginOp("checkpoint")
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, o.Index); err != nil {
-		o.TraceOpError("checkpoint", t0, "vma")
-		return nil, err
+		return nil, op.Fail("vma", err)
 	}
 	im := &Image{id: id, parentOS: o, shadow: make(map[uint64]shadowPage), refs: rfork.NewRefCount()}
 	var cost des.Time
@@ -121,6 +120,7 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	enc.PutBytes(fieldGlobal, gs.Encode())
 	cost += des.Time(len(gs.FDs)) * params.FDSerialize
 	cost += params.StructCopy
+	op.Phase("serialize", cost, 0, 0)
 
 	// Shadow-copy every present page into parent-local memory, and
 	// serialize the page-table metadata.
@@ -147,37 +147,23 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 	})
 	if cpErr != nil {
 		im.Release()
-		o.TraceOpError("checkpoint", t0, "alloc")
-		return nil, cpErr
+		return nil, op.Fail("alloc", cpErr)
 	}
 	// The shadow copy runs on the checkpoint lanes. It is a DRAM→DRAM
 	// copy, so lanes contend on the node's memory-controller streams
 	// (wider than the CXL fabric), with the PTE serialization as
 	// lane-local work. One lane charges the exact serial per-page sum.
-	serCost := cost
-	shards := des.UniformShards(im.pteCount, shadowShard, params.PTECopy, params.LocalCopyPage)
-	obs, laneSpans := o.Trace.CollectShards()
-	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.CheckpointLanes, params.LocalCopyStreams, params.LaneDispatch, shards, obs)
-	cost += pipeDur
+	op.Lanes("shadow-copy", im.LocalBytes(), im.pteCount, p.CheckpointLanes, params.LocalCopyStreams,
+		des.UniformShards(im.pteCount, shadowShard, params.PTECopy, params.LocalCopyPage),
+		trace.ShardNames{Tail: "page-batch"})
 	enc.PutUint(fieldPTEs, uint64(im.pteCount))
 	// The OS-state record travels in a checksummed envelope so Restore
 	// can reject corruption before touching the child.
 	im.osState = wire.SealEnvelope(enc.Bytes())
 	m.Faults.Corrupt(faultinject.StepCheckpointGlobal, o.Index, id, im.osState)
 
-	o.Eng.Advance(cost)
-	if o.Trace.Enabled() {
-		node := o.Index
-		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "checkpoint",
-			t0, cost, im.LocalBytes(), im.pteCount)
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "serialize", t0, serCost, 0, 0)
-		copyID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "shadow-copy",
-			t0+serCost, pipeDur, im.LocalBytes(), im.pteCount)
-		o.Trace.EmitShards(copyID, node, t0+serCost, laneSpans,
-			func(int) string { return "page-batch" },
-			func(i int) int { return shards[i].Units })
-	}
+	o.Eng.Advance(op.Dur())
+	op.Done(im.LocalBytes(), im.pteCount)
 	return im, nil
 }
 
@@ -191,29 +177,24 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 	}
 	o := child.OS
 	p := o.P
-	t0 := o.Eng.Now()
-	fail := func(step string, err error) error {
-		o.TraceOpError("restore", t0, step)
-		return err
-	}
+	op := o.BeginOp("restore")
 	if err := m.Faults.At(faultinject.StepRestoreAttach, o.Index); err != nil {
-		return fail("attach", err)
+		return op.Fail("attach", err)
 	}
 	if im.refs.Count() <= 0 {
-		return fail("validate", fmt.Errorf("mitosis: restore from reclaimed image %s", im.id))
+		return op.Fail("validate", fmt.Errorf("mitosis: restore from reclaimed image %s", im.id))
 	}
 	// Mitosis' central constraint (§3.1): the checkpoint lives in the
 	// parent node's memory, so a dead parent makes the image unusable.
 	if m.Faults.NodeDown(im.parentOS.Index) {
-		return fail("parent-down", fmt.Errorf("mitosis: image %s: parent node %d: %w", im.id, im.parentOS.Index, rfork.ErrNodeDown))
+		return op.Fail("parent-down", fmt.Errorf("mitosis: image %s: parent node %d: %w", im.id, im.parentOS.Index, rfork.ErrNodeDown))
 	}
 
 	// Validate and fully decode the OS state before mutating the child.
 	blob, err := wire.OpenEnvelope(im.osState)
 	if err != nil {
-		return fail("validate", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
+		return op.Fail("validate", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
 	}
-	var cost des.Time
 	var gs rfork.GlobalState
 	var haveGS bool
 	var vmas []vma.VMA
@@ -236,14 +217,14 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 		}
 	}
 	if err := d.Err(); err != nil {
-		return fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
+		return op.Fail("decode", fmt.Errorf("mitosis: image %s: %w: %v", im.id, rfork.ErrImageCorrupt, err))
 	}
 	if !haveGS {
-		return fail("decode", fmt.Errorf("mitosis: image %s has no global state: %w", im.id, rfork.ErrImageCorrupt))
+		return op.Fail("decode", fmt.Errorf("mitosis: image %s has no global state: %w", im.id, rfork.ErrImageCorrupt))
 	}
 	for _, v := range vmas {
 		if _, err := child.MM.VMAs.Insert(v); err != nil {
-			return fail("attach", err)
+			return op.Fail("attach", err)
 		}
 	}
 	// VMA reconstruction and the page-table transfer/deserialization run
@@ -254,36 +235,18 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 		shards = append(shards, des.Shard{Setup: params.VMAReconstruct})
 	}
 	shards = append(shards, des.UniformShards(pteN, pt.EntriesPerTable, 0, params.PTEDeserialize)...)
-	obs, laneSpans := o.Trace.CollectShards()
-	obs = o.LaneObs(shards, obs)
-	pipeDur := des.Pipeline(p.RestoreLanes, params.FabricStreams, params.LaneDispatch, shards, obs)
-	cost += pipeDur
-	o.Eng.Advance(cost)
-	gBegin := o.Eng.Now()
+	op.Lanes("deserialize", 0, pteN, p.RestoreLanes, params.FabricStreams, shards,
+		trace.ShardNames{Head: "vma-record", Split: len(vmas), Tail: "pte-batch"})
+	o.Eng.Advance(op.Dur())
 	if err := rfork.RestoreGlobalState(child, gs); err != nil {
-		return fail("global", err)
+		return op.Fail("global", err)
 	}
-	gEnd := o.Eng.Now()
+	op.Clocked("global-restore", 0, 0)
 
 	child.MM.Overlay = &overlay{im: im}
 	im.Retain()
 	child.MM.OnExit(im.Release)
-	if o.Trace.Enabled() {
-		node := o.Index
-		opID := o.Trace.Emit(trace.None, node, trace.TrackOps, trace.CatOp, "restore",
-			t0, gEnd-t0, 0, pteN)
-		deserID := o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "deserialize",
-			t0, gBegin-t0, 0, pteN)
-		o.Trace.EmitShards(deserID, node, t0+(gBegin-t0-pipeDur), laneSpans,
-			func(i int) string {
-				if i < len(vmas) {
-					return "vma-record"
-				}
-				return "pte-batch"
-			},
-			func(i int) int { return shards[i].Units })
-		o.Trace.Emit(opID, node, trace.TrackOps, trace.CatPhase, "global-restore", gBegin, gEnd-gBegin, 0, 0)
-	}
+	op.Done(0, pteN)
 	return nil
 }
 

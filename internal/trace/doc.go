@@ -25,7 +25,9 @@
 // of the (seeded) simulation, and the exporters iterate in that order or
 // in sorted orders — identical seeds yield byte-identical traces.
 //
-// Entry points: New (a nil Tracer is the disabled tracer); Emit,
-// EmitFlow and EmitShards record spans, Phases derives the phase
-// table, and CheckNesting validates span structure.
+// Entry points: New (a nil Tracer is the disabled tracer); Emit and
+// EmitFlow record spans, CollectShards observes a lane pipeline's
+// shards and EmitShards records them as lane spans, Phases derives the
+// phase table, and CheckNesting validates span structure. Checkpoint,
+// restore and fork spans are laid out in one place, kernel.Op.
 package trace

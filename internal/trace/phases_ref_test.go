@@ -124,11 +124,9 @@ func TestPhasesMatchEagerReference(t *testing.T) {
 			default:
 				p := parent()
 				shards := des.UniformShards(1+rng.Intn(40), 8, 10, 5)
-				obs, spans := tr.CollectShards()
+				obs, spans := tr.CollectShards(shards, ShardNames{Tail: name})
 				des.Pipeline(1+rng.Intn(4), 2, 3, shards, obs)
-				tr.EmitShards(p, node, begin, spans,
-					func(int) string { return name },
-					func(i int) int { return shards[i].Units })
+				tr.EmitShards(p, node, begin, spans)
 				for range shards {
 					accept(p) // lane spans take buffer slots but no row
 				}

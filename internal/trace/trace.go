@@ -261,23 +261,36 @@ func Phases(events []Event) []Phase {
 	return out
 }
 
-// ShardSpan is one pipeline shard's observed execution interval, as
-// reported by a des.ShardObserver: shard index, the lane it ran on, and
-// its [Start, End) interval relative to the pipeline's own time zero.
+// ShardSpan is one pipeline shard's observed execution, as reported by
+// a des.ShardObserver: the lane it ran on and its [Start, End) interval
+// relative to the pipeline's own time zero, with the name and unit
+// count its lane span records.
 type ShardSpan struct {
-	Shard, Lane int
-	Start, End  des.Time
+	Name       string
+	Lane       int
+	Start, End des.Time
+	Units      int
+}
+
+// ShardNames names a pipeline's lane spans: shard i is Head when
+// i < Split and Tail otherwise, so a pipeline of like shards sets only
+// Tail.
+type ShardNames struct {
+	Head  string
+	Split int
+	Tail  string
 }
 
 // CollectShards returns a des.ShardObserver that appends each shard's
-// interval to the returned slice, for replay as lane spans once the
+// interval, named by names and carrying shards[i].Units as its page
+// count, to the returned slice, for replay as lane spans once the
 // containing phase's begin time is known (EmitShards). A disabled
 // tracer returns (nil, nil) so the pipeline runs observer-free. The
 // backing buffer comes from the tracer's span free list; EmitShards
 // returns it, so paired Collect/Emit cycles allocate nothing once
 // warm. Error paths that skip EmitShards simply leak the buffer to the
 // garbage collector — recycling is an optimization, not an obligation.
-func (t *Tracer) CollectShards() (des.ShardObserver, *[]ShardSpan) {
+func (t *Tracer) CollectShards(shards []des.Shard, names ShardNames) (des.ShardObserver, *[]ShardSpan) {
 	if t == nil {
 		return nil, nil
 	}
@@ -288,22 +301,24 @@ func (t *Tracer) CollectShards() (des.ShardObserver, *[]ShardSpan) {
 	}
 	spans := &buf
 	return func(shard, lane int, start, end des.Time) {
-		*spans = append(*spans, ShardSpan{Shard: shard, Lane: lane, Start: start, End: end})
+		name := names.Tail
+		if shard < names.Split {
+			name = names.Head
+		}
+		*spans = append(*spans, ShardSpan{Name: name, Lane: lane, Start: start, End: end, Units: shards[shard].Units})
 	}, spans
 }
 
 // EmitShards emits one lane span per collected shard interval as
 // children of parent, shifting pipeline-relative intervals by begin.
-// name and pages map a shard index to its span name and unit count.
 // The span buffer is recycled into the tracer's free list; the caller
 // must not reuse it after this call.
-func (t *Tracer) EmitShards(parent SpanID, node int, begin des.Time, spans *[]ShardSpan, name func(shard int) string, pages func(shard int) int) {
+func (t *Tracer) EmitShards(parent SpanID, node int, begin des.Time, spans *[]ShardSpan) {
 	if t == nil || spans == nil {
 		return
 	}
 	for _, s := range *spans {
-		t.Emit(parent, node, TrackLaneBase+s.Lane, CatLane, name(s.Shard),
-			begin+s.Start, s.End-s.Start, 0, pages(s.Shard))
+		t.Emit(parent, node, TrackLaneBase+s.Lane, CatLane, s.Name, begin+s.Start, s.End-s.Start, 0, s.Units)
 	}
 	t.spanFree = append(t.spanFree, (*spans)[:0])
 	*spans = nil

@@ -56,11 +56,11 @@ func TestNilTracerIsDisabledAndSafe(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil || Phases(tr.Events()) != nil {
 		t.Error("nil tracer accessors must return zero values")
 	}
-	obs, spans := tr.CollectShards()
+	obs, spans := tr.CollectShards(nil, ShardNames{})
 	if obs != nil || spans != nil {
 		t.Error("nil CollectShards must return (nil, nil)")
 	}
-	tr.EmitShards(None, 0, 0, spans, nil, nil) // must not panic
+	tr.EmitShards(None, 0, 0, spans) // must not panic
 }
 
 func TestBufferCapDropsAndClosedUnderParenthood(t *testing.T) {
@@ -277,22 +277,32 @@ func TestCollectAndEmitShards(t *testing.T) {
 	shards := []des.Shard{
 		{Setup: 10},
 		{Setup: 5, Units: 64, UnitCost: 2},
-		{Setup: 5, Units: 64, UnitCost: 2},
+		{Setup: 5, Units: 32, UnitCost: 2},
 	}
-	obs, spans := tr.CollectShards()
+	obs, spans := tr.CollectShards(shards, ShardNames{Head: "vma-leaf", Split: 1, Tail: "pt-leaf"})
 	dur := des.Pipeline(2, 2, 1, shards, obs)
 	if len(*spans) != len(shards) {
 		t.Fatalf("observed %d shards, want %d", len(*spans), len(shards))
 	}
 	op := tr.Emit(None, 0, TrackOps, CatOp, "checkpoint", 100, dur, 0, 0)
 	copyID := tr.Emit(op, 0, TrackOps, CatPhase, "copy", 100, dur, 0, 0)
-	tr.EmitShards(copyID, 0, 100, spans,
-		func(int) string { return "pt-leaf" },
-		func(i int) int { return shards[i].Units })
+	tr.EmitShards(copyID, 0, 100, spans)
 	if errs := CheckNesting(tr.Events()); len(errs) != 0 {
 		t.Fatalf("shard spans violate nesting: %v", errs)
 	}
-	for _, e := range tr.Events()[2:] {
+	// Shards 0 and 1 start together on the two lanes, shard 2 when
+	// shard 0 frees its lane: the spans come in completion order.
+	lanes := tr.Events()[2:]
+	for i, want := range []struct {
+		name  string
+		pages int
+	}{{"vma-leaf", 0}, {"pt-leaf", 32}, {"pt-leaf", 64}} {
+		if e := lanes[i]; e.Name != want.name || e.Pages != want.pages || e.Parent != copyID || e.Cat != CatLane {
+			t.Errorf("lane span %d = %+v, want %s/%s with %d pages under span %d",
+				i, e, CatLane, want.name, want.pages, copyID)
+		}
+	}
+	for _, e := range lanes {
 		if e.Track < TrackLaneBase {
 			t.Errorf("lane span on track %d, want >= %d", e.Track, TrackLaneBase)
 		}
