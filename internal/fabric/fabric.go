@@ -24,9 +24,9 @@ var (
 	// ErrUnknownNode marks a link endpoint that was never declared.
 	ErrUnknownNode = errors.New("fabric: link endpoint not declared")
 	// ErrBadLink marks an illegal link: zero bandwidth, non-positive
-	// latency, zero streams, a self-loop, a duplicate pair, or a link
-	// that bypasses the switching layer (host-host, host-device,
-	// device-device).
+	// latency, zero streams or more than MaxStreams, a self-loop, a
+	// duplicate pair, or a link that bypasses the switching layer
+	// (host-host, host-device, device-device).
 	ErrBadLink = errors.New("fabric: invalid link")
 	// ErrDisconnected marks a host or device with no path to the other
 	// side of the fabric: a device no host can reach is unusable, and
@@ -36,6 +36,13 @@ var (
 	// usable fabric needs at least one host, one switch, one device.
 	ErrEmptySpec = errors.New("fabric: spec needs at least one host, one switch, and one device")
 )
+
+// MaxStreams bounds a link's streams= attribute. NewNet allocates one
+// slot per stream of every link and each transfer scans its links'
+// slots, so an unbounded count could make one spec line allocate
+// terabytes. The cap is ten times params.FabricStreams (6); no
+// topology in the repository declares more than 4.
+const MaxStreams = 64
 
 // SpecLink is one declared link. Zero-valued attributes mean "default":
 // latency and per-page service resolve against the parameter set at
@@ -83,7 +90,8 @@ const (
 //	link sw1 d0
 //
 // Attributes: lat=<duration> (one-way link latency), bw=<GB/s>
-// (link bandwidth), streams=<n> (concurrent full-rate transfers).
+// (link bandwidth), streams=<n> (concurrent full-rate transfers, at
+// most MaxStreams).
 // Omitted attributes resolve to parameter-derived defaults at Build.
 // Every structural error is typed (see the Err variables) and carries
 // the offending line; Parse never panics on any input.
@@ -165,6 +173,9 @@ func Parse(text string) (*Spec, error) {
 					}
 					if n <= 0 {
 						return nil, ctx(fmt.Errorf("%w: non-positive streams %q", ErrBadLink, v))
+					}
+					if n > MaxStreams {
+						return nil, ctx(fmt.Errorf("%w: streams=%d above cap %d", ErrBadLink, n, MaxStreams))
 					}
 					l.Streams = n
 				default:

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cxlfork/internal/des"
@@ -53,6 +54,8 @@ func TestParseTypedErrors(t *testing.T) {
 		{"bad bw", "host h0\nswitch s0\ndevice d0\nlink h0 s0 bw=wide\nlink d0 s0\n", ErrBadSpec},
 		{"bad streams", "host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=many\nlink d0 s0\n", ErrBadSpec},
 		{"zero streams", "host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=0\nlink d0 s0\n", ErrBadLink},
+		{"streams above cap", "host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=65\nlink d0 s0\n", ErrBadLink},
+		{"terabyte of streams", "host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=1000000000000\nlink d0 s0\n", ErrBadLink},
 		{"negative lat", "host h0\nswitch s0\ndevice d0\nlink h0 s0 lat=-5ns\nlink d0 s0\n", ErrBadLink},
 		{"zero bandwidth", "host h0\nswitch s0\ndevice d0\nlink h0 s0 bw=0\nlink d0 s0\n", ErrBadLink},
 		{"unknown attr", "host h0\nswitch s0\ndevice d0\nlink h0 s0 mtu=9000\nlink d0 s0\n", ErrBadSpec},
@@ -85,6 +88,18 @@ func TestParseAcceptsFixture(t *testing.T) {
 	}
 	if len(s.Links) != 5 {
 		t.Fatalf("links: %d", len(s.Links))
+	}
+}
+
+// TestParseAcceptsStreamsAtCap: the streams bound rejects only counts
+// above MaxStreams.
+func TestParseAcceptsStreamsAtCap(t *testing.T) {
+	s, err := Parse(fmt.Sprintf("host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=%d\nlink d0 s0\n", MaxStreams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Links[0].Streams != MaxStreams {
+		t.Fatalf("streams = %d, want %d", s.Links[0].Streams, MaxStreams)
 	}
 }
 

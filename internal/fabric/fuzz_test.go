@@ -10,9 +10,10 @@ import (
 
 // FuzzParseSpec drives arbitrary text through the topology DSL. The
 // contract under fuzzing: Parse (and Build on anything Parse accepts)
-// never panics, and every rejection is one of the package's typed
-// errors — malformed input must stay diagnosable, not collapse into
-// ad-hoc strings.
+// never panics, every rejection is one of the package's typed errors —
+// malformed input must stay diagnosable, not collapse into ad-hoc
+// strings — and no accepted link declares more than 64 streams
+// (MaxStreams, restated).
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		"",
@@ -29,6 +30,8 @@ func FuzzParseSpec(f *testing.F) {
 		// Zero-bandwidth, zero-stream, negative-latency links.
 		"host h0\nswitch s0\ndevice d0\nlink h0 s0 bw=0\nlink d0 s0\n",
 		"host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=0\nlink d0 s0\n",
+		"host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=65\nlink d0 s0\n",
+		"host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=1000000000000\nlink d0 s0\n",
 		"host h0\nswitch s0\ndevice d0\nlink h0 s0 lat=-1ns\nlink d0 s0\n",
 		// Links that skip the switching layer, self-loops, duplicates.
 		"host h0\nswitch s0\ndevice d0\nlink h0 d0\n",
@@ -64,6 +67,13 @@ func FuzzParseSpec(f *testing.F) {
 				}
 			}
 			t.Fatalf("untyped parse error: %v", err)
+		}
+		// Parse bounds every link's stream count, which sizes the
+		// slots NewNet allocates.
+		for _, l := range spec.Links {
+			if l.Streams < 0 || l.Streams > 64 {
+				t.Fatalf("accepted link %s-%s with %d streams", l.A, l.B, l.Streams)
+			}
 		}
 		// Anything Parse accepts must build and answer routing queries
 		// without panicking: Parse owns all structural validation.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cxlfork"
+	"cxlfork/internal/fabric"
 )
 
 // FuzzSpec decodes arbitrary bytes the way POST /v1/sessions does and
@@ -71,7 +72,8 @@ func documentedSpecs(f *testing.F) [][]byte {
 // first one s breaks. Zero fields count at the defaults a run applies:
 // 2 nodes, 128 GiB DRAM per node, 16 GiB CXL, a 10 s duration, a
 // 100 ms sampling period, a 1 s reclaim period and a 500 ms repair
-// period.
+// period. A topology must parse, within 16 hosts, 32 switches, 16
+// devices, 256 links and 64 streams per link.
 func admissionBound(s Spec, maxVirtual time.Duration) error {
 	c, w := s.Config, s.Workload
 	if w.Design != "" && !slices.Contains(cxlfork.WorkloadDesigns, w.Design) {
@@ -110,6 +112,22 @@ func admissionBound(s Spec, maxVirtual time.Duration) error {
 	}
 	if !slices.Contains([]string{"", "hash", "locality"}, c.Fabric.Placement) {
 		return fmt.Errorf("placement %q", c.Fabric.Placement)
+	}
+	if c.Fabric.Topology != "" {
+		topo, err := fabric.Parse(c.Fabric.Topology)
+		if err != nil {
+			return fmt.Errorf("topology: %v", err)
+		}
+		if len(topo.Hosts) > MaxNodes || len(topo.Switches) > MaxNodes+MaxDevices ||
+			len(topo.Devices) > MaxDevices || len(topo.Links) > 256 {
+			return fmt.Errorf("topology of %d hosts, %d switches, %d devices, %d links",
+				len(topo.Hosts), len(topo.Switches), len(topo.Devices), len(topo.Links))
+		}
+		for _, l := range topo.Links {
+			if l.Streams > 64 {
+				return fmt.Errorf("topology link %s-%s with %d streams", l.A, l.B, l.Streams)
+			}
+		}
 	}
 	if w.RPS < 0 || w.RPS > MaxRPS {
 		return fmt.Errorf("rps %g", w.RPS)

@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"cxlfork"
+	"cxlfork/internal/fabric"
 )
 
 // smallConfig keeps sessions fast: capacity-sized structures dominate
@@ -288,17 +291,54 @@ func TestValidate(t *testing.T) {
 				s.Workload.Weights[fn] = 0
 			}
 		}},
+		{"unparseable topology", func(s *Spec) { s.Config.Fabric.Topology = "not a topology at all" }},
+		{"terabyte of link streams", func(s *Spec) {
+			s.Config.Fabric.Topology = "host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=1000000000000\nlink d0 s0\n"
+		}},
+		{"excess topology hosts", func(s *Spec) { s.Config.Fabric.Topology = fabric.GridSpec(MaxNodes+1, 1, 1) }},
+		{"excess topology switches", func(s *Spec) { s.Config.Fabric.Topology = fabric.GridSpec(1, MaxSwitches+1, 1) }},
+		{"excess topology devices", func(s *Spec) { s.Config.Fabric.Topology = fabric.GridSpec(1, 1, MaxDevices+1) }},
+		{"excess topology links", func(s *Spec) { s.Config.Fabric.Topology = meshSpec(MaxNodes, MaxNodes, MaxDevices) }},
 	}
 	m := NewManager(Config{})
+	maxVirtual := m.Cfg().MaxVirtual
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := fastSpec()
 			tc.mut(&spec)
+			// Admission alone first: Submit runs whatever it admits,
+			// and an oversized spec must never run.
+			if err := spec.Validate(maxVirtual); err == nil {
+				t.Fatal("Validate admitted an invalid spec")
+			}
 			if _, err := m.Submit(spec); err == nil {
 				t.Fatal("Submit accepted an invalid spec")
 			}
 		})
 	}
+}
+
+// meshSpec links every host and every device to every one of switches
+// switches: hosts×switches + devices×switches links.
+func meshSpec(hosts, switches, devices int) string {
+	var b strings.Builder
+	for _, n := range []struct {
+		kind, id string
+		count    int
+	}{{"host", "h", hosts}, {"switch", "s", switches}, {"device", "d", devices}} {
+		for i := 0; i < n.count; i++ {
+			fmt.Fprintf(&b, "%s %s%d\n", n.kind, n.id, i)
+		}
+	}
+	for sw := 0; sw < switches; sw++ {
+		for h := 0; h < hosts; h++ {
+			fmt.Fprintf(&b, "link h%d s%d\n", h, sw)
+		}
+		for d := 0; d < devices; d++ {
+			fmt.Fprintf(&b, "link d%d s%d\n", d, sw)
+		}
+	}
+	return b.String()
 }
 
 // TestValidateAdmitsDocumentedPlatforms pins the other side of the
@@ -336,6 +376,12 @@ func TestValidateAdmitsDocumentedPlatforms(t *testing.T) {
 			},
 			Workload: WorkloadSpec{Duration: Duration(MaxTicks * time.Millisecond)},
 		},
+		"topology at every cap": {Config: ConfigSpec{Fabric: FabricSpec{
+			Topology: fabric.GridSpec(MaxNodes, MaxSwitches, MaxDevices),
+		}}},
+		"topology at the link cap": {Config: ConfigSpec{Fabric: FabricSpec{
+			Topology: meshSpec(MaxNodes, MaxLinks/(MaxNodes+MaxDevices), MaxDevices),
+		}}},
 		"named policies, partly zero mix": {
 			Config: ConfigSpec{
 				Capacity: CapacitySpec{EvictPolicy: "lru"},

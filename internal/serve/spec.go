@@ -7,6 +7,7 @@ import (
 
 	"cxlfork"
 	"cxlfork/internal/experiments"
+	"cxlfork/internal/fabric"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/replica"
@@ -210,6 +211,19 @@ const (
 	MaxSeriesCap = 1 << 16
 )
 
+// Topology bounds at admission. fabric.topology declares its own hosts
+// and devices, and its device count replaces replication.devices, so
+// its hosts are bounded at MaxNodes and its devices at MaxDevices. The
+// fabric routes every host to every device over its switches and
+// links, so those are bounded too: MaxSwitches gives every host and
+// device a switch of its own, and MaxLinks is four links per node of a
+// topology at every cap. fabric.Parse bounds each link's streams at
+// fabric.MaxStreams.
+const (
+	MaxSwitches = MaxNodes + MaxDevices
+	MaxLinks    = 4 * (MaxNodes + MaxSwitches + MaxDevices)
+)
+
 // MaxTicks bounds, at admission, the ticks of each loop a session runs
 // on a fixed virtual-time period: the workload duration over
 // telemetry.sample_every, over capacity.reclaim_period and over
@@ -259,6 +273,14 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 		}
 	}
 	c := s.Config
+	var topo fabric.Spec
+	if c.Fabric.Topology != "" {
+		t, err := fabric.Parse(c.Fabric.Topology)
+		if err != nil {
+			return fmt.Errorf("fabric.topology: %w", err)
+		}
+		topo = *t
+	}
 	if c.Nodes < 0 || c.Nodes > MaxNodes {
 		return fmt.Errorf("nodes %d out of range [0,%d]", c.Nodes, MaxNodes)
 	}
@@ -280,6 +302,10 @@ func (s Spec) Validate(maxVirtual time.Duration) error {
 		{"restore_lanes", c.RestoreLanes, MaxLanes},
 		{"replication.devices", c.Replication.Devices, MaxDevices},
 		{"telemetry.series_cap", c.Telemetry.SeriesCap, MaxSeriesCap},
+		{"fabric.topology hosts", len(topo.Hosts), MaxNodes},
+		{"fabric.topology switches", len(topo.Switches), MaxSwitches},
+		{"fabric.topology devices", len(topo.Devices), MaxDevices},
+		{"fabric.topology links", len(topo.Links), MaxLinks},
 	} {
 		if b.val > b.max {
 			return fmt.Errorf("%s %d exceeds cap %d", b.field, b.val, b.max)

@@ -385,6 +385,7 @@ func TestRejectedSpecsKeepServing(t *testing.T) {
 	for field, mut := range map[string]func(*Spec){
 		"capacity.evict_policy":     func(s *Spec) { s.Config.Capacity.EvictPolicy = "fifo" },
 		"fabric.placement":          func(s *Spec) { s.Config.Fabric.Placement = "random" },
+		"fabric.topology":           func(s *Spec) { s.Config.Fabric.Topology = "not a topology at all" },
 		"weights":                   func(s *Spec) { s.Workload.Weights = map[string]float64{"Float": 0} },
 		"telemetry.sample_every":    func(s *Spec) { s.Config.Telemetry.SampleEvery = Duration(10 * time.Microsecond) },
 		"capacity.reclaim_period":   func(s *Spec) { s.Config.Capacity.ReclaimPeriod = Duration(time.Microsecond) },
