@@ -79,11 +79,15 @@ type FnMeasurement struct {
 // on node 1). The measurement protocol mirrors §6.2: functions run
 // unsandboxed and the checkpoint phase is excluded from E2E.
 //
-// The result depends only on p, spec and the set of scens, so an
-// earlier call's measurement of the same inputs is returned from the
-// process-wide calibration memo (memo.go). Every call returns its own
-// copy; a caller may modify it freely.
+// The calibration cluster is a throwaway probe, so it runs unobserved
+// and on one worker: the tracer, telemetry and x-ray flags and
+// SimWorkers are cleared first, none of which changes a measurement.
+// The result then depends only on the cleared p, spec and the set of
+// scens, so an earlier call's measurement of the same inputs is
+// returned from the process-wide calibration memo (memo.go). Every
+// call returns its own copy; a caller may modify it freely.
 func MeasureFunction(p params.Params, spec faas.Spec, scens []Scenario) (*FnMeasurement, error) {
+	p.TraceEnabled, p.TelemetryEnabled, p.XRayEnabled, p.SimWorkers = false, false, false, 0
 	k := memoKey{p: p, spec: spec, scens: scenarioSet(scens)}
 	if m, ok := calibration.get(k); ok {
 		return m, nil

@@ -36,7 +36,9 @@ const calibrationMemoEntries = 256
 // memoKey is everything measureFunction reads. params.Params and
 // faas.Spec are comparable structs, so the key holds both whole: a
 // field added to either is in the key with no digest to keep in step,
-// and one that is not comparable fails to compile here. scens is the
+// and one that is not comparable fails to compile here. MeasureFunction
+// clears the observer flags and SimWorkers before it keys, so p is
+// exactly the parameters measured. scens is the
 // scenario list as a set, bit i for AllScenarios[i]: measureFunction
 // reads the list only through its want set, so neither order nor
 // duplicates can change a result.

@@ -107,6 +107,61 @@ func TestMeasureFunctionIsPure(t *testing.T) {
 	}
 }
 
+// observed returns p with the tracer, telemetry and x-ray on and four
+// simulation workers.
+func observed(p params.Params) params.Params {
+	p.TraceEnabled, p.TelemetryEnabled, p.XRayEnabled, p.SimWorkers = true, true, true, 4
+	return p
+}
+
+// TestMeasureFunctionIgnoresObservers is why MeasureFunction may clear
+// the observer flags and SimWorkers before it keys and measures: Float
+// and BFS, measured memo-free under every scenario with all three
+// observers and four workers on, deep-equal their measurements with
+// all of them off.
+func TestMeasureFunctionIgnoresObservers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mechanistic measurement is slow")
+	}
+	p := ExpParams()
+	for _, fn := range []string{"Float", "BFS"} {
+		spec, _ := faas.ByName(fn)
+		plain, err := measureFunction(p, spec, AllScenarios)
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		obs, err := measureFunction(observed(p), spec, AllScenarios)
+		if err != nil {
+			t.Fatalf("%s observed: %v", fn, err)
+		}
+		if !reflect.DeepEqual(obs, plain) {
+			t.Errorf("%s: observed %+v, plain %+v", fn, obs, plain)
+		}
+	}
+}
+
+// TestCalibrationMemoHitsAcrossObservers: a call that differs from an
+// earlier one only in its observer flags and worker count is a memo
+// hit, and returns the earlier call's measurement.
+func TestCalibrationMemoHitsAcrossObservers(t *testing.T) {
+	p, spec := memoParams(383), memoSpec()
+	first, err := MeasureFunction(p, spec, AllScenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := CalibrationMemoStats()
+	hit, err := MeasureFunction(observed(p), spec, AllScenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := CalibrationMemoStats(); after.Hits != before.Hits+1 {
+		t.Fatalf("observed call was not a memo hit (hits %d → %d)", before.Hits, after.Hits)
+	}
+	if !reflect.DeepEqual(hit, first) {
+		t.Fatalf("observed hit %+v, plain %+v", hit, first)
+	}
+}
+
 // TestMemoHitsEqualRecompute checks that a memo hit returns exactly
 // what measuring again returns, for every design's scenario set and
 // for AllScenarios.

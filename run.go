@@ -260,12 +260,10 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		p.TelemetryEnabled = true
 	}
 
-	// Calibrate with telemetry off: the mechanistic single-instance
-	// measurements are a sizing probe, not part of the observed replay
-	// (the same split TelemetryTrace makes).
-	pm := p
-	pm.TelemetryEnabled = false
-	profiles, err := experiments.Calibrate(pm, specs, scens)
+	// Calibration runs unobserved whatever p says (MeasureFunction):
+	// the mechanistic single-instance measurements are a sizing probe,
+	// not part of the observed replay.
+	profiles, err := experiments.Calibrate(p, specs, scens)
 	if err != nil {
 		return nil, err
 	}
