@@ -91,7 +91,7 @@ func scaleRun(p params.Params, spec faas.Spec, nodes, n int, useCXLfork bool) (i
 	if err := parent.ColdInit(); err != nil {
 		return 0, 0, 0, err
 	}
-	if err := parent.PrepareParent(16, nil); err != nil {
+	if err := parent.PrepareParent(p.CheckpointAfter, nil); err != nil {
 		return 0, 0, 0, err
 	}
 

@@ -105,12 +105,12 @@ func nearestRank(p float64, n int) int {
 }
 
 // Quantile returns the p-th percentile (0 <= p <= 100) with linear
-// interpolation between adjacent order statistics — the smoother
-// estimator telemetry summaries use, where nearest-rank's stair-steps
-// would show up as false level shifts. A single-sample distribution
-// returns that sample for every p: the naive interpolation index
-// p/100*(n-1) degenerates to position 0 of an unguarded formula and
-// historically reported 0 for P50.
+// interpolation between adjacent order statistics. Every other
+// percentile the simulator reports is Percentile's nearest rank; the
+// one caller is the Cold P99 column of cxlsim -exp slo. A
+// single-sample distribution returns that sample for every p: the
+// naive interpolation index p/100*(n-1) degenerates to position 0 of
+// an unguarded formula and historically reported 0 for P50.
 func (r *LatencyRecorder) Quantile(p float64) des.Time {
 	n := r.Count()
 	if n == 0 {
