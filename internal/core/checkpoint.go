@@ -370,8 +370,8 @@ func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, err
 		return nil, op.Fail("alloc", err)
 	}
 	ck.globalOff = off
-	op.Phase("global-serialize", des.Time(len(gs.FDs))*params.FDSerialize+params.StructCopy, // FDs + mounts + pidns records
-		int64(len(blob)), 0)
+	// One record per FD, one copy for the mounts and PID namespace.
+	op.Phase("global-serialize", des.Time(len(gs.FDs))*params.FDSerialize+params.StructCopy, int64(len(blob)), 0)
 
 	// Publication commit: the arena becomes visible to Restore only now.
 	// Everything before this point is recoverable staging.

@@ -18,9 +18,16 @@ import (
 // virtual duration. Validate must never panic, and every spec it admits
 // must satisfy each admission bound, restated here apart from the code
 // under test. The seeds are the specs docs/API.md and
-// examples/served/spec.json document.
+// examples/served/spec.json document, and two with a topology.
 func FuzzSpec(f *testing.F) {
-	for _, seed := range documentedSpecs(f) {
+	seeds := documentedSpecs(f)
+	// No documented spec declares a topology, so two seeds do: one at
+	// the stream cap and one past it.
+	for _, streams := range []int{64, 65} {
+		seeds = append(seeds, fmt.Appendf(nil,
+			`{"config":{"fabric":{"topology":"host h0\nswitch s0\ndevice d0\nlink h0 s0 streams=%d\nlink d0 s0\n"}}}`, streams))
+	}
+	for _, seed := range seeds {
 		f.Add(seed, true)
 		f.Add(seed, false)
 	}
